@@ -400,21 +400,20 @@ def run_scenario(
     if realizations is not None:
         cfg["n_realizations"] = realizations
 
-    report = _sampling_report(cfg)
-    if not report.ok:
-        raise SamplingFailure("; ".join(report.messages))
-
     try:
+        report = _sampling_report(cfg)
+        if not report.ok:
+            raise SamplingFailure("; ".join(report.messages))
         geometry = _geometry(cfg)
         grid = _grid(cfg)
+        econf = EnsembleConfig(
+            n_realizations=cfg["n_realizations"], seed=cfg["seed"], geometry=geometry, grid=grid
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    econf = EnsembleConfig(
-        n_realizations=cfg["n_realizations"], seed=cfg["seed"], geometry=geometry, grid=grid
-    )
 
     outdir = Path(out_dir)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         outdir.mkdir(parents=True, exist_ok=True)
         files, summary = SCENARIOS[name](
@@ -438,7 +437,7 @@ def run_scenario(
         entries[f"output.{fname}.bytes"] = fpath.stat().st_size
     write_manifest(outdir / "manifest.txt", entries)
     print(f"{name}: wrote {len(files)} file(s) to {outdir} "
-          f"(wall time {time.time() - t0:.1f} s)")
+          f"(wall time {time.perf_counter() - t0:.1f} s)")
     return entries
 
 

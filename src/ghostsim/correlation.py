@@ -9,8 +9,10 @@ Two interchangeable engines compute <I1 I2>:
                      discrete model, exposing the background and interference
                      terms separately.
 
-Both engines run the identical propagators, so they estimate the same
-quantity; the MC result converges to the analytic one as 1/sqrt(n).
+Both engines read the arms through the source-mode Green's functions of
+mode_decomposition, so they estimate the same quantity; the MC result
+converges to the analytic one as 1/sqrt(n).  The MC engine keeps only the
+columns it reads and forms each realization's fields as draws @ kernel.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .optics import ArmPath, apply_path_block
-from .source import EnsembleConfig, ModeSet, sample_source_block
+from .optics import ArmPath, Mask
+from .source import EnsembleConfig, ModeSet, mode_decomposition, sample_source_block
 
 __all__ = [
     "CorrelationMap",
@@ -68,14 +70,12 @@ class CorrelationMap:
         return np.multiply.outer(np.asarray(self.i1_mean), self.i2_mean)
 
 
-def _mc_block(config, arm1, arm2, kind, x1_idx, x2_idx, k0, k1, strict):
-    grid, wl = config.grid, config.geometry.wavelength
-    E = sample_source_block(config, k0, k1)
-    E1 = apply_path_block(E, grid, wl, arm1, strict)
-    E2 = apply_path_block(E, grid, wl, arm2, strict)
-    I2 = np.abs(E2[:, x2_idx]) ** 2
+def _mc_block(config, kernel, kind, k0, k1):
+    c = sample_source_block(config, k0, k1)
+    I1 = np.abs(c @ kernel.g1) ** 2
+    I2 = np.abs(c @ kernel.g2) ** 2
     if kind == "bucket":
-        I1 = (np.abs(E1) ** 2).sum(axis=1) * grid.dx
+        I1 = I1.sum(axis=1) * config.grid.dx
         P = I1[:, None] * I2
         return (
             P.sum(axis=0),
@@ -84,10 +84,8 @@ def _mc_block(config, arm1, arm2, kind, x1_idx, x2_idx, k0, k1, strict):
             I2.sum(axis=0),
         )
     if kind == "diagonal":
-        I1 = np.abs(E1[:, x2_idx]) ** 2
         P = I1 * I2
         return P.sum(axis=0), (P**2).sum(axis=0), I1.sum(axis=0), I2.sum(axis=0)
-    I1 = np.abs(E1[:, x1_idx]) ** 2
     P = np.einsum("bi,bj->ij", I1, I2)
     P2 = np.einsum("bi,bj->ij", I1**2, I2**2)
     return P, P2, I1.sum(axis=0), I2.sum(axis=0)
@@ -108,10 +106,19 @@ def accumulate_mc(
 ) -> CorrelationMap:
     """Monte Carlo <I1 I2> over config.n_realizations speckle realizations.
 
-    bucket=True integrates I1 over the full grid behind arm 1 (bucket
-    detector); otherwise I1 stays position-resolved at x1_indices
-    (diagonal=True pairs each x2 sample with the same x1 sample).
+    bucket=True integrates I1 over arm 1's detection plane (bucket detector):
+    over the support of arm 1's final Mask, where the field is exactly zero
+    elsewhere, or over the whole grid if the arm does not end in a mask.
+    Otherwise I1 stays position-resolved at x1_indices (diagonal=True pairs
+    each x2 sample with the same x1 sample).
     Deterministic for fixed (seed, n_realizations) for any worker count.
+
+    The arms are propagated once, as a Green's-function kernel restricted to
+    the columns read (mode_decomposition); each realization's fields are
+    then its m source amplitudes times that kernel.  Memory stays bounded by
+    the kernel build's few block_size * n complex values, the kernel's
+    m * (|arm-1 columns| + |x2|), and one block_size * (m + |arm-1 columns| +
+    |x2|) block per worker, plus the per-block partial sums.
     """
     if bucket and diagonal:
         raise ValueError("bucket and diagonal modes are mutually exclusive")
@@ -126,11 +133,20 @@ def accumulate_mc(
                 "full correlation map too large; restrict x1_indices/x2_indices"
             )
 
+    if kind == "bucket":
+        last = arm1.elements[-1] if len(arm1) else None
+        cols1 = last.mask.support_indices() if isinstance(last, Mask) else None
+    else:
+        cols1 = x2_idx if kind == "diagonal" else x1_idx
+    kernel = mode_decomposition(
+        config, arm1, arm2, block_size, strict, columns1=cols1, columns2=x2_idx
+    )
+
     n = config.n_realizations
     bounds = [(k0, min(k0 + block_size, n)) for k0 in range(0, n, block_size)]
 
     def job(b):
-        return _mc_block(config, arm1, arm2, kind, x1_idx, x2_idx, b[0], b[1], strict)
+        return _mc_block(config, kernel, kind, b[0], b[1])
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -192,6 +208,8 @@ def g2_analytic(
     """
     if len(modes) == 0:
         raise ValueError("mode set is empty")
+    if modes.restricted:
+        raise ValueError("g2_analytic needs a mode set over all grid columns")
     if bucket and diagonal:
         raise ValueError("bucket and diagonal modes are mutually exclusive")
     kind = "bucket" if bucket else ("diagonal" if diagonal else "full")

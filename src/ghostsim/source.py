@@ -3,7 +3,9 @@
 Each realization is one snapshot of a delta-correlated circular complex
 Gaussian field on the source aperture (the standard fully-developed-speckle
 idealization of a rotating ground glass): one independent complex normal per
-grid sample inside the aperture, zero outside.
+grid sample inside the aperture, zero outside.  A draw therefore holds only
+the m aperture amplitudes; every field behind an arm is that (m,) vector
+times the arm's Green's functions (mode_decomposition).
 
 Randomness is counter-based (Philox): the values of realization k are a pure
 function of (seed, k, sample index), so realizations can be generated in any
@@ -54,20 +56,23 @@ def _philox_key(seed: int) -> np.ndarray:
 
 
 def sample_source_block(config: EnsembleConfig, k0: int, k1: int) -> np.ndarray:
-    """Source amplitudes for realizations k0..k1-1 as a (k1-k0, n) array."""
+    """Aperture amplitudes for realizations k0..k1-1 as a (k1-k0, m) array.
+
+    Column j belongs to grid sample aperture_indices(config)[j]; the field is
+    zero everywhere else on the grid.
+    """
     if not 0 <= k0 <= k1 <= config.n_realizations:
         raise ValueError(
             f"realization range [{k0}, {k1}) outside [0, {config.n_realizations})"
         )
-    idx = aperture_indices(config)
-    m = len(idx)
+    m = len(aperture_indices(config))
     key = _philox_key(config.seed)
-    out = np.zeros((k1 - k0, config.grid.n), dtype=np.complex128)
+    out = np.empty((k1 - k0, m), dtype=np.complex128)
     for row, k in enumerate(range(k0, k1)):
         # realization index in the high counter word: disjoint counter blocks
         rng = Generator(Philox(key=key, counter=[0, 0, 0, k]))
         z = rng.standard_normal(2 * m)
-        out[row, idx] = (z[:m] + 1j * z[m:]) / np.sqrt(2.0)
+        out[row] = (z[:m] + 1j * z[m:]) / np.sqrt(2.0)
     return out
 
 
@@ -75,7 +80,8 @@ def sample_source_field(config: EnsembleConfig, k: int) -> ComplexField:
     """Speckle realization k; pure function of (config, k)."""
     if not 0 <= k < config.n_realizations:
         raise ValueError(f"realization index {k} outside [0, {config.n_realizations})")
-    amp = sample_source_block(config, k, k + 1)[0]
+    amp = np.zeros(config.grid.n, dtype=np.complex128)
+    amp[aperture_indices(config)] = sample_source_block(config, k, k + 1)[0]
     return ComplexField(config.grid, amp, config.geometry.wavelength)
 
 
@@ -85,20 +91,31 @@ class ModeSet:
 
     g1[j] is the field at the arm-1 detection plane produced by a unit
     amplitude at source sample positions[j]; g2[j] likewise for arm 2.
+    columns1/columns2 name the grid columns g1/g2 hold; None means all n.
+    A restricted set serves the Monte Carlo engine, which reads each arm at
+    a few columns only.
     """
 
     grid: Grid1D
     wavelength: float
     positions: np.ndarray  # (m,) source-sample coordinates
     indices: np.ndarray    # (m,) source-sample grid indices
-    g1: np.ndarray         # (m, n) complex
-    g2: np.ndarray         # (m, n) complex
+    g1: np.ndarray         # (m, n) complex, or (m, len(columns1))
+    g2: np.ndarray         # (m, n) complex, or (m, len(columns2))
+    columns1: np.ndarray | None = None
+    columns2: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.positions)
 
+    @property
+    def restricted(self) -> bool:
+        return self.columns1 is not None or self.columns2 is not None
+
     def items(self):
         """Iterate (position, g1 field, g2 field) per mode."""
+        if self.restricted:
+            raise ValueError("mode set holds restricted columns, not whole fields")
         for j in range(len(self)):
             yield (
                 float(self.positions[j]),
@@ -113,21 +130,32 @@ def mode_decomposition(
     arm2: ArmPath,
     block_size: int = 512,
     strict: bool = True,
+    *,
+    columns1: np.ndarray | None = None,
+    columns2: np.ndarray | None = None,
 ) -> ModeSet:
     """Propagate a unit basis field from every transparent source sample
-    through both arms.  One entry per sample inside the source aperture."""
+    through both arms.  One entry per sample inside the source aperture.
+
+    columns1/columns2 keep only those grid columns of arm 1/arm 2 (None keeps
+    all n).  The modes are propagated block_size at a time, so the working
+    memory is a few block_size * n complex values on top of the kept
+    m * (|columns1| + |columns2|).
+    """
     idx = aperture_indices(config)
     m = len(idx)
     n = config.grid.n
     wl = config.geometry.wavelength
-    g1 = np.empty((m, n), dtype=np.complex128)
-    g2 = np.empty((m, n), dtype=np.complex128)
+    keep1 = slice(None) if columns1 is None else np.asarray(columns1)
+    keep2 = slice(None) if columns2 is None else np.asarray(columns2)
+    g1 = np.empty((m, n if columns1 is None else len(keep1)), dtype=np.complex128)
+    g2 = np.empty((m, n if columns2 is None else len(keep2)), dtype=np.complex128)
     for b0 in range(0, m, block_size):
         b1 = min(b0 + block_size, m)
         basis = np.zeros((b1 - b0, n), dtype=np.complex128)
         basis[np.arange(b1 - b0), idx[b0:b1]] = 1.0
-        g1[b0:b1] = apply_path_block(basis, config.grid, wl, arm1, strict)
-        g2[b0:b1] = apply_path_block(basis, config.grid, wl, arm2, strict)
+        g1[b0:b1] = apply_path_block(basis, config.grid, wl, arm1, strict)[:, keep1]
+        g2[b0:b1] = apply_path_block(basis, config.grid, wl, arm2, strict)[:, keep2]
     coords = config.grid.coords()[idx]
     return ModeSet(
         grid=config.grid,
@@ -136,4 +164,6 @@ def mode_decomposition(
         indices=idx,
         g1=g1,
         g2=g2,
+        columns1=None if columns1 is None else keep1,
+        columns2=None if columns2 is None else keep2,
     )

@@ -216,6 +216,20 @@ class TestMainCommands:
         assert code == 3
         assert "chirp" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override",
+        [{"grid_n": 1000}, {"d_B": "50mm"}, {"n_realizations": 0}],
+        ids=["grid_n_not_power_of_two", "d_B_before_d_A", "zero_realizations"],
+    )
+    def test_run_bad_config_exit_2(self, tmp_path, capsys, override):
+        cfg = small_cfg(tmp_path, **override)
+        code = main(["run", "fig4-doubleslit", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                     "--engine", "mc"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_run_io_error_exit_4(self, tmp_path, capsys):
         target = tmp_path / "not_a_dir"
         target.write_text("file in the way")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghostsim import (
     ArmPath,
@@ -13,11 +14,14 @@ from ghostsim import (
     fluctuation_correlation,
     g2_analytic,
     make_pinhole,
+    make_double_slit,
     make_slit,
     mode_decomposition,
     siegert_normalize,
 )
-from ghostsim.source import aperture_indices
+from ghostsim.experiment import build_arms, scan_indices, sigma_arm
+from ghostsim.optics import apply_path_block
+from ghostsim.source import aperture_indices, sample_source_block
 
 from conftest import make_config
 
@@ -203,3 +207,97 @@ def test_mc_g2_stays_above_one_minus_error(src_config):
     )
     g2 = siegert_normalize(cmap).g2
     assert np.all(g2 >= 1.0 - 3 * cmap.eps)
+
+
+def _bench_arms(grid, geometry, scan):
+    """fig4 (double slit, lens arm) or sigma-plane (pinhole, no lens) arms."""
+    if scan == "fig4":
+        obj = make_double_slit(grid, 1e-3, 0.2e-3)
+        return (obj, *build_arms(geometry, obj))
+    obj = make_pinhole(grid, 1e-3, 60e-6)
+    return obj, build_arms(geometry, obj)[0], sigma_arm(geometry)
+
+
+@pytest.mark.parametrize("scan", ["fig4", "sigma"])
+def test_restricted_kernel_reproduces_propagated_draws(grid, geometry, scan):
+    config = make_config(grid, geometry, n_realizations=6, seed=13)
+    obj, arm1, arm2 = _bench_arms(grid, geometry, scan)
+    S = obj.support_indices()
+    X = scan_indices(grid, 6e-3)
+    kernel = mode_decomposition(config, arm1, arm2, columns1=S, columns2=X)
+    assert kernel.g1.shape == (100, len(S)) and kernel.g2.shape == (100, len(X))
+
+    c = sample_source_block(config, 0, config.n_realizations)
+    field = np.zeros((config.n_realizations, grid.n), complex)
+    field[:, aperture_indices(config)] = c
+    E1 = apply_path_block(field, grid, geometry.wavelength, arm1)
+    E2 = apply_path_block(field, grid, geometry.wavelength, arm2)
+    np.testing.assert_allclose(c @ kernel.g1, E1[:, S], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(c @ kernel.g2, E2[:, X], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("scan", ["fig4", "sigma"])
+def test_bucket_drops_only_columns_that_are_zero_for_every_mode(grid, geometry, scan):
+    config = make_config(grid, geometry, n_realizations=2)
+    obj, arm1, arm2 = _bench_arms(grid, geometry, scan)
+    S = obj.support_indices()
+    full = mode_decomposition(config, arm1, arm2)
+    dropped = np.setdiff1d(np.arange(grid.n), S)
+    assert np.all(full.g1[:, dropped] == 0)
+    kernel = mode_decomposition(config, arm1, arm2, columns1=S, columns2=S)
+    assert np.array_equal(kernel.g1, full.g1[:, S])
+    assert np.array_equal(kernel.g2, full.g2[:, S])
+
+
+def test_restricted_mode_set_is_refused_where_whole_fields_are_needed(small_grid, geometry):
+    config = make_config(small_grid, geometry, n_realizations=2)
+    idx = aperture_indices(config)
+    modes = mode_decomposition(config, IDENTITY, IDENTITY, columns1=idx, columns2=idx)
+    assert np.array_equal(modes.g1, np.eye(len(idx)))
+    with pytest.raises(ValueError, match="all grid columns"):
+        g2_analytic(modes, bucket=False, diagonal=True, x2_indices=idx)
+    with pytest.raises(ValueError):
+        next(modes.items())
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    slits=st.lists(
+        st.tuples(st.integers(0, 1023), st.integers(1, 256)), min_size=1, max_size=3
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_bucket_i1_over_mask_support_equals_full_grid_sum(small_grid, geometry, slits, seed):
+    # slits inside the central half of the window, the 4x guard band of validate_sampling
+    n = small_grid.n
+    t = np.zeros(n)
+    for start, width in slits:
+        t[n // 4 + start : min(n // 4 + start + width, 3 * n // 4)] = 1.0
+    obj = TransmissionMask(small_grid, t)
+    arm1, arm2 = build_arms(geometry, obj)
+    config = make_config(small_grid, geometry, n_realizations=8, seed=seed)
+    cmap = accumulate_mc(config, arm1, arm2, bucket=True, x2_indices=np.arange(0, n, 64))
+
+    modes = mode_decomposition(config, arm1, arm2)
+    c = sample_source_block(config, 0, config.n_realizations)
+    full_grid = (np.abs(c @ modes.g1) ** 2).sum(axis=1) * small_grid.dx
+    assert cmap.i1_mean == pytest.approx(full_grid.mean(), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("kind", ["full", "diagonal"])
+def test_worker_count_does_not_change_bits_for_maps(grid, geometry, kind):
+    # 257 realizations in blocks of 256: the last block holds a single row
+    config = make_config(grid, geometry, n_realizations=257, seed=8)
+    obj, arm1, arm2 = _bench_arms(grid, geometry, "fig4")
+    options = dict(
+        bucket=False,
+        diagonal=kind == "diagonal",
+        x1_indices=obj.support_indices() if kind == "full" else None,
+        x2_indices=scan_indices(grid, 2e-3),
+    )
+    ref = accumulate_mc(config, arm1, arm2, workers=1, **options)
+    assert ref.kind == kind
+    for workers in (2, 4):
+        out = accumulate_mc(config, arm1, arm2, workers=workers, **options)
+        for name in ("g2_raw", "i1_mean", "i2_mean", "eps"):
+            assert np.array_equal(getattr(out, name), getattr(ref, name)), (workers, name)
