@@ -1,6 +1,6 @@
 """ghostsim: two-arm pseudo-thermal ghost-imaging simulator.
 
-Generates speckle-field ensembles, propagates them through a beam-splitter /
+Generates speckle-field ensembles, propagates them through a two-arm
 object / lens bench, accumulates second-order intensity correlations, and
 reproduces the two-photon thin-lens imaging, magnification and visibility
 laws of thermal-light ghost imaging.
@@ -9,7 +9,6 @@ laws of thermal-light ghost imaging.
 __version__ = "0.1.0"
 
 from .core import (
-    ComplexField,
     Grid1D,
     SamplingReport,
     SetupGeometry,
@@ -19,19 +18,8 @@ from .core import (
     make_slit,
     validate_sampling,
 )
-from .optics import (
-    ArmPath,
-    Lens,
-    Mask,
-    Propagate,
-    SamplingError,
-    apply_lens,
-    apply_mask,
-    fresnel_propagate,
-    run_arm,
-    split_beam,
-)
-from .source import EnsembleConfig, ModeSet, mode_decomposition, sample_source_field
+from .optics import ArmPath, Lens, Mask, Propagate, SamplingError
+from .source import EnsembleConfig, ModeSet, mode_decomposition
 from .correlation import (
     CorrelationMap,
     accumulate_mc,
@@ -49,6 +37,7 @@ from .experiment import (
     peak_position,
     predicted_visibility,
     pseudo_object_scan,
+    siegert_scan,
     solve_image_plane,
     solve_thin_lens,
     visibility,
@@ -56,7 +45,6 @@ from .experiment import (
 
 __all__ = [
     "__version__",
-    "ComplexField",
     "Grid1D",
     "SamplingReport",
     "SetupGeometry",
@@ -70,15 +58,9 @@ __all__ = [
     "Mask",
     "Propagate",
     "SamplingError",
-    "apply_lens",
-    "apply_mask",
-    "fresnel_propagate",
-    "run_arm",
-    "split_beam",
     "EnsembleConfig",
     "ModeSet",
     "mode_decomposition",
-    "sample_source_field",
     "CorrelationMap",
     "accumulate_mc",
     "fluctuation_correlation",
@@ -93,6 +75,7 @@ __all__ = [
     "peak_position",
     "predicted_visibility",
     "pseudo_object_scan",
+    "siegert_scan",
     "solve_image_plane",
     "solve_thin_lens",
     "visibility",

@@ -25,7 +25,6 @@ from .core import (
     make_pinhole,
     validate_sampling,
 )
-from .correlation import accumulate_mc, g2_analytic, siegert_normalize
 from .experiment import (
     ImageTrace,
     default_image_window,
@@ -35,13 +34,13 @@ from .experiment import (
     magnification_scale,
     peak_position,
     pseudo_object_scan,
+    siegert_scan,
     solve_image_plane,
     solve_thin_lens,
     visibility,
-    _trace_from_map,
 )
-from .optics import ArmPath
-from .source import EnsembleConfig, aperture_indices, mode_decomposition
+from .optics import SamplingError
+from .source import EnsembleConfig
 
 __all__ = ["main", "run_scenario", "export_trace", "export_image", "parse_config"]
 
@@ -110,6 +109,8 @@ def parse_config(path: str | Path) -> dict:
         try:
             if kind == "length":
                 cfg[key] = _parse_length(value)
+                if not cfg[key] > 0:
+                    raise ValueError(f"length must be positive, got {value!r}")
             elif kind == "int":
                 cfg[key] = int(value)
             elif kind == "engine":
@@ -147,9 +148,11 @@ def _apertures(cfg: dict) -> list[float]:
 
 
 def _sampling_report(cfg: dict):
+    # the chirp bound lambda*z/L tightens as z shrinks: check the shortest hop
     geometry = _geometry(cfg)
+    shortest = min(geometry.z_source_object, geometry.z_source_lens, geometry.d_b_prime)
     return validate_sampling(
-        _grid(cfg), cfg["wavelength"], geometry.total_path, apertures=_apertures(cfg)
+        _grid(cfg), cfg["wavelength"], shortest, apertures=_apertures(cfg)
     )
 
 
@@ -181,11 +184,6 @@ def import_trace(path: str | Path) -> ImageTrace:
         coincidence=data[:, 1],
         singles1=data[:, 2],
         singles2=data[:, 3],
-        geometry=SetupGeometry.default(),
-        object_name="imported",
-        mode="raw",
-        engine="analytic",
-        n_realizations=0,
     )
 
 
@@ -249,7 +247,6 @@ def _scenario_fig3(cfg, geometry, grid, econf, engine, workers, outdir):
             engine=engine,
             scan_halfwidth=cfg["scan_halfwidth"],
             workers=workers,
-            object_name=f"pinhole@{shift_mm:+d}mm",
         )
         name = f"fig3_shift_{shift_mm:+d}mm.csv"
         export_trace(trace, outdir / name)
@@ -272,7 +269,6 @@ def _scenario_fig4(cfg, geometry, grid, econf, engine, workers, outdir):
         engine=engine,
         scan_halfwidth=cfg["scan_halfwidth"],
         workers=workers,
-        object_name="double_slit",
     )
     export_trace(trace, outdir / "fig4_doubleslit.csv")
     lo, hi = export_image(trace.coincidence[None, :], outdir / "fig4_doubleslit.pgm")
@@ -303,7 +299,6 @@ def _scenario_sigma(cfg, geometry, grid, econf, engine, workers, outdir):
         engine=engine,
         scan_halfwidth=cfg["scan_halfwidth"],
         workers=workers,
-        object_name="pinhole@+1mm",
     )
     export_trace(trace, outdir / "sigma_plane.csv")
     vis = visibility(trace, default_image_window(geometry, obj, upright=True))
@@ -342,19 +337,7 @@ def _scenario_defocus(cfg, geometry, grid, econf, engine, workers, outdir):
 
 
 def _scenario_siegert(cfg, geometry, grid, econf, engine, workers, outdir):
-    identity = ArmPath(())
-    x_idx = aperture_indices(econf)
-    if engine == "analytic":
-        modes = mode_decomposition(econf, identity, identity)
-        cmap = g2_analytic(modes, bucket=False, diagonal=True, x2_indices=x_idx)
-        n_real = 0
-    else:
-        cmap = accumulate_mc(
-            econf, identity, identity, bucket=False, diagonal=True,
-            x2_indices=x_idx, workers=workers,
-        )
-        n_real = econf.n_realizations
-    trace = _trace_from_map(siegert_normalize(cmap), geometry, "source", "raw", n_real)
+    trace = siegert_scan(econf, engine, workers=workers)
     export_trace(trace, outdir / "siegert_baseline.csv")
     g2 = trace.coincidence
     summary = {
@@ -421,6 +404,11 @@ def run_scenario(
         )
     except OSError as exc:
         raise OSError(f"I/O failure in scenario output to {outdir}: {exc}") from exc
+    except SamplingError as exc:
+        raise SamplingFailure(str(exc)) from None
+    except ValueError as exc:
+        # objects and scan windows are built from config values inside the scenario
+        raise ConfigError(str(exc)) from None
 
     entries: dict = {"scenario": name, "version": __version__}
     for key, value in cfg.items():

@@ -1,4 +1,4 @@
-"""Grids, fields, transmission masks, setup geometry and sampling validation.
+"""Grids, transmission masks, setup geometry and sampling validation.
 
 Everything here is immutable after construction and safe to share between
 concurrent workers.
@@ -13,7 +13,6 @@ import numpy as np
 
 __all__ = [
     "Grid1D",
-    "ComplexField",
     "TransmissionMask",
     "SetupGeometry",
     "SamplingReport",
@@ -59,32 +58,6 @@ class Grid1D:
 
     def frequencies(self) -> np.ndarray:
         return np.fft.fftfreq(self.n, self.dx)
-
-
-@dataclass(frozen=True)
-class ComplexField:
-    """Sampled complex optical amplitude on a grid, at a single wavelength."""
-
-    grid: Grid1D
-    amplitude: np.ndarray
-    wavelength: float
-
-    def __post_init__(self):
-        amp = np.asarray(self.amplitude, dtype=np.complex128)
-        if amp.shape != (self.grid.n,):
-            raise ValueError(
-                f"amplitude length {amp.shape} does not match grid size {self.grid.n}"
-            )
-        if not self.wavelength > 0:
-            raise ValueError("wavelength must be positive")
-        object.__setattr__(self, "amplitude", _readonly(amp))
-
-    def intensity(self) -> np.ndarray:
-        return np.abs(self.amplitude) ** 2
-
-    def power(self) -> float:
-        """Total power sum(|E|^2)*dx."""
-        return float(self.intensity().sum() * self.grid.dx)
 
 
 @dataclass(frozen=True)

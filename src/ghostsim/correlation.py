@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 _FULL_MAP_LIMIT = 1 << 24  # refuse full x1-by-x2 maps above this many entries
+_ANALYTIC_CHUNK = 256  # arm-1 columns per bucket term2 product in g2_analytic
 
 
 @dataclass(frozen=True)
@@ -63,11 +64,9 @@ class CorrelationMap:
 
     def marginal_product(self) -> np.ndarray:
         """<I1><I2> with the shape of g2_raw."""
-        if self.kind == "bucket":
-            return self.i1_mean * self.i2_mean
-        if self.kind == "diagonal":
-            return np.asarray(self.i1_mean) * self.i2_mean
-        return np.multiply.outer(np.asarray(self.i1_mean), self.i2_mean)
+        if self.kind == "full":
+            return np.multiply.outer(self.i1_mean, self.i2_mean)
+        return self.i1_mean * self.i2_mean
 
 
 def _mc_block(config, kernel, kind, k0, k1):
@@ -102,7 +101,6 @@ def accumulate_mc(
     x2_indices: np.ndarray | None = None,
     block_size: int = 256,
     workers: int = 1,
-    strict: bool = True,
 ) -> CorrelationMap:
     """Monte Carlo <I1 I2> over config.n_realizations speckle realizations.
 
@@ -118,7 +116,9 @@ def accumulate_mc(
     then its m source amplitudes times that kernel.  Memory stays bounded by
     the kernel build's few block_size * n complex values, the kernel's
     m * (|arm-1 columns| + |x2|), and one block_size * (m + |arm-1 columns| +
-    |x2|) block per worker, plus the per-block partial sums.
+    |x2|) block per worker, plus one running sum: each block's partial sums
+    are merged in block-index order as they arrive (a block that finishes
+    before its predecessors waits for them).
     """
     if bucket and diagonal:
         raise ValueError("bucket and diagonal modes are mutually exclusive")
@@ -138,9 +138,7 @@ def accumulate_mc(
         cols1 = last.mask.support_indices() if isinstance(last, Mask) else None
     else:
         cols1 = x2_idx if kind == "diagonal" else x1_idx
-    kernel = mode_decomposition(
-        config, arm1, arm2, block_size, strict, columns1=cols1, columns2=x2_idx
-    )
+    kernel = mode_decomposition(config, arm1, arm2, block_size, columns1=cols1, columns2=x2_idx)
 
     n = config.n_realizations
     bounds = [(k0, min(k0 + block_size, n)) for k0 in range(0, n, block_size)]
@@ -148,22 +146,16 @@ def accumulate_mc(
     def job(b):
         return _mc_block(config, kernel, kind, b[0], b[1])
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(job, bounds))
-    else:
-        partials = [job(b) for b in bounds]
-
-    # merge in block-index order: bit-identical for any worker count
-    s_p = partials[0][0].copy()
-    s_p2 = partials[0][1].copy()
-    s_i1 = np.copy(partials[0][2])
-    s_i2 = partials[0][3].copy()
-    for p, p2, i1, i2 in partials[1:]:
-        s_p += p
-        s_p2 += p2
-        s_i1 += i1
-        s_i2 += i2
+    # threads start on the first submit, so workers <= 1 starts none
+    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+        partials = pool.map(job, bounds) if workers > 1 else map(job, bounds)
+        # merge in block-index order: bit-identical for any worker count
+        s_p, s_p2, s_i1, s_i2 = (np.copy(a) for a in next(partials))
+        for p, p2, i1, i2 in partials:
+            s_p += p
+            s_p2 += p2
+            s_i1 += i1
+            s_i2 += i2
 
     g2_raw = s_p / n
     i1_mean = s_i1 / n
@@ -199,7 +191,6 @@ def g2_analytic(
     diagonal: bool = False,
     x1_indices: np.ndarray | None = None,
     x2_indices: np.ndarray | None = None,
-    chunk: int = 256,
 ) -> CorrelationMap:
     """Exact mode-sum G2: background term plus interference term.
 
@@ -225,8 +216,8 @@ def g2_analytic(
         i1b = float(rho1.sum() * dx)
         support = np.flatnonzero(rho1 > 1e-12 * rho1.max()) if rho1.max() > 0 else np.array([], int)
         term2 = np.zeros(len(x2_idx))
-        for c0 in range(0, len(support), chunk):
-            rows = support[c0 : c0 + chunk]
+        for c0 in range(0, len(support), _ANALYTIC_CHUNK):
+            rows = support[c0 : c0 + _ANALYTIC_CHUNK]
             K = modes.g1[:, rows].conj().T @ G2s
             term2 += (np.abs(K) ** 2).sum(axis=0)
         term2 *= dx
@@ -286,7 +277,7 @@ def fluctuation_correlation(cmap: CorrelationMap) -> np.ndarray:
     Equals the interference term exactly on the analytic path; on the MC path
     it is the sample estimate of the same quantity (needs >= 2 realizations).
     """
-    if cmap.engine == "analytic":
+    if cmap.term2 is not None:  # analytic: the interference term itself
         return cmap.term2.copy()
     if cmap.n_accumulated < 2:
         raise ValueError("fluctuation correlation needs at least 2 realizations")

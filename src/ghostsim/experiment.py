@@ -1,12 +1,16 @@
 """The bench experiments as procedures: thin-lens geometry, ghost-image scans,
 visibility and magnification checks, the conjugate-mirror (sigma-plane) scan,
-and the defocus sweep.
+the Siegert baseline of identical arms, and the defocus sweep.
+
+Every procedure names its engine ("analytic" or "mc") by string; _correlate
+is the one place that string selects an engine.  defocus_sweep reads it only
+to reuse the analytic source->lens propagation across its deltas.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -19,8 +23,8 @@ from .correlation import (
     g2_analytic,
     siegert_normalize,
 )
-from .optics import ArmPath, Lens, Mask, Propagate, propagate_block
-from .source import EnsembleConfig, ModeSet, mode_decomposition
+from .optics import ArmPath, Lens, Mask, Propagate, apply_path_block
+from .source import EnsembleConfig, aperture_indices, mode_decomposition
 
 __all__ = [
     "ThinLensSolution",
@@ -33,6 +37,7 @@ __all__ = [
     "sigma_arm",
     "ghost_image_scan",
     "pseudo_object_scan",
+    "siegert_scan",
     "defocus_sweep",
     "visibility",
     "predicted_visibility",
@@ -137,19 +142,18 @@ def sigma_arm(geometry: SetupGeometry) -> ArmPath:
 
 @dataclass
 class ImageTrace:
-    """Coincidence trace versus scan position with singles and run metadata."""
+    """Coincidence trace versus scan position, with the singles of both arms.
+
+    coincidence is g2 = <I1 I2>/(<I1><I2>) in "raw" mode and g2 - 1 in
+    "fluctuation" mode; eps is the Monte Carlo standard error of g2 per
+    position, or None for the analytic engine.
+    """
 
     positions: np.ndarray
     coincidence: np.ndarray
     singles1: np.ndarray
     singles2: np.ndarray
-    geometry: SetupGeometry
-    object_name: str
-    mode: str  # "raw" | "fluctuation"
-    engine: str  # "mc" | "analytic"
-    n_realizations: int
     eps: np.ndarray | None = None
-    info: dict = field(default_factory=dict)
 
     def __post_init__(self):
         m = len(self.positions)
@@ -166,13 +170,7 @@ def scan_indices(grid: Grid1D, halfwidth: float) -> np.ndarray:
     return idx
 
 
-def _trace_from_map(
-    cmap: CorrelationMap,
-    geometry: SetupGeometry,
-    object_name: str,
-    mode: str,
-    n_realizations: int,
-) -> ImageTrace:
+def _trace_from_map(cmap: CorrelationMap, mode: str) -> ImageTrace:
     norm = siegert_normalize(cmap)
     if norm.degenerate:
         raise ValueError("degenerate map: a marginal intensity is zero")
@@ -182,27 +180,41 @@ def _trace_from_map(
         coincidence = fluctuation_correlation(cmap) / cmap.marginal_product()
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    m = len(cmap.x2)
-    if np.ndim(cmap.i1_mean) == 0:
-        singles1 = np.full(m, float(cmap.i1_mean))
-    else:
-        singles1 = np.asarray(cmap.i1_mean, dtype=float).copy()
+    # a bucket map holds one I1 for the whole scan
+    singles1 = np.broadcast_to(np.asarray(cmap.i1_mean, dtype=float), cmap.x2.shape)
     return ImageTrace(
         positions=cmap.x2,
         coincidence=coincidence,
-        singles1=singles1,
+        singles1=singles1.copy(),
         singles2=cmap.i2_mean.copy(),
-        geometry=geometry,
-        object_name=object_name,
-        mode=mode,
-        engine=cmap.engine,
-        n_realizations=n_realizations,
         eps=None if cmap.eps is None else cmap.eps.copy(),
     )
 
 
+def _correlate(
+    config: EnsembleConfig,
+    arm1: ArmPath,
+    arm2: ArmPath,
+    engine: str,
+    *,
+    diagonal: bool = False,
+    x2_indices: np.ndarray,
+    workers: int = 1,
+) -> CorrelationMap:
+    """<I1 I2> of the two arms from the named engine: a bucket map over
+    x2_indices, or the x1 = x2 diagonal when diagonal is set."""
+    if engine == "analytic":
+        modes = mode_decomposition(config, arm1, arm2)
+        return g2_analytic(modes, not diagonal, diagonal=diagonal, x2_indices=x2_indices)
+    if engine == "mc":
+        return accumulate_mc(
+            config, arm1, arm2, not diagonal,
+            diagonal=diagonal, x2_indices=x2_indices, workers=workers,
+        )
+    raise ValueError(f"unknown engine {engine!r}")
+
+
 def _scan(
-    geometry: SetupGeometry,
     obj: TransmissionMask,
     config: EnsembleConfig,
     arm1: ArmPath,
@@ -211,23 +223,12 @@ def _scan(
     engine: str,
     scan_halfwidth: float,
     workers: int,
-    object_name: str,
 ) -> ImageTrace:
     if not np.any(np.abs(obj.t) > 0):
         raise ValueError("object mask is fully opaque")
     x2_idx = scan_indices(config.grid, scan_halfwidth)
-    if engine == "analytic":
-        modes = mode_decomposition(config, arm1, arm2)
-        cmap = g2_analytic(modes, bucket=True, x2_indices=x2_idx)
-        n_real = 0
-    elif engine == "mc":
-        cmap = accumulate_mc(
-            config, arm1, arm2, bucket=True, x2_indices=x2_idx, workers=workers
-        )
-        n_real = config.n_realizations
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    return _trace_from_map(cmap, geometry, object_name, mode, n_real)
+    cmap = _correlate(config, arm1, arm2, engine, x2_indices=x2_idx, workers=workers)
+    return _trace_from_map(cmap, mode)
 
 
 def ghost_image_scan(
@@ -239,8 +240,6 @@ def ghost_image_scan(
     *,
     scan_halfwidth: float = 6e-3,
     workers: int = 1,
-    check_focus: bool = True,
-    object_name: str = "object",
 ) -> ImageTrace:
     """Scan the lens arm's detection plane against a bucket behind the object.
 
@@ -248,19 +247,14 @@ def ghost_image_scan(
     an inverted image of |T|^2, magnified by d'_B/(d_B - d_A), on a constant
     background; the singles stay flat.
     """
-    if check_focus and abs(eq3_residual(geometry)) * geometry.f > FOCUS_TOLERANCE:
+    if abs(eq3_residual(geometry)) * geometry.f > FOCUS_TOLERANCE:
         warnings.warn(
             f"geometry is off the thin-lens surface "
             f"(residual {eq3_residual(geometry):.4g} 1/m); the image will be defocused",
             stacklevel=2,
         )
     arm1, arm2 = build_arms(geometry, obj)
-    trace = _scan(
-        geometry, obj, config, arm1, arm2, mode, engine, scan_halfwidth, workers, object_name
-    )
-    trace.info["magnification_scale"] = magnification_scale(geometry)
-    trace.info["eq3_residual"] = eq3_residual(geometry)
-    return trace
+    return _scan(obj, config, arm1, arm2, mode, engine, scan_halfwidth, workers)
 
 
 def pseudo_object_scan(
@@ -272,7 +266,6 @@ def pseudo_object_scan(
     *,
     scan_halfwidth: float = 6e-3,
     workers: int = 1,
-    object_name: str = "object",
 ) -> ImageTrace:
     """Scan the sigma plane (equal path length, no lens) in the reference arm.
 
@@ -280,20 +273,19 @@ def pseudo_object_scan(
     the object upright at unit magnification.
     """
     arm1, _ = build_arms(geometry, obj)
-    trace = _scan(
-        geometry,
-        obj,
-        config,
-        arm1,
-        sigma_arm(geometry),
-        mode,
-        engine,
-        scan_halfwidth,
-        workers,
-        object_name,
+    return _scan(obj, config, arm1, sigma_arm(geometry), mode, engine, scan_halfwidth, workers)
+
+
+def siegert_scan(
+    config: EnsembleConfig, engine: str = "analytic", *, workers: int = 1
+) -> ImageTrace:
+    """Identical arms with no optics, read out on the source aperture: the
+    diagonal g2(x, x), which thermal light holds at 2 (Siegert relation)."""
+    cmap = _correlate(
+        config, ArmPath(()), ArmPath(()), engine,
+        diagonal=True, x2_indices=aperture_indices(config), workers=workers,
     )
-    trace.info["magnification_scale"] = 1.0
-    return trace
+    return _trace_from_map(cmap, "raw")
 
 
 def visibility(trace: ImageTrace, window: tuple[float, float]) -> float:
@@ -384,54 +376,24 @@ def defocus_sweep(
     reuses the source->lens mode propagation across deltas.
     """
     window = default_image_window(geometry, obj)
+    x2_idx = scan_indices(config.grid, max(abs(window[0]), abs(window[1])))
+    arm1, _ = build_arms(geometry, obj)
+    prefix = ArmPath((Propagate(geometry.z_source_lens), Lens(geometry.f)))
+    pre = mode_decomposition(config, arm1, prefix) if engine == "analytic" else None
     results: list[DefocusPoint] = []
-
-    if engine == "analytic":
-        arm1, _ = build_arms(geometry, obj)
-        pre_arm2 = ArmPath((Propagate(geometry.z_source_lens), Lens(geometry.f)))
-        pre = mode_decomposition(config, arm1, pre_arm2)
-        x2_idx = np.flatnonzero(
-            (config.grid.coords() >= window[0] - 1e-3) & (config.grid.coords() <= window[1] + 1e-3)
-        )
-        for delta in deltas:
-            d = geometry.d_b_prime + delta
-            if d <= 0:
-                raise ValueError(f"defocus {delta} puts the scan plane behind the lens")
-            g2_final = propagate_block(
-                pre.g2, config.grid, config.geometry.wavelength, d
-            )
-            modes = ModeSet(
-                grid=pre.grid,
-                wavelength=pre.wavelength,
-                positions=pre.positions,
-                indices=pre.indices,
-                g1=pre.g1,
-                g2=g2_final,
-            )
-            cmap = g2_analytic(modes, bucket=True, x2_indices=x2_idx)
-            geom_d = replace(geometry, d_b_prime=d)
-            trace = _trace_from_map(cmap, geom_d, "defocus", "raw", 0)
-            vis = visibility(trace, window)
-            sel = (trace.positions >= window[0]) & (trace.positions <= window[1])
-            width = fwhm(trace.positions[sel], trace.coincidence[sel])
-            results.append(DefocusPoint(float(delta), vis, width))
-    else:
-        for delta in deltas:
-            geom_d = replace(geometry, d_b_prime=geometry.d_b_prime + delta)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                trace = ghost_image_scan(
-                    geom_d,
-                    obj,
-                    config,
-                    mode="raw",
-                    engine=engine,
-                    scan_halfwidth=max(abs(window[0]), abs(window[1])),
-                    workers=workers,
-                    check_focus=False,
-                )
-            vis = visibility(trace, window)
-            sel = (trace.positions >= window[0]) & (trace.positions <= window[1])
-            width = fwhm(trace.positions[sel], trace.coincidence[sel])
-            results.append(DefocusPoint(float(delta), vis, width))
+    for delta in deltas:
+        d = geometry.d_b_prime + delta
+        if d <= 0:
+            raise ValueError(f"defocus {delta} puts the scan plane behind the lens")
+        if pre is not None:
+            last_hop = ArmPath((Propagate(d),))
+            g2 = apply_path_block(pre.g2, config.grid, config.geometry.wavelength, last_hop)
+            cmap = g2_analytic(replace(pre, g2=g2), bucket=True, x2_indices=x2_idx)
+        else:
+            _, arm2 = build_arms(replace(geometry, d_b_prime=d), obj)
+            cmap = _correlate(config, arm1, arm2, engine, x2_indices=x2_idx, workers=workers)
+        trace = _trace_from_map(cmap, "raw")
+        sel = (trace.positions >= window[0]) & (trace.positions <= window[1])
+        width = fwhm(trace.positions[sel], trace.coincidence[sel])
+        results.append(DefocusPoint(float(delta), visibility(trace, window), width))
     return results

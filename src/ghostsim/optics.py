@@ -1,5 +1,6 @@
-"""Deterministic field transformations: Fresnel propagation, thin lens, masks,
-beam splitter, and their composition into detection-arm paths.
+"""Deterministic field transformations: Fresnel propagation, thin lens and
+masks, and their composition into detection-arm paths.  Every operator acts
+on a (..., n) stack of sampled amplitudes along its last axis.
 
 Propagation uses the frequency-domain Fresnel transfer function
 H(nu) = exp(i 2 pi z / lambda) * exp(-i pi lambda z nu^2), band-limited to
@@ -15,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Union
-import warnings
 
 import numpy as np
 
-from .core import ComplexField, Grid1D, TransmissionMask, validate_sampling
+from .core import Grid1D, TransmissionMask, validate_sampling
 
 __all__ = [
     "SamplingError",
@@ -27,11 +27,9 @@ __all__ = [
     "Lens",
     "Mask",
     "ArmPath",
-    "fresnel_propagate",
-    "apply_lens",
-    "apply_mask",
-    "split_beam",
-    "run_arm",
+    "propagate_block",
+    "lens_phase",
+    "apply_path_block",
 ]
 
 # fraction of the band limit over which the raised-cosine roll-off acts
@@ -108,16 +106,6 @@ def _transfer_function(n: int, dx: float, wavelength: float, distance: float) ->
     return H
 
 
-def _check_sampling(grid: Grid1D, wavelength: float, distance: float, strict: bool) -> None:
-    report = validate_sampling(grid, wavelength, distance)
-    if report.chirp_ok:
-        return
-    msg = report.messages[0]
-    if strict:
-        raise SamplingError(msg)
-    warnings.warn(msg, stacklevel=3)
-
-
 def propagate_block(
     amplitudes: np.ndarray, grid: Grid1D, wavelength: float, distance: float
 ) -> np.ndarray:
@@ -127,44 +115,9 @@ def propagate_block(
 
 
 def lens_phase(grid: Grid1D, wavelength: float, focal_length: float) -> np.ndarray:
+    """Thin-lens transmittance exp(-i pi x^2 / (lambda f)) on the grid."""
     x = grid.coords()
     return np.exp(-1j * np.pi * x**2 / (wavelength * focal_length))
-
-
-def fresnel_propagate(field: ComplexField, distance: float, strict: bool = True) -> ComplexField:
-    """Propagate a field through free space by the given distance.
-
-    Refuses (SamplingError) when the grid cannot resolve the Fresnel chirp
-    over this distance; pass strict=False to downgrade to a warning.
-    """
-    if distance < 0:
-        raise ValueError("propagation distance must be >= 0")
-    if distance == 0:
-        return field
-    _check_sampling(field.grid, field.wavelength, distance, strict)
-    out = propagate_block(field.amplitude, field.grid, field.wavelength, distance)
-    return ComplexField(field.grid, out, field.wavelength)
-
-
-def apply_lens(field: ComplexField, focal_length: float) -> ComplexField:
-    """Thin lens: pointwise multiply by exp(-i pi x^2 / (lambda f))."""
-    if focal_length == 0:
-        raise ValueError("focal length must be nonzero")
-    phase = lens_phase(field.grid, field.wavelength, focal_length)
-    return ComplexField(field.grid, field.amplitude * phase, field.wavelength)
-
-
-def apply_mask(field: ComplexField, mask: TransmissionMask) -> ComplexField:
-    """Insert a transmission mask (pointwise product)."""
-    if mask.grid != field.grid:
-        raise ValueError("mask grid does not match field grid")
-    return ComplexField(field.grid, field.amplitude * mask.t, field.wavelength)
-
-
-def split_beam(field: ComplexField) -> tuple[ComplexField, ComplexField]:
-    """50/50 non-polarizing beam splitter; no transverse flip on reflection."""
-    half = ComplexField(field.grid, field.amplitude / np.sqrt(2.0), field.wavelength)
-    return half, half
 
 
 def apply_path_block(
@@ -172,15 +125,20 @@ def apply_path_block(
     grid: Grid1D,
     wavelength: float,
     path: ArmPath,
-    strict: bool = True,
 ) -> np.ndarray:
-    """Run a (..., n) stack of amplitudes through an arm path."""
+    """Run a (..., n) stack of amplitudes through an arm path.
+
+    Refuses (SamplingError) a propagation hop whose Fresnel chirp the grid
+    cannot resolve, and (ValueError) a mask sampled on another grid.
+    """
     out = amplitudes
     for el in path:
         if isinstance(el, Propagate):
             if el.distance == 0:
                 continue
-            _check_sampling(grid, wavelength, el.distance, strict)
+            report = validate_sampling(grid, wavelength, el.distance)
+            if not report.chirp_ok:
+                raise SamplingError(report.messages[0])
             out = propagate_block(out, grid, wavelength, el.distance)
         elif isinstance(el, Lens):
             out = out * lens_phase(grid, wavelength, el.focal_length)
@@ -189,9 +147,3 @@ def apply_path_block(
                 raise ValueError("mask grid does not match field grid")
             out = out * el.mask.t
     return out
-
-
-def run_arm(field: ComplexField, path: ArmPath, strict: bool = True) -> ComplexField:
-    """Apply every element of the path in order; linear and deterministic."""
-    out = apply_path_block(field.amplitude, field.grid, field.wavelength, path, strict)
-    return ComplexField(field.grid, out, field.wavelength)

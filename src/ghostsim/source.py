@@ -19,10 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
 
-from .core import ComplexField, Grid1D, SetupGeometry, interval_indices
+from .core import Grid1D, SetupGeometry, interval_indices
 from .optics import ArmPath, apply_path_block
 
-__all__ = ["EnsembleConfig", "ModeSet", "sample_source_field", "mode_decomposition"]
+__all__ = ["EnsembleConfig", "ModeSet", "sample_source_block", "mode_decomposition"]
 
 
 @dataclass(frozen=True)
@@ -76,29 +76,18 @@ def sample_source_block(config: EnsembleConfig, k0: int, k1: int) -> np.ndarray:
     return out
 
 
-def sample_source_field(config: EnsembleConfig, k: int) -> ComplexField:
-    """Speckle realization k; pure function of (config, k)."""
-    if not 0 <= k < config.n_realizations:
-        raise ValueError(f"realization index {k} outside [0, {config.n_realizations})")
-    amp = np.zeros(config.grid.n, dtype=np.complex128)
-    amp[aperture_indices(config)] = sample_source_block(config, k, k + 1)[0]
-    return ComplexField(config.grid, amp, config.geometry.wavelength)
-
-
 @dataclass(frozen=True)
 class ModeSet:
     """Green's functions of every source mode through the two arms.
 
     g1[j] is the field at the arm-1 detection plane produced by a unit
-    amplitude at source sample positions[j]; g2[j] likewise for arm 2.
+    amplitude at source grid sample indices[j]; g2[j] likewise for arm 2.
     columns1/columns2 name the grid columns g1/g2 hold; None means all n.
     A restricted set serves the Monte Carlo engine, which reads each arm at
     a few columns only.
     """
 
     grid: Grid1D
-    wavelength: float
-    positions: np.ndarray  # (m,) source-sample coordinates
     indices: np.ndarray    # (m,) source-sample grid indices
     g1: np.ndarray         # (m, n) complex, or (m, len(columns1))
     g2: np.ndarray         # (m, n) complex, or (m, len(columns2))
@@ -106,22 +95,11 @@ class ModeSet:
     columns2: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.positions)
+        return len(self.indices)
 
     @property
     def restricted(self) -> bool:
         return self.columns1 is not None or self.columns2 is not None
-
-    def items(self):
-        """Iterate (position, g1 field, g2 field) per mode."""
-        if self.restricted:
-            raise ValueError("mode set holds restricted columns, not whole fields")
-        for j in range(len(self)):
-            yield (
-                float(self.positions[j]),
-                ComplexField(self.grid, self.g1[j], self.wavelength),
-                ComplexField(self.grid, self.g2[j], self.wavelength),
-            )
 
 
 def mode_decomposition(
@@ -129,7 +107,6 @@ def mode_decomposition(
     arm1: ArmPath,
     arm2: ArmPath,
     block_size: int = 512,
-    strict: bool = True,
     *,
     columns1: np.ndarray | None = None,
     columns2: np.ndarray | None = None,
@@ -154,13 +131,10 @@ def mode_decomposition(
         b1 = min(b0 + block_size, m)
         basis = np.zeros((b1 - b0, n), dtype=np.complex128)
         basis[np.arange(b1 - b0), idx[b0:b1]] = 1.0
-        g1[b0:b1] = apply_path_block(basis, config.grid, wl, arm1, strict)[:, keep1]
-        g2[b0:b1] = apply_path_block(basis, config.grid, wl, arm2, strict)[:, keep2]
-    coords = config.grid.coords()[idx]
+        g1[b0:b1] = apply_path_block(basis, config.grid, wl, arm1)[:, keep1]
+        g2[b0:b1] = apply_path_block(basis, config.grid, wl, arm2)[:, keep2]
     return ModeSet(
         grid=config.grid,
-        wavelength=wl,
-        positions=coords,
         indices=idx,
         g1=g1,
         g2=g2,

@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ghostsim import SetupGeometry
 from ghostsim.cli import (
     ConfigError,
     export_image,
@@ -38,6 +37,12 @@ def small_cfg(tmp_path, **overrides):
     return p
 
 
+# chirp bound dx*L/lambda = 207 mm: just below the 213 mm source -> object hop
+SMALL_GRID = {"grid_n": 2048, "grid_dx": "8um"}
+# too coarse for every bench hop
+COARSE_GRID = {"grid_n": 64, "grid_dx": "0.25mm"}
+
+
 def trace_of(n=3):
     pos = np.linspace(-1e-3, 1e-3, n) if n else np.empty(0)
     return ImageTrace(
@@ -45,11 +50,6 @@ def trace_of(n=3):
         coincidence=np.linspace(1, 2, n) if n else np.empty(0),
         singles1=np.full(n, 0.5),
         singles2=np.full(n, 0.25),
-        geometry=SetupGeometry.default(),
-        object_name="t",
-        mode="raw",
-        engine="analytic",
-        n_realizations=0,
     )
 
 
@@ -85,6 +85,16 @@ class TestConfig:
         p.write_text("seed = notanumber\n")
         with pytest.raises(ConfigError, match="line 1"):
             parse_config(p)
+
+    def test_nonpositive_length_is_line_anchored_error(self, tmp_path, capsys):
+        for text, line in (("slit_width = 0mm\n", "line 1"),
+                           ("a = 125mm\nscan_halfwidth = -1mm\n", "line 2")):
+            p = tmp_path / "bad.cfg"
+            p.write_text(text)
+            with pytest.raises(ConfigError, match=line):
+                parse_config(p)
+            assert main(["validate", "--config", str(p)]) == 2
+            assert "Traceback" not in capsys.readouterr().err
 
     def test_bad_engine_rejected(self, tmp_path):
         p = tmp_path / "bad.cfg"
@@ -191,10 +201,12 @@ class TestMainCommands:
         assert "ok" in capsys.readouterr().out
 
     def test_validate_reports_sampling_failure(self, tmp_path, capsys):
-        cfg = small_cfg(tmp_path, grid_n=64, grid_dx="0.25mm")
-        assert main(["validate", "--config", str(cfg)]) == 3
-        err = capsys.readouterr().err
-        assert "chirp" in err or "wrap" in err
+        # a grid too coarse for every hop; a lens -> scan-plane hop too short for the grid
+        for override in (COARSE_GRID, {**SMALL_GRID, "d_B_prime": "1um"}):
+            cfg = small_cfg(tmp_path, **override)
+            assert main(["validate", "--config", str(cfg)]) == 3
+            err = capsys.readouterr().err
+            assert "chirp" in err or "wrap" in err
 
     def test_validate_bad_config_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"
@@ -211,24 +223,56 @@ class TestMainCommands:
         assert "fig4-doubleslit" in err and "sigma-plane" in err
 
     def test_run_sampling_violation_exit_3(self, tmp_path, capsys):
-        cfg = small_cfg(tmp_path, grid_n=64, grid_dx="0.25mm")
-        code = main(["run", "fig3-point", "--config", str(cfg), "--out", str(tmp_path / "o")])
-        assert code == 3
-        assert "chirp" in capsys.readouterr().err
+        cases = [
+            ("fig3-point", "analytic", COARSE_GRID),
+            ("fig4-doubleslit", "mc", {**SMALL_GRID, "d_B_prime": "1um"}),
+            # passes the bench check; the sweep's d'_B - 50 mm hop is too short for the grid
+            ("defocus", "mc", {**SMALL_GRID, "f": "80mm"}),
+            ("defocus", "analytic", {**SMALL_GRID, "f": "80mm"}),
+        ]
+        for scenario, engine, override in cases:
+            cfg = small_cfg(tmp_path, **override)
+            code = main(["run", scenario, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                         "--engine", engine])
+            assert code == 3, (scenario, engine)
+            err = capsys.readouterr().err
+            assert "chirp" in err and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "override",
-        [{"grid_n": 1000}, {"d_B": "50mm"}, {"n_realizations": 0}],
-        ids=["grid_n_not_power_of_two", "d_B_before_d_A", "zero_realizations"],
+        "scenario,override",
+        [
+            ("fig4-doubleslit", {"grid_n": 1000}),
+            ("fig4-doubleslit", {"d_B": "50mm"}),
+            ("fig4-doubleslit", {"n_realizations": 0}),
+            ("fig4-doubleslit", {**SMALL_GRID, "scan_halfwidth": "-1mm"}),
+            ("fig3-point", {**SMALL_GRID, "scan_halfwidth": "-1mm"}),
+            ("fig4-doubleslit", {**SMALL_GRID, "slit_width": "0mm"}),
+            ("fig3-point", {**SMALL_GRID, "pinhole_diameter": "0mm"}),
+            ("fig4-doubleslit", {**SMALL_GRID, "slit_width": "2mm", "slit_separation": "1mm"}),
+        ],
+        ids=[
+            "grid_n_not_power_of_two",
+            "d_B_before_d_A",
+            "zero_realizations",
+            "negative_scan_halfwidth_fig4",
+            "negative_scan_halfwidth_fig3",
+            "zero_slit_width",
+            "zero_pinhole_diameter",
+            "slits_wider_than_separation",
+        ],
     )
-    def test_run_bad_config_exit_2(self, tmp_path, capsys, override):
+    def test_run_bad_config_exit_2(self, tmp_path, capsys, scenario, override):
         cfg = small_cfg(tmp_path, **override)
-        code = main(["run", "fig4-doubleslit", "--config", str(cfg), "--out", str(tmp_path / "o"),
-                     "--engine", "mc"])
+        out = tmp_path / "o"
+        code = main(["run", scenario, "--config", str(cfg), "--out", str(out), "--engine", "mc"])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
-        assert not (tmp_path / "o").exists()
+        if "slit_separation" in override:
+            # the objects are built inside the scenario, after --out is made: nothing in it
+            assert list(out.iterdir()) == []
+        else:
+            assert not out.exists()
 
     def test_run_io_error_exit_4(self, tmp_path, capsys):
         target = tmp_path / "not_a_dir"

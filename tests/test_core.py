@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from ghostsim import (
-    ComplexField,
     Grid1D,
     SetupGeometry,
     TransmissionMask,
@@ -34,21 +33,6 @@ class TestGrid1D:
 
     def test_span(self):
         assert Grid1D(n=1024, dx=2e-6).span == pytest.approx(2.048e-3)
-
-
-class TestComplexField:
-    def test_power(self, grid):
-        f = ComplexField(grid, np.ones(grid.n), 633e-9)
-        assert f.power() == pytest.approx(grid.n * grid.dx)
-
-    def test_length_mismatch(self, grid):
-        with pytest.raises(ValueError):
-            ComplexField(grid, np.ones(10), 633e-9)
-
-    def test_immutable(self, grid):
-        f = ComplexField(grid, np.ones(grid.n), 633e-9)
-        with pytest.raises(ValueError):
-            f.amplitude[0] = 0.0
 
 
 class TestMasks:

@@ -256,8 +256,6 @@ def test_restricted_mode_set_is_refused_where_whole_fields_are_needed(small_grid
     assert np.array_equal(modes.g1, np.eye(len(idx)))
     with pytest.raises(ValueError, match="all grid columns"):
         g2_analytic(modes, bucket=False, diagonal=True, x2_indices=idx)
-    with pytest.raises(ValueError):
-        next(modes.items())
 
 
 @settings(max_examples=20, deadline=None)
@@ -297,7 +295,7 @@ def test_worker_count_does_not_change_bits_for_maps(grid, geometry, kind):
     )
     ref = accumulate_mc(config, arm1, arm2, workers=1, **options)
     assert ref.kind == kind
-    for workers in (2, 4):
+    for workers in (0, 2, 4):
         out = accumulate_mc(config, arm1, arm2, workers=workers, **options)
         for name in ("g2_raw", "i1_mean", "i2_mean", "eps"):
             assert np.array_equal(getattr(out, name), getattr(ref, name)), (workers, name)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ghostsim import ArmPath, EnsembleConfig, Propagate, mode_decomposition, sample_source_field
+from ghostsim import ArmPath, EnsembleConfig, Propagate, mode_decomposition
 from ghostsim.source import aperture_indices, sample_source_block
 
 from conftest import make_config
@@ -24,24 +24,28 @@ def intensity_stack(config):
 
 class TestDeterminism:
     def test_same_seed_and_index_bit_identical(self, config):
-        a = sample_source_field(config, 17).amplitude
-        b = sample_source_field(config, 17).amplitude
+        a = sample_source_block(config, 17, 18)
+        b = sample_source_block(config, 17, 18)
         assert np.array_equal(a, b)
 
     def test_block_matches_single_draws(self, config):
         block = sample_source_block(config, 5, 8)
-        idx = aperture_indices(config)
         for j, k in enumerate(range(5, 8)):
-            assert np.array_equal(block[j], sample_source_field(config, k).amplitude[idx])
+            assert np.array_equal(block[j], sample_source_block(config, k, k + 1)[0])
 
     def test_different_indices_differ(self, config):
-        a = sample_source_field(config, 0).amplitude
-        b = sample_source_field(config, 1).amplitude
+        a = sample_source_block(config, 0, 1)
+        b = sample_source_block(config, 1, 2)
         assert not np.array_equal(a, b)
 
     def test_index_out_of_range(self, config):
+        n = config.n_realizations
         with pytest.raises(ValueError):
-            sample_source_field(config, config.n_realizations)
+            sample_source_block(config, n, n + 1)
+        with pytest.raises(ValueError):
+            sample_source_block(config, 0, n + 1)
+        with pytest.raises(ValueError):
+            sample_source_block(config, 3, 2)
 
     def test_order_independent_access(self, config):
         late_first = sample_source_block(config, 100, 101)[0]
@@ -55,11 +59,15 @@ class TestApertureAndStatistics:
         assert len(aperture_indices(config)) == 100
 
     def test_zero_outside_aperture(self, config):
+        # a draw holds one amplitude per aperture sample; the field is zero
+        # everywhere else on the grid
         idx = aperture_indices(config)
-        amp = sample_source_field(config, 3).amplitude
-        outside = np.setdiff1d(np.arange(config.grid.n), idx)
-        assert np.all(amp[outside] == 0)
-        assert np.all(amp[idx] != 0)
+        x = config.grid.coords()[idx]
+        radius = config.geometry.source_diameter / 2
+        assert np.all((x >= -radius) & (x < radius))
+        amp = sample_source_block(config, 3, 4)[0]
+        assert amp.shape == (len(idx),)
+        assert np.all(amp != 0)
 
     def test_mean_intensity_flat_on_aperture(self, intensity_stack):
         _, amps = intensity_stack
@@ -113,13 +121,6 @@ class TestModeDecomposition:
         expected[modes.indices[j]] = 1.0
         assert np.array_equal(modes.g1[j], expected)
         assert np.array_equal(modes.g2[j], expected)
-
-    def test_items_yield_fields(self, grid, geometry):
-        config = make_config(grid, geometry, n_realizations=2)
-        modes = mode_decomposition(config, ArmPath(()), ArmPath(()))
-        pos, g1, g2 = next(modes.items())
-        assert abs(pos - modes.positions[0]) < 1e-15
-        assert g1.power() == pytest.approx(grid.dx)
 
     def test_mode_sum_matches_monte_carlo_intensity(self, grid, geometry):
         # sum_q |g1(x,q)|^2 must equal the ensemble <I1(x)> within MC error
