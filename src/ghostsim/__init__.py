@@ -23,6 +23,7 @@ from .source import EnsembleConfig, ModeSet, mode_decomposition
 from .correlation import (
     CorrelationMap,
     accumulate_mc,
+    detector_kernel,
     fluctuation_correlation,
     g2_analytic,
     siegert_normalize,
@@ -63,6 +64,7 @@ __all__ = [
     "mode_decomposition",
     "CorrelationMap",
     "accumulate_mc",
+    "detector_kernel",
     "fluctuation_correlation",
     "g2_analytic",
     "siegert_normalize",

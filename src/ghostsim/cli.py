@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import shutil
 import sys
 import time
 import warnings
@@ -147,12 +148,16 @@ def _apertures(cfg: dict) -> list[float]:
     ]
 
 
-def _sampling_report(cfg: dict):
-    # the chirp bound lambda*z/L tightens as z shrinks: check the shortest hop
+def _sampling_report(cfg: dict, scenario: str | None = None):
+    """Sampling check of the shortest hop that `scenario` (None: any) runs;
+    the chirp bound lambda*z/L tightens as z shrinks."""
     geometry = _geometry(cfg)
-    shortest = min(geometry.z_source_object, geometry.z_source_lens, geometry.d_b_prime)
+    hops = [geometry.z_source_object, geometry.z_source_lens, geometry.d_b_prime]
+    if scenario in (None, "defocus") and geometry.s_o > geometry.f:
+        # the sweep's re-solved d'_B plus its most negative delta (if > 0)
+        hops.append(solve_image_plane(geometry).d_b_prime + min(DEFOCUS_DELTAS_MM) * 1e-3)
     return validate_sampling(
-        _grid(cfg), cfg["wavelength"], shortest, apertures=_apertures(cfg)
+        _grid(cfg), cfg["wavelength"], min(h for h in hops if h > 0), apertures=_apertures(cfg)
     )
 
 
@@ -243,7 +248,6 @@ def _scenario_fig3(cfg, geometry, grid, econf, engine, workers, outdir):
             geometry,
             obj,
             econf,
-            mode="raw",
             engine=engine,
             scan_halfwidth=cfg["scan_halfwidth"],
             workers=workers,
@@ -265,7 +269,6 @@ def _scenario_fig4(cfg, geometry, grid, econf, engine, workers, outdir):
         geometry,
         obj,
         econf,
-        mode="raw",
         engine=engine,
         scan_halfwidth=cfg["scan_halfwidth"],
         workers=workers,
@@ -295,7 +298,6 @@ def _scenario_sigma(cfg, geometry, grid, econf, engine, workers, outdir):
         geometry,
         obj,
         econf,
-        mode="raw",
         engine=engine,
         scan_halfwidth=cfg["scan_halfwidth"],
         workers=workers,
@@ -384,7 +386,7 @@ def run_scenario(
         cfg["n_realizations"] = realizations
 
     try:
-        report = _sampling_report(cfg)
+        report = _sampling_report(cfg, name)
         if not report.ok:
             raise SamplingFailure("; ".join(report.messages))
         geometry = _geometry(cfg)
@@ -396,12 +398,18 @@ def run_scenario(
         raise ConfigError(str(exc)) from None
 
     outdir = Path(out_dir)
+    made = [p for p in (outdir, *outdir.parents) if not p.exists()]
     t0 = time.perf_counter()
     try:
-        outdir.mkdir(parents=True, exist_ok=True)
-        files, summary = SCENARIOS[name](
-            cfg, geometry, grid, econf, cfg["engine"], workers, outdir
-        )
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+            files, summary = SCENARIOS[name](
+                cfg, geometry, grid, econf, cfg["engine"], workers, outdir
+            )
+        except BaseException:
+            if made:  # a failed scenario leaves no directory of its own behind
+                shutil.rmtree(made[-1], ignore_errors=True)
+            raise
     except OSError as exc:
         raise OSError(f"I/O failure in scenario output to {outdir}: {exc}") from exc
     except SamplingError as exc:
@@ -455,7 +463,6 @@ def _cmd_run(args) -> int:
 def _cmd_validate(args) -> int:
     try:
         cfg = parse_config(args.config)
-        _geometry(cfg)
         report = _sampling_report(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -6,13 +6,13 @@ Two interchangeable engines compute <I1 I2>:
                      in fixed-size blocks merged in index order, so results
                      are bit-identical for any worker count;
 * g2_analytic      - Gaussian-moment (mode-sum) evaluation, exact in the
-                     discrete model, exposing the background and interference
-                     terms separately.
+                     discrete model, exposing the interference term separately.
 
-Both engines read the arms through the source-mode Green's functions of
-mode_decomposition, so they estimate the same quantity; the MC result
-converges to the analytic one as 1/sqrt(n).  The MC engine keeps only the
-columns it reads and forms each realization's fields as draws @ kernel.
+Both engines read one kernel (detector_kernel): the two arms' source-mode
+Green's functions at the grid columns the detectors read, from which thermal
+light gives G2 = <I1><I2> + |sum_q h1* h2|^2 (Gatti, Brambilla, Bache &
+Lugiato, PRL 93, 093602, 2004).  The MC result converges to the analytic one
+as 1/sqrt(n).
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .optics import ArmPath, Mask
+from .optics import ArmPath
 from .source import EnsembleConfig, ModeSet, mode_decomposition, sample_source_block
 
 __all__ = [
     "CorrelationMap",
+    "detector_kernel",
     "accumulate_mc",
     "g2_analytic",
     "siegert_normalize",
@@ -37,57 +38,86 @@ _FULL_MAP_LIMIT = 1 << 24  # refuse full x1-by-x2 maps above this many entries
 _ANALYTIC_CHUNK = 256  # arm-1 columns per bucket term2 product in g2_analytic
 
 
+def _kind(bucket: bool, diagonal: bool) -> str:
+    if bucket and diagonal:
+        raise ValueError("bucket and diagonal modes are mutually exclusive")
+    return "bucket" if bucket else ("diagonal" if diagonal else "full")
+
+
+def _product(kind: str, a, b) -> np.ndarray:
+    """a * b in the shape of a map of this kind: the outer product if full."""
+    return np.multiply.outer(a, b) if kind == "full" else a * b
+
+
 @dataclass(frozen=True)
 class CorrelationMap:
     """Accumulated <I1 I2> with first-order marginals.
 
     kind is "bucket" (I1 spatially integrated, map over x2), "diagonal"
-    (x1 = x2) or "full" (x1 by x2 matrix).  For the analytic engine
-    n_accumulated is 0, eps is None and term1/term2 hold the background and
-    interference parts; g2_raw == term1 + term2.
+    (x1 = x2) or "full" (x1 by x2 matrix); x2 holds the coordinates of the
+    kernel's arm-2 columns.  For the analytic engine n_accumulated is 0, eps
+    is None and term2 is the interference part: g2_raw = <I1><I2> + term2.
     """
 
     kind: str
-    engine: str
     x2: np.ndarray
-    x2_indices: np.ndarray
-    x1: np.ndarray | None
     g2_raw: np.ndarray
     i1_mean: np.ndarray | float
     i2_mean: np.ndarray
     n_accumulated: int
     eps: np.ndarray | None = None
-    term1: np.ndarray | None = None
     term2: np.ndarray | None = None
     degenerate: bool = False
     g2: np.ndarray | None = None
 
     def marginal_product(self) -> np.ndarray:
         """<I1><I2> with the shape of g2_raw."""
-        if self.kind == "full":
-            return np.multiply.outer(self.i1_mean, self.i2_mean)
-        return self.i1_mean * self.i2_mean
+        return _product(self.kind, self.i1_mean, self.i2_mean)
+
+
+def detector_kernel(
+    config: EnsembleConfig,
+    arm1: ArmPath,
+    arm2: ArmPath,
+    bucket: bool = True,
+    *,
+    diagonal: bool = False,
+    x1_indices: np.ndarray | None = None,
+    x2_indices: np.ndarray | None = None,
+    block_size: int = 512,
+) -> ModeSet:
+    """The arms' Green's functions (mode_decomposition) at the grid columns
+    the detectors read: the one kernel both engines reduce.  Arm 2 is read at
+    x2_indices (None: every column); arm 1 over ArmPath.support() for the
+    bucket, at x2_indices for the diagonal, and at x1_indices (default
+    x2_indices) for a full map, which is refused above 2^24 entries.
+    """
+    kind = _kind(bucket, diagonal)
+    x2_idx = np.arange(config.grid.n) if x2_indices is None else np.asarray(x2_indices)
+    if kind == "bucket":
+        x1_idx = arm1.support(config.grid)
+    elif kind == "diagonal" or x1_indices is None:
+        x1_idx = x2_idx
+    else:
+        x1_idx = np.asarray(x1_indices)
+    if kind == "full" and len(x1_idx) * len(x2_idx) > _FULL_MAP_LIMIT:
+        raise ValueError("full correlation map too large; restrict x1_indices/x2_indices")
+    return mode_decomposition(config, arm1, arm2, block_size, columns1=x1_idx, columns2=x2_idx)
 
 
 def _mc_block(config, kernel, kind, k0, k1):
     c = sample_source_block(config, k0, k1)
     I1 = np.abs(c @ kernel.g1) ** 2
     I2 = np.abs(c @ kernel.g2) ** 2
+    if kind == "full":
+        P = np.einsum("bi,bj->ij", I1, I2)
+        return P, np.einsum("bi,bj->ij", I1**2, I2**2), I1.sum(axis=0), I2.sum(axis=0)
     if kind == "bucket":
         I1 = I1.sum(axis=1) * config.grid.dx
         P = I1[:, None] * I2
-        return (
-            P.sum(axis=0),
-            (P**2).sum(axis=0),
-            I1.sum(),
-            I2.sum(axis=0),
-        )
-    if kind == "diagonal":
+    else:
         P = I1 * I2
-        return P.sum(axis=0), (P**2).sum(axis=0), I1.sum(axis=0), I2.sum(axis=0)
-    P = np.einsum("bi,bj->ij", I1, I2)
-    P2 = np.einsum("bi,bj->ij", I1**2, I2**2)
-    return P, P2, I1.sum(axis=0), I2.sum(axis=0)
+    return P.sum(axis=0), (P**2).sum(axis=0), I1.sum(axis=0), I2.sum(axis=0)
 
 
 def accumulate_mc(
@@ -104,41 +134,24 @@ def accumulate_mc(
 ) -> CorrelationMap:
     """Monte Carlo <I1 I2> over config.n_realizations speckle realizations.
 
-    bucket=True integrates I1 over arm 1's detection plane (bucket detector):
-    over the support of arm 1's final Mask, where the field is exactly zero
-    elsewhere, or over the whole grid if the arm does not end in a mask.
+    bucket=True integrates I1 over arm 1's detection plane (bucket detector).
     Otherwise I1 stays position-resolved at x1_indices (diagonal=True pairs
     each x2 sample with the same x1 sample).
     Deterministic for fixed (seed, n_realizations) for any worker count.
 
-    The arms are propagated once, as a Green's-function kernel restricted to
-    the columns read (mode_decomposition); each realization's fields are
-    then its m source amplitudes times that kernel.  Memory stays bounded by
-    the kernel build's few block_size * n complex values, the kernel's
-    m * (|arm-1 columns| + |x2|), and one block_size * (m + |arm-1 columns| +
-    |x2|) block per worker, plus one running sum: each block's partial sums
-    are merged in block-index order as they arrive (a block that finishes
-    before its predecessors waits for them).
+    The arms are propagated once, as the kernel of detector_kernel; each
+    realization's fields are then its m source amplitudes times that kernel.
+    Memory stays bounded by the kernel build's few block_size * n complex
+    values, the kernel's m * (|arm-1 columns| + |x2|), and one block_size *
+    (m + |arm-1 columns| + |x2|) block per worker, plus one running sum: each
+    block's partial sums are merged in block-index order as they arrive (a
+    block that finishes before its predecessors waits for them).
     """
-    if bucket and diagonal:
-        raise ValueError("bucket and diagonal modes are mutually exclusive")
-    kind = "bucket" if bucket else ("diagonal" if diagonal else "full")
-    grid = config.grid
-    x2_idx = np.arange(grid.n) if x2_indices is None else np.asarray(x2_indices)
-    x1_idx = None
-    if kind == "full":
-        x1_idx = x2_idx if x1_indices is None else np.asarray(x1_indices)
-        if len(x1_idx) * len(x2_idx) > _FULL_MAP_LIMIT:
-            raise ValueError(
-                "full correlation map too large; restrict x1_indices/x2_indices"
-            )
-
-    if kind == "bucket":
-        last = arm1.elements[-1] if len(arm1) else None
-        cols1 = last.mask.support_indices() if isinstance(last, Mask) else None
-    else:
-        cols1 = x2_idx if kind == "diagonal" else x1_idx
-    kernel = mode_decomposition(config, arm1, arm2, block_size, columns1=cols1, columns2=x2_idx)
+    kind = _kind(bucket, diagonal)
+    kernel = detector_kernel(
+        config, arm1, arm2, bucket, diagonal=diagonal,
+        x1_indices=x1_indices, x2_indices=x2_indices, block_size=block_size,
+    )
 
     n = config.n_realizations
     bounds = [(k0, min(k0 + block_size, n)) for k0 in range(0, n, block_size)]
@@ -164,17 +177,14 @@ def accumulate_mc(
         raise FloatingPointError("non-finite accumulator")
     degenerate = bool(np.all(np.asarray(i1_mean) == 0) or np.all(i2_mean == 0))
 
-    denom = i1_mean * i2_mean if kind != "full" else np.multiply.outer(i1_mean, i2_mean)
+    denom = _product(kind, i1_mean, i2_mean)
     var = np.maximum(s_p2 / n - g2_raw**2, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         eps = np.where(denom > 0, np.sqrt(var / n) / np.where(denom > 0, denom, 1.0), np.inf)
 
     return CorrelationMap(
         kind=kind,
-        engine="mc",
-        x2=grid.coords()[x2_idx],
-        x2_indices=x2_idx,
-        x1=None if kind == "bucket" else grid.coords()[x2_idx if kind == "diagonal" else x1_idx],
+        x2=config.grid.coords()[kernel.columns2],
         g2_raw=g2_raw,
         i1_mean=i1_mean if kind != "bucket" else float(i1_mean),
         i2_mean=i2_mean,
@@ -184,76 +194,47 @@ def accumulate_mc(
     )
 
 
-def g2_analytic(
-    modes: ModeSet,
-    bucket: bool = True,
-    *,
-    diagonal: bool = False,
-    x1_indices: np.ndarray | None = None,
-    x2_indices: np.ndarray | None = None,
-) -> CorrelationMap:
-    """Exact mode-sum G2: background term plus interference term.
+def g2_analytic(modes: ModeSet, bucket: bool = True, *, diagonal: bool = False) -> CorrelationMap:
+    """Exact mode-sum G2 over the columns the kernel holds.
 
-    term1 = sum_q |g1|^2 * sum_q' |g2|^2 and term2 = |sum_q g1* g2|^2,
-    with the bucket mode integrating term1/term2 over x1.
+    With rho_i = sum_q |g_i|^2 the background is rho1 * rho2 and the
+    interference term is term2 = |sum_q g1* g2|^2.  The bucket integrates
+    both over every arm-1 column held (so those must cover arm 1's output,
+    as detector_kernel's do); the diagonal pairs column k of g1 with column
+    k of g2, so both arms must hold the same columns.
     """
     if len(modes) == 0:
         raise ValueError("mode set is empty")
-    if modes.restricted:
-        raise ValueError("g2_analytic needs a mode set over all grid columns")
-    if bucket and diagonal:
-        raise ValueError("bucket and diagonal modes are mutually exclusive")
-    kind = "bucket" if bucket else ("diagonal" if diagonal else "full")
-    grid = modes.grid
-    dx = grid.dx
-    x2_idx = np.arange(grid.n) if x2_indices is None else np.asarray(x2_indices)
-
+    kind = _kind(bucket, diagonal)
+    dx = modes.grid.dx
     rho1 = (np.abs(modes.g1) ** 2).sum(axis=0)
-    G2s = modes.g2[:, x2_idx]
-    rho2 = (np.abs(G2s) ** 2).sum(axis=0)
+    rho2 = (np.abs(modes.g2) ** 2).sum(axis=0)
 
     if kind == "bucket":
-        i1b = float(rho1.sum() * dx)
-        support = np.flatnonzero(rho1 > 1e-12 * rho1.max()) if rho1.max() > 0 else np.array([], int)
-        term2 = np.zeros(len(x2_idx))
-        for c0 in range(0, len(support), _ANALYTIC_CHUNK):
-            rows = support[c0 : c0 + _ANALYTIC_CHUNK]
-            K = modes.g1[:, rows].conj().T @ G2s
+        i1_mean: np.ndarray | float = float(rho1.sum() * dx)
+        term2 = np.zeros(len(modes.columns2))
+        for c0 in range(0, len(modes.columns1), _ANALYTIC_CHUNK):
+            K = modes.g1[:, c0 : c0 + _ANALYTIC_CHUNK].conj().T @ modes.g2
             term2 += (np.abs(K) ** 2).sum(axis=0)
         term2 *= dx
-        term1 = i1b * rho2
-        i1_mean: np.ndarray | float = i1b
-        x1 = None
     elif kind == "diagonal":
-        G1s = modes.g1[:, x2_idx]
-        term1 = rho1[x2_idx] * rho2
-        term2 = np.abs(np.einsum("mi,mi->i", G1s.conj(), G2s)) ** 2
-        i1_mean = rho1[x2_idx]
-        x1 = grid.coords()[x2_idx]
+        if not np.array_equal(modes.columns1, modes.columns2):
+            raise ValueError("a diagonal map needs both arms held at the same columns")
+        i1_mean = rho1
+        term2 = np.abs(np.einsum("mi,mi->i", modes.g1.conj(), modes.g2)) ** 2
     else:
-        x1_idx = x2_idx if x1_indices is None else np.asarray(x1_indices)
-        if len(x1_idx) * len(x2_idx) > _FULL_MAP_LIMIT:
-            raise ValueError("full correlation map too large; restrict indices")
-        G1s = modes.g1[:, x1_idx]
-        term1 = np.multiply.outer(rho1[x1_idx], rho2)
-        term2 = np.abs(G1s.conj().T @ G2s) ** 2
-        i1_mean = rho1[x1_idx]
-        x1 = grid.coords()[x1_idx]
+        i1_mean = rho1
+        term2 = np.abs(modes.g1.conj().T @ modes.g2) ** 2
 
-    degenerate = bool(np.all(np.asarray(i1_mean) == 0) or np.all(rho2 == 0))
     return CorrelationMap(
         kind=kind,
-        engine="analytic",
-        x2=grid.coords()[x2_idx],
-        x2_indices=x2_idx,
-        x1=x1,
-        g2_raw=term1 + term2,
+        x2=modes.grid.coords()[modes.columns2],
+        g2_raw=_product(kind, i1_mean, rho2) + term2,
         i1_mean=i1_mean,
         i2_mean=rho2,
         n_accumulated=0,
-        term1=term1,
         term2=term2,
-        degenerate=degenerate,
+        degenerate=bool(np.all(np.asarray(i1_mean) == 0) or np.all(rho2 == 0)),
     )
 
 

@@ -3,8 +3,9 @@ visibility and magnification checks, the conjugate-mirror (sigma-plane) scan,
 the Siegert baseline of identical arms, and the defocus sweep.
 
 Every procedure names its engine ("analytic" or "mc") by string; _correlate
-is the one place that string selects an engine.  defocus_sweep reads it only
-to reuse the analytic source->lens propagation across its deltas.
+is the one place that string selects an engine, and both engines read the
+kernel of correlation.detector_kernel.  defocus_sweep reads it only to reuse
+the analytic source->lens propagation across its deltas.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ from .core import Grid1D, SetupGeometry, TransmissionMask
 from .correlation import (
     CorrelationMap,
     accumulate_mc,
+    detector_kernel,
     fluctuation_correlation,
     g2_analytic,
     siegert_normalize,
 )
 from .optics import ArmPath, Lens, Mask, Propagate, apply_path_block
-from .source import EnsembleConfig, aperture_indices, mode_decomposition
+from .source import EnsembleConfig, aperture_indices
 
 __all__ = [
     "ThinLensSolution",
@@ -49,6 +51,7 @@ __all__ = [
 
 # warn when |1/s_o + 1/s_i - 1/f| * f exceeds this (dimensionless lens-power units)
 FOCUS_TOLERANCE = 0.01
+_HOP_BLOCK = 512  # modes per batch of defocus_sweep's analytic last hop
 
 
 @dataclass(frozen=True)
@@ -204,8 +207,9 @@ def _correlate(
     """<I1 I2> of the two arms from the named engine: a bucket map over
     x2_indices, or the x1 = x2 diagonal when diagonal is set."""
     if engine == "analytic":
-        modes = mode_decomposition(config, arm1, arm2)
-        return g2_analytic(modes, not diagonal, diagonal=diagonal, x2_indices=x2_indices)
+        kernel = detector_kernel(config, arm1, arm2, not diagonal, diagonal=diagonal,
+                                 x2_indices=x2_indices)
+        return g2_analytic(kernel, not diagonal, diagonal=diagonal)
     if engine == "mc":
         return accumulate_mc(
             config, arm1, arm2, not diagonal,
@@ -373,22 +377,29 @@ def defocus_sweep(
 
     Each delta shifts d'_B; visibility is evaluated in the in-focus image
     window for every delta so the points are comparable.  The analytic engine
-    reuses the source->lens mode propagation across deltas.
+    builds the kernel up to the lens once (arm 2 on every column, which the
+    last hop needs) and per delta runs only that hop, _HOP_BLOCK modes at a
+    time, keeping the scan columns.  The MC entry, accumulate_mc, takes arms
+    rather than a kernel, so this reuse reads the engine here.
     """
     window = default_image_window(geometry, obj)
     x2_idx = scan_indices(config.grid, max(abs(window[0]), abs(window[1])))
     arm1, _ = build_arms(geometry, obj)
+    wl = config.geometry.wavelength
     prefix = ArmPath((Propagate(geometry.z_source_lens), Lens(geometry.f)))
-    pre = mode_decomposition(config, arm1, prefix) if engine == "analytic" else None
+    pre = detector_kernel(config, arm1, prefix) if engine == "analytic" else None
     results: list[DefocusPoint] = []
     for delta in deltas:
         d = geometry.d_b_prime + delta
         if d <= 0:
             raise ValueError(f"defocus {delta} puts the scan plane behind the lens")
         if pre is not None:
-            last_hop = ArmPath((Propagate(d),))
-            g2 = apply_path_block(pre.g2, config.grid, config.geometry.wavelength, last_hop)
-            cmap = g2_analytic(replace(pre, g2=g2), bucket=True, x2_indices=x2_idx)
+            hop = ArmPath((Propagate(d),))
+            g2 = np.concatenate([
+                apply_path_block(pre.g2[b0 : b0 + _HOP_BLOCK], config.grid, wl, hop)[:, x2_idx]
+                for b0 in range(0, len(pre), _HOP_BLOCK)
+            ])
+            cmap = g2_analytic(replace(pre, g2=g2, columns2=x2_idx))
         else:
             _, arm2 = build_arms(replace(geometry, d_b_prime=d), obj)
             cmap = _correlate(config, arm1, arm2, engine, x2_indices=x2_idx, workers=workers)

@@ -78,28 +78,22 @@ def sample_source_block(config: EnsembleConfig, k0: int, k1: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ModeSet:
-    """Green's functions of every source mode through the two arms.
+    """Green's functions of every source mode through the two arms, kept only
+    at the grid columns the detectors read: the one kernel both engines use.
 
-    g1[j] is the field at the arm-1 detection plane produced by a unit
-    amplitude at source grid sample indices[j]; g2[j] likewise for arm 2.
-    columns1/columns2 name the grid columns g1/g2 hold; None means all n.
-    A restricted set serves the Monte Carlo engine, which reads each arm at
-    a few columns only.
+    g1[j, k] is the field at arm-1 grid column columns1[k] produced by a unit
+    amplitude at source grid sample indices[j]; g2 likewise for arm 2.
     """
 
     grid: Grid1D
     indices: np.ndarray    # (m,) source-sample grid indices
-    g1: np.ndarray         # (m, n) complex, or (m, len(columns1))
-    g2: np.ndarray         # (m, n) complex, or (m, len(columns2))
-    columns1: np.ndarray | None = None
-    columns2: np.ndarray | None = None
+    g1: np.ndarray         # (m, len(columns1)) complex
+    g2: np.ndarray         # (m, len(columns2)) complex
+    columns1: np.ndarray   # arm-1 grid columns held by g1
+    columns2: np.ndarray   # arm-2 grid columns held by g2
 
     def __len__(self) -> int:
         return len(self.indices)
-
-    @property
-    def restricted(self) -> bool:
-        return self.columns1 is not None or self.columns2 is not None
 
 
 def mode_decomposition(
@@ -120,24 +114,16 @@ def mode_decomposition(
     m * (|columns1| + |columns2|).
     """
     idx = aperture_indices(config)
-    m = len(idx)
     n = config.grid.n
     wl = config.geometry.wavelength
-    keep1 = slice(None) if columns1 is None else np.asarray(columns1)
-    keep2 = slice(None) if columns2 is None else np.asarray(columns2)
-    g1 = np.empty((m, n if columns1 is None else len(keep1)), dtype=np.complex128)
-    g2 = np.empty((m, n if columns2 is None else len(keep2)), dtype=np.complex128)
-    for b0 in range(0, m, block_size):
-        b1 = min(b0 + block_size, m)
-        basis = np.zeros((b1 - b0, n), dtype=np.complex128)
-        basis[np.arange(b1 - b0), idx[b0:b1]] = 1.0
-        g1[b0:b1] = apply_path_block(basis, config.grid, wl, arm1)[:, keep1]
-        g2[b0:b1] = apply_path_block(basis, config.grid, wl, arm2)[:, keep2]
-    return ModeSet(
-        grid=config.grid,
-        indices=idx,
-        g1=g1,
-        g2=g2,
-        columns1=None if columns1 is None else keep1,
-        columns2=None if columns2 is None else keep2,
-    )
+    cols1 = np.arange(n) if columns1 is None else np.asarray(columns1)
+    cols2 = np.arange(n) if columns2 is None else np.asarray(columns2)
+    g1 = np.empty((len(idx), len(cols1)), dtype=np.complex128)
+    g2 = np.empty((len(idx), len(cols2)), dtype=np.complex128)
+    for b0 in range(0, len(idx), block_size):
+        rows = idx[b0 : b0 + block_size]
+        basis = np.zeros((len(rows), n), dtype=np.complex128)
+        basis[np.arange(len(rows)), rows] = 1.0
+        g1[b0 : b0 + len(rows)] = apply_path_block(basis, config.grid, wl, arm1)[:, cols1]
+        g2[b0 : b0 + len(rows)] = apply_path_block(basis, config.grid, wl, arm2)[:, cols2]
+    return ModeSet(config.grid, idx, g1, g2, cols1, cols2)

@@ -173,10 +173,8 @@ class TestExportImage:
 
         config = make_config(grid, geometry)
         idx = aperture_indices(config)[::4]
-        modes = mode_decomposition(config, ArmPath(()), ArmPath(()))
-        cmap = siegert_normalize(
-            g2_analytic(modes, bucket=False, x1_indices=idx, x2_indices=idx)
-        )
+        modes = mode_decomposition(config, ArmPath(()), ArmPath(()), columns1=idx, columns2=idx)
+        cmap = siegert_normalize(g2_analytic(modes, bucket=False))
         path = tmp_path / "map.pgm"
         export_image(cmap, path)
         data = path.read_bytes().split(b"65535\n", 1)[1]
@@ -202,7 +200,12 @@ class TestMainCommands:
 
     def test_validate_reports_sampling_failure(self, tmp_path, capsys):
         # a grid too coarse for every hop; a lens -> scan-plane hop too short for the grid
-        for override in (COARSE_GRID, {**SMALL_GRID, "d_B_prime": "1um"}):
+        # and a bench that is fine but whose defocus sweep's d'_B - 50 mm hop is too short
+        for override in (
+            COARSE_GRID,
+            {**SMALL_GRID, "d_B_prime": "1um"},
+            {**SMALL_GRID, "f": "80mm"},
+        ):
             cfg = small_cfg(tmp_path, **override)
             assert main(["validate", "--config", str(cfg)]) == 3
             err = capsys.readouterr().err
@@ -226,7 +229,7 @@ class TestMainCommands:
         cases = [
             ("fig3-point", "analytic", COARSE_GRID),
             ("fig4-doubleslit", "mc", {**SMALL_GRID, "d_B_prime": "1um"}),
-            # passes the bench check; the sweep's d'_B - 50 mm hop is too short for the grid
+            # the bench hops pass; the sweep's d'_B - 50 mm hop is too short for the grid
             ("defocus", "mc", {**SMALL_GRID, "f": "80mm"}),
             ("defocus", "analytic", {**SMALL_GRID, "f": "80mm"}),
         ]
@@ -237,6 +240,16 @@ class TestMainCommands:
             assert code == 3, (scenario, engine)
             err = capsys.readouterr().err
             assert "chirp" in err and "Traceback" not in err
+            assert not (tmp_path / "o").exists(), (scenario, engine)
+
+    def test_defocus_hop_is_checked_only_where_it_is_run(self, tmp_path, capsys):
+        # f = 80 mm: the defocus sweep's shortest hop fails, fig4's own hops pass
+        cfg = small_cfg(tmp_path, **SMALL_GRID, f="80mm")
+        out = tmp_path / "fig4"
+        with pytest.warns(UserWarning, match="thin-lens"):
+            code = main(["run", "fig4-doubleslit", "--config", str(cfg), "--out", str(out)])
+        assert code == 0
+        assert (out / "manifest.txt").exists()
 
     @pytest.mark.parametrize(
         "scenario,override",
@@ -263,16 +276,22 @@ class TestMainCommands:
     )
     def test_run_bad_config_exit_2(self, tmp_path, capsys, scenario, override):
         cfg = small_cfg(tmp_path, **override)
-        out = tmp_path / "o"
+        out = tmp_path / "o" / "run"
         code = main(["run", scenario, "--config", str(cfg), "--out", str(out), "--engine", "mc"])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
-        if "slit_separation" in override:
-            # the objects are built inside the scenario, after --out is made: nothing in it
-            assert list(out.iterdir()) == []
-        else:
-            assert not out.exists()
+        # also where the objects are built inside the scenario, after --out is made
+        assert not (tmp_path / "o").exists()
+
+    def test_failed_run_keeps_an_out_it_did_not_make(self, tmp_path, capsys):
+        cfg = small_cfg(tmp_path, **SMALL_GRID, slit_width="2mm", slit_separation="1mm")
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "keep.txt").write_text("x")
+        code = main(["run", "fig4-doubleslit", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
 
     def test_run_io_error_exit_4(self, tmp_path, capsys):
         target = tmp_path / "not_a_dir"

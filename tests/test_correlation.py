@@ -11,6 +11,7 @@ from ghostsim import (
     SetupGeometry,
     TransmissionMask,
     accumulate_mc,
+    detector_kernel,
     fluctuation_correlation,
     g2_analytic,
     make_pinhole,
@@ -68,10 +69,10 @@ def test_single_mode_analytic_g2_is_two_everywhere(grid):
     config = make_config(grid, geo, n_realizations=2)
     arm1 = ArmPath((Propagate(geo.z_source_object),))
     arm2 = ArmPath((Propagate(geo.z_source_lens), Lens(geo.f), Propagate(geo.d_b_prime)))
-    modes = mode_decomposition(config, arm1, arm2)
-    assert len(modes) == 1
     sel = np.arange(grid.n // 2 - 512, grid.n // 2 + 512)
-    cmap = g2_analytic(modes, bucket=False, x1_indices=sel, x2_indices=sel)
+    modes = mode_decomposition(config, arm1, arm2, columns1=sel, columns2=sel)
+    assert len(modes) == 1
+    cmap = g2_analytic(modes, bucket=False)
     g2 = siegert_normalize(cmap).g2
     assert np.allclose(g2, 2.0, atol=1e-9)
 
@@ -81,8 +82,11 @@ def test_orthogonal_arms_analytic_g2_is_one(grid, geometry):
     idx = aperture_indices(config)
     left = TransmissionMask(grid, np.isin(np.arange(grid.n), idx[:50]).astype(float))
     right = TransmissionMask(grid, np.isin(np.arange(grid.n), idx[50:]).astype(float))
-    modes = mode_decomposition(config, ArmPath((Mask(left),)), ArmPath((Mask(right),)))
-    cmap = g2_analytic(modes, bucket=False, x1_indices=idx[:50], x2_indices=idx[50:])
+    modes = mode_decomposition(
+        config, ArmPath((Mask(left),)), ArmPath((Mask(right),)),
+        columns1=idx[:50], columns2=idx[50:],
+    )
+    cmap = g2_analytic(modes, bucket=False)
     assert np.all(cmap.term2 == 0.0)
     g2 = siegert_normalize(cmap).g2
     assert np.allclose(g2, 1.0, atol=1e-12)
@@ -97,8 +101,8 @@ def test_bench_pinhole_mc_matches_mode_sum(grid, geometry):
     )
     x2 = np.flatnonzero(np.abs(grid.coords()) <= 5e-3)
     mc = accumulate_mc(config, arm1, arm2, bucket=True, x2_indices=x2, workers=2)
-    modes = mode_decomposition(config, arm1, arm2)
-    an = g2_analytic(modes, bucket=True, x2_indices=x2)
+    modes = mode_decomposition(config, arm1, arm2, columns1=obj.support_indices(), columns2=x2)
+    an = g2_analytic(modes, bucket=True)
     g2_mc = siegert_normalize(mc).g2
     g2_an = siegert_normalize(an).g2
     assert np.all(np.abs(g2_mc - g2_an) < 3 * mc.eps)
@@ -111,10 +115,10 @@ def test_analytic_bounds_one_to_two(grid, geometry):
     arm2 = ArmPath(
         (Propagate(geometry.z_source_lens), Lens(geometry.f), Propagate(geometry.d_b_prime))
     )
-    modes = mode_decomposition(config, arm1, arm2)
     x1 = obj.support_indices()
     x2 = np.flatnonzero(np.abs(grid.coords()) <= 3e-3)[::4]
-    cmap = g2_analytic(modes, bucket=False, x1_indices=x1, x2_indices=x2)
+    modes = mode_decomposition(config, arm1, arm2, columns1=x1, columns2=x2)
+    cmap = g2_analytic(modes, bucket=False)
     g2 = siegert_normalize(cmap).g2
     assert g2.min() >= 1.0 - 1e-12
     assert g2.max() <= 2.0 + 1e-9
@@ -123,9 +127,9 @@ def test_analytic_bounds_one_to_two(grid, geometry):
 def test_symmetry_identical_arms(grid, geometry):
     config = make_config(grid, geometry, n_realizations=2)
     arm = ArmPath((Propagate(geometry.z_source_object),))
-    modes = mode_decomposition(config, arm, arm)
     sel = np.flatnonzero(np.abs(grid.coords()) <= 0.5e-3)[::2]
-    cmap = g2_analytic(modes, bucket=False, x1_indices=sel, x2_indices=sel)
+    modes = mode_decomposition(config, arm, arm, columns1=sel, columns2=sel)
+    cmap = g2_analytic(modes, bucket=False)
     assert np.allclose(cmap.g2_raw, cmap.g2_raw.T, rtol=1e-12, atol=0)
 
 
@@ -162,8 +166,10 @@ def test_fluctuation_equals_interference_term(grid, geometry):
     arm2 = ArmPath(
         (Propagate(geometry.z_source_lens), Lens(geometry.f), Propagate(geometry.d_b_prime))
     )
-    modes = mode_decomposition(config, arm1, arm2)
-    cmap = g2_analytic(modes, bucket=True, x2_indices=np.arange(0, grid.n, 8))
+    modes = mode_decomposition(
+        config, arm1, arm2, columns1=obj.support_indices(), columns2=np.arange(0, grid.n, 8)
+    )
+    cmap = g2_analytic(modes, bucket=True)
     assert np.array_equal(fluctuation_correlation(cmap), cmap.term2)
 
 
@@ -249,29 +255,69 @@ def test_bucket_drops_only_columns_that_are_zero_for_every_mode(grid, geometry, 
     assert np.array_equal(kernel.g2, full.g2[:, S])
 
 
-def test_restricted_mode_set_is_refused_where_whole_fields_are_needed(small_grid, geometry):
+def test_diagonal_map_of_arms_held_at_different_columns_is_refused(small_grid, geometry):
     config = make_config(small_grid, geometry, n_realizations=2)
     idx = aperture_indices(config)
     modes = mode_decomposition(config, IDENTITY, IDENTITY, columns1=idx, columns2=idx)
     assert np.array_equal(modes.g1, np.eye(len(idx)))
-    with pytest.raises(ValueError, match="all grid columns"):
-        g2_analytic(modes, bucket=False, diagonal=True, x2_indices=idx)
+    assert g2_analytic(modes, bucket=False, diagonal=True).kind == "diagonal"
+    shifted = mode_decomposition(config, IDENTITY, IDENTITY, columns1=idx, columns2=idx + 1)
+    with pytest.raises(ValueError, match="same columns"):
+        g2_analytic(shifted, bucket=False, diagonal=True)
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    slits=st.lists(
-        st.tuples(st.integers(0, 1023), st.integers(1, 256)), min_size=1, max_size=3
-    ),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_bucket_i1_over_mask_support_equals_full_grid_sum(small_grid, geometry, slits, seed):
+def _mode_sum(modes, kind, x1, x2, dx):
+    """<I1 I2> from an all-columns kernel: background plus |sum_q g1* g2|^2."""
+    G1, G2 = modes.g1, modes.g2[:, x2]
+    rho2 = (np.abs(G2) ** 2).sum(axis=0)
+    if kind == "bucket":
+        i1 = (np.abs(G1) ** 2).sum() * dx
+        return i1 * rho2 + dx * (np.abs(G1.conj().T @ G2) ** 2).sum(axis=0)
+    G1 = G1[:, x1]
+    rho1 = (np.abs(G1) ** 2).sum(axis=0)
+    if kind == "diagonal":
+        return rho1 * rho2 + np.abs((G1.conj() * G2).sum(axis=0)) ** 2
+    return np.multiply.outer(rho1, rho2) + np.abs(G1.conj().T @ G2) ** 2
+
+
+@pytest.mark.parametrize("kind", ["bucket", "diagonal", "full"])
+@pytest.mark.parametrize("scan", ["fig4", "sigma"])
+def test_restricted_kernel_mode_sum_equals_all_columns_oracle(small_grid, geometry, scan, kind):
+    config = make_config(small_grid, geometry, n_realizations=2)
+    obj, arm1, arm2 = _bench_arms(small_grid, geometry, scan)
+    if kind == "diagonal":
+        X = x1 = scan_indices(small_grid, 3e-3)
+    else:
+        # a scan window that leaves out the object support, which arm 1 is read on
+        x = small_grid.coords()
+        X, x1 = np.flatnonzero((x >= -3e-3) & (x <= -0.8e-3)), obj.support_indices()
+    bucket, diagonal = kind == "bucket", kind == "diagonal"
+    kernel = detector_kernel(
+        config, arm1, arm2, bucket, diagonal=diagonal, x1_indices=x1, x2_indices=X
+    )
+    cmap = g2_analytic(kernel, bucket, diagonal=diagonal)
+    assert cmap.kind == kind and np.array_equal(cmap.x2, small_grid.coords()[X])
+    oracle = _mode_sum(mode_decomposition(config, arm1, arm2), kind, x1, X, small_grid.dx)
+    np.testing.assert_allclose(cmap.g2_raw, oracle, rtol=1e-12, atol=0)
+
+
+def _slit_mask(grid, slits):
     # slits inside the central half of the window, the 4x guard band of validate_sampling
-    n = small_grid.n
+    n = grid.n
     t = np.zeros(n)
     for start, width in slits:
         t[n // 4 + start : min(n // 4 + start + width, 3 * n // 4)] = 1.0
-    obj = TransmissionMask(small_grid, t)
+    return TransmissionMask(grid, t)
+
+
+SLITS = st.lists(st.tuples(st.integers(0, 1023), st.integers(1, 256)), min_size=1, max_size=3)
+
+
+@settings(max_examples=20, deadline=None)
+@given(slits=SLITS, seed=st.integers(0, 2**32 - 1))
+def test_bucket_i1_over_mask_support_equals_full_grid_sum(small_grid, geometry, slits, seed):
+    n = small_grid.n
+    obj = _slit_mask(small_grid, slits)
     arm1, arm2 = build_arms(geometry, obj)
     config = make_config(small_grid, geometry, n_realizations=8, seed=seed)
     cmap = accumulate_mc(config, arm1, arm2, bucket=True, x2_indices=np.arange(0, n, 64))
@@ -280,6 +326,23 @@ def test_bucket_i1_over_mask_support_equals_full_grid_sum(small_grid, geometry, 
     c = sample_source_block(config, 0, config.n_realizations)
     full_grid = (np.abs(c @ modes.g1) ** 2).sum(axis=1) * small_grid.dx
     assert cmap.i1_mean == pytest.approx(full_grid.mean(), rel=1e-12, abs=0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(slits=SLITS)
+def test_analytic_g2_between_one_and_two_on_random_slits(small_grid, geometry, slits):
+    # thermal light: 1 <= g2 <= 2 by Cauchy-Schwarz on the mode sum
+    obj = _slit_mask(small_grid, slits)
+    arm1, arm2 = build_arms(geometry, obj)
+    config = make_config(small_grid, geometry, n_realizations=2)
+    X = scan_indices(small_grid, 3e-3)
+    for bucket in (True, False):
+        kernel = detector_kernel(
+            config, arm1, arm2, bucket, x1_indices=obj.support_indices(), x2_indices=X
+        )
+        g2 = siegert_normalize(g2_analytic(kernel, bucket)).g2
+        assert g2.min() >= 1.0 - 1e-12
+        assert g2.max() <= 2.0 + 1e-9
 
 
 @pytest.mark.parametrize("kind", ["full", "diagonal"])
