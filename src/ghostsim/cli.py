@@ -150,15 +150,21 @@ def _apertures(cfg: dict) -> list[float]:
 
 def _sampling_report(cfg: dict, scenario: str | None = None):
     """Sampling check of the shortest hop that `scenario` (None: any) runs;
-    the chirp bound lambda*z/L tightens as z shrinks."""
+    the chirp bound lambda*z/L tightens as z shrinks.  A scenario with no hop
+    (siegert-baseline) gets the guard-band check only."""
     geometry = _geometry(cfg)
-    hops = [geometry.z_source_object, geometry.z_source_lens, geometry.d_b_prime]
+    hops = []
+    if scenario in (None, "fig3-point", "fig4-doubleslit", "sigma-plane", "defocus"):
+        hops.append(geometry.z_source_object)
+    if scenario in (None, "fig3-point", "fig4-doubleslit", "defocus"):
+        hops.append(geometry.z_source_lens)
+    if scenario in (None, "fig3-point", "fig4-doubleslit"):
+        hops.append(geometry.d_b_prime)
     if scenario in (None, "defocus") and geometry.s_o > geometry.f:
         # the sweep's re-solved d'_B plus its most negative delta (if > 0)
         hops.append(solve_image_plane(geometry).d_b_prime + min(DEFOCUS_DELTAS_MM) * 1e-3)
-    return validate_sampling(
-        _grid(cfg), cfg["wavelength"], min(h for h in hops if h > 0), apertures=_apertures(cfg)
-    )
+    shortest = min((h for h in hops if h > 0), default=0.0)  # 0: no chirp check
+    return validate_sampling(_grid(cfg), cfg["wavelength"], shortest, apertures=_apertures(cfg))
 
 
 def export_trace(trace: ImageTrace, path: str | Path) -> None:
@@ -192,14 +198,11 @@ def import_trace(path: str | Path) -> ImageTrace:
     )
 
 
-def export_image(data, path: str | Path) -> tuple[float, float]:
-    """Binary 16-bit PGM (P5), min -> 0 and max -> 65535; returns the scaling
-    constants.  A constant field writes an all-zero image with a warning."""
-    if hasattr(data, "g2_raw"):
-        arr = data.g2 if data.g2 is not None else data.g2_raw
-    else:
-        arr = np.asarray(data, dtype=float)
-    arr = np.atleast_2d(np.asarray(arr, dtype=float))
+def export_image(data: np.ndarray, path: str | Path) -> tuple[float, float]:
+    """Binary 16-bit PGM (P5) of a 1D or 2D array, min -> 0 and max -> 65535;
+    returns the scaling constants.  A constant field writes an all-zero image
+    with a warning."""
+    arr = np.atleast_2d(np.asarray(data, dtype=float))
     if not np.all(np.isfinite(arr)):
         raise ValueError("image contains non-finite values")
     lo, hi = float(arr.min()), float(arr.max())
@@ -239,16 +242,15 @@ def _digest(path: Path) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _scenario_fig3(cfg, geometry, grid, econf, engine, workers, outdir):
+def _scenario_fig3(cfg, econf, workers, outdir):
     files, summary = [], {}
     peaks = {}
     for shift_mm in FIG3_SHIFTS_MM:
-        obj = make_pinhole(grid, shift_mm * 1e-3, cfg["pinhole_diameter"])
+        obj = make_pinhole(econf.grid, shift_mm * 1e-3, cfg["pinhole_diameter"])
         trace = ghost_image_scan(
-            geometry,
             obj,
             econf,
-            engine=engine,
+            engine=cfg["engine"],
             scan_halfwidth=cfg["scan_halfwidth"],
             workers=workers,
         )
@@ -259,17 +261,16 @@ def _scenario_fig3(cfg, geometry, grid, econf, engine, workers, outdir):
         summary[f"summary.peak_mm.shift_{shift_mm:+d}mm"] = peaks[shift_mm] * 1e3
     if peaks[2] != peaks[-2]:
         summary["summary.magnification_measured"] = (peaks[-2] - peaks[2]) / 4e-3
-    summary["summary.magnification_scale"] = magnification_scale(geometry)
+    summary["summary.magnification_scale"] = magnification_scale(econf.geometry)
     return files, summary
 
 
-def _scenario_fig4(cfg, geometry, grid, econf, engine, workers, outdir):
-    obj = make_double_slit(grid, cfg["slit_separation"], cfg["slit_width"])
+def _scenario_fig4(cfg, econf, workers, outdir):
+    obj = make_double_slit(econf.grid, cfg["slit_separation"], cfg["slit_width"])
     trace = ghost_image_scan(
-        geometry,
         obj,
         econf,
-        engine=engine,
+        engine=cfg["engine"],
         scan_halfwidth=cfg["scan_halfwidth"],
         workers=workers,
     )
@@ -278,7 +279,7 @@ def _scenario_fig4(cfg, geometry, grid, econf, engine, workers, outdir):
     pos, coin = trace.positions, trace.coincidence
     pk_neg = pos[np.argmax(np.where(pos < 0, coin, -np.inf))]
     pk_pos = pos[np.argmax(np.where(pos > 0, coin, -np.inf))]
-    vis = visibility(trace, default_image_window(geometry, obj))
+    vis = visibility(trace, default_image_window(econf.geometry, obj))
     print(f"fig4-doubleslit: peak separation {(pk_pos - pk_neg) * 1e3:.3f} mm, "
           f"visibility {vis:.4f}")
     summary = {
@@ -292,18 +293,17 @@ def _scenario_fig4(cfg, geometry, grid, econf, engine, workers, outdir):
     return ["fig4_doubleslit.csv", "fig4_doubleslit.pgm"], summary
 
 
-def _scenario_sigma(cfg, geometry, grid, econf, engine, workers, outdir):
-    obj = make_pinhole(grid, 1e-3, cfg["pinhole_diameter"])
+def _scenario_sigma(cfg, econf, workers, outdir):
+    obj = make_pinhole(econf.grid, 1e-3, cfg["pinhole_diameter"])
     trace = pseudo_object_scan(
-        geometry,
         obj,
         econf,
-        engine=engine,
+        engine=cfg["engine"],
         scan_halfwidth=cfg["scan_halfwidth"],
         workers=workers,
     )
     export_trace(trace, outdir / "sigma_plane.csv")
-    vis = visibility(trace, default_image_window(geometry, obj, upright=True))
+    vis = visibility(trace, default_image_window(econf.geometry, obj, upright=True))
     summary = {
         "summary.peak_mm": peak_position(trace) * 1e3,
         "summary.visibility": vis,
@@ -311,16 +311,16 @@ def _scenario_sigma(cfg, geometry, grid, econf, engine, workers, outdir):
     return ["sigma_plane.csv"], summary
 
 
-def _scenario_defocus(cfg, geometry, grid, econf, engine, workers, outdir):
+def _scenario_defocus(cfg, econf, workers, outdir):
     # wider effective source: the 200 um bench source has a multi-meter
     # two-photon depth of focus, far beyond a +-50 mm sweep
     geo = replace(
-        solve_image_plane(geometry), source_diameter=cfg["defocus_source_diameter"]
+        solve_image_plane(econf.geometry), source_diameter=cfg["defocus_source_diameter"]
     )
     econf = replace(econf, geometry=geo)
-    obj = make_pinhole(grid, 0.0, cfg["pinhole_diameter"])
+    obj = make_pinhole(econf.grid, 0.0, cfg["pinhole_diameter"])
     deltas = [d * 1e-3 for d in DEFOCUS_DELTAS_MM]
-    points = defocus_sweep(geo, obj, econf, deltas, engine=engine, workers=workers)
+    points = defocus_sweep(obj, econf, deltas, engine=cfg["engine"], workers=workers)
     name = "defocus.csv"
     lines = ["delta_m,visibility,peak_width_m"]
     for p in points:
@@ -338,8 +338,8 @@ def _scenario_defocus(cfg, geometry, grid, econf, engine, workers, outdir):
     return [name], summary
 
 
-def _scenario_siegert(cfg, geometry, grid, econf, engine, workers, outdir):
-    trace = siegert_scan(econf, engine, workers=workers)
+def _scenario_siegert(cfg, econf, workers, outdir):
+    trace = siegert_scan(econf, cfg["engine"], workers=workers)
     export_trace(trace, outdir / "siegert_baseline.csv")
     g2 = trace.coincidence
     summary = {
@@ -389,10 +389,11 @@ def run_scenario(
         report = _sampling_report(cfg, name)
         if not report.ok:
             raise SamplingFailure("; ".join(report.messages))
-        geometry = _geometry(cfg)
-        grid = _grid(cfg)
         econf = EnsembleConfig(
-            n_realizations=cfg["n_realizations"], seed=cfg["seed"], geometry=geometry, grid=grid
+            n_realizations=cfg["n_realizations"],
+            seed=cfg["seed"],
+            geometry=_geometry(cfg),
+            grid=_grid(cfg),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -403,9 +404,7 @@ def run_scenario(
     try:
         try:
             outdir.mkdir(parents=True, exist_ok=True)
-            files, summary = SCENARIOS[name](
-                cfg, geometry, grid, econf, cfg["engine"], workers, outdir
-            )
+            files, summary = SCENARIOS[name](cfg, econf, workers, outdir)
         except BaseException:
             if made:  # a failed scenario leaves no directory of its own behind
                 shutil.rmtree(made[-1], ignore_errors=True)
@@ -421,11 +420,10 @@ def run_scenario(
     entries: dict = {"scenario": name, "version": __version__}
     for key, value in cfg.items():
         entries[f"config.{key}"] = value
+    geometry = econf.geometry
     entries["geometry.s_o_m"] = geometry.s_o
     entries["geometry.eq3_residual_per_m"] = eq3_residual(geometry)
-    entries["geometry.d_B_prime_solved_m"] = solve_thin_lens(
-        s_o=geometry.s_o, f=geometry.f
-    ).s_i
+    entries["geometry.d_B_prime_solved_m"] = solve_thin_lens(geometry.s_o, geometry.f).s_i
     entries.update(summary)
     for fname in files:
         fpath = outdir / fname

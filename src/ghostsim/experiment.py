@@ -2,6 +2,12 @@
 visibility and magnification checks, the conjugate-mirror (sigma-plane) scan,
 the Siegert baseline of identical arms, and the defocus sweep.
 
+The scans, siegert_scan and defocus_sweep read the bench (geometry, grid,
+wavelength and source aperture) from their EnsembleConfig alone, so the arms
+they build and the source they draw always describe one setup.  The arm
+builders (build_arms, sigma_arm) and the geometric helpers take a
+SetupGeometry and no config.
+
 Every procedure names its engine ("analytic" or "mc") by string; _correlate
 is the one place that string selects an engine, and both engines read the
 kernel of correlation.detector_kernel.  defocus_sweep reads it only to reuse
@@ -58,8 +64,7 @@ _HOP_BLOCK = 512  # modes per batch of defocus_sweep's analytic last hop
 class ThinLensSolution:
     """Conjugate distances of the two-photon thin-lens relation.
 
-    residual = 1/s_o + 1/s_i - 1/f (1/m); zero when the relation is met
-    exactly.  Image coordinate convention: x_image = -magnification * x_object
+    Image coordinate convention: x_image = -magnification * x_object
     (inverted real image).
     """
 
@@ -67,42 +72,22 @@ class ThinLensSolution:
     s_i: float
     f: float
     magnification: float
-    residual: float
 
 
-def solve_thin_lens(
-    s_o: float | None = None, s_i: float | None = None, f: float | None = None
-) -> ThinLensSolution:
-    """Solve 1/s_o + 1/s_i = 1/f for the missing quantity.
-
-    Give exactly two of the three to solve for the third (residual 0), or all
-    three to get the residual of the stated values.
-    """
-    given = [v is not None for v in (s_o, s_i, f)]
-    if sum(given) < 2:
-        raise ValueError("need at least two of s_o, s_i, f")
-    for name, v in (("s_o", s_o), ("s_i", s_i), ("f", f)):
-        if v is not None and not v > 0:
+def solve_thin_lens(s_o: float, f: float) -> ThinLensSolution:
+    """Solve 1/s_o + 1/s_i = 1/f for the image distance s_i."""
+    for name, v in (("s_o", s_o), ("f", f)):
+        if not v > 0:
             raise ValueError(f"{name} must be positive, got {v}")
-
-    if s_o is not None and s_i is not None and f is not None:
-        residual = 1.0 / s_o + 1.0 / s_i - 1.0 / f
-        return ThinLensSolution(s_o, s_i, f, s_i / s_o, residual)
-    if f is None:
-        f = 1.0 / (1.0 / s_o + 1.0 / s_i)
-    elif s_i is None:
-        if s_o <= f:
-            raise ValueError(f"no real image: s_o = {s_o} must exceed f = {f}")
-        s_i = 1.0 / (1.0 / f - 1.0 / s_o)
-    else:
-        if s_i <= f:
-            raise ValueError(f"no real object: s_i = {s_i} must exceed f = {f}")
-        s_o = 1.0 / (1.0 / f - 1.0 / s_i)
-    return ThinLensSolution(s_o, s_i, f, s_i / s_o, 0.0)
+    if s_o <= f:
+        raise ValueError(f"no real image: s_o = {s_o} must exceed f = {f}")
+    s_i = 1.0 / (1.0 / f - 1.0 / s_o)
+    return ThinLensSolution(s_o, s_i, f, s_i / s_o)
 
 
 def eq3_residual(geometry: SetupGeometry) -> float:
-    """Residual 1/(d_B - d_A) + 1/d'_B - 1/f of the geometry as configured."""
+    """Residual 1/(d_B - d_A) + 1/d'_B - 1/f (1/m) of the geometry as
+    configured; zero on the thin-lens surface."""
     return 1.0 / geometry.s_o + 1.0 / geometry.d_b_prime - 1.0 / geometry.f
 
 
@@ -236,7 +221,6 @@ def _scan(
 
 
 def ghost_image_scan(
-    geometry: SetupGeometry,
     obj: TransmissionMask,
     config: EnsembleConfig,
     mode: str = "raw",
@@ -247,10 +231,11 @@ def ghost_image_scan(
 ) -> ImageTrace:
     """Scan the lens arm's detection plane against a bucket behind the object.
 
-    With the geometry on the thin-lens surface the coincidence trace carries
-    an inverted image of |T|^2, magnified by d'_B/(d_B - d_A), on a constant
-    background; the singles stay flat.
+    The bench is config.geometry.  With it on the thin-lens surface the
+    coincidence trace carries an inverted image of |T|^2, magnified by
+    d'_B/(d_B - d_A), on a constant background; the singles stay flat.
     """
+    geometry = config.geometry
     if abs(eq3_residual(geometry)) * geometry.f > FOCUS_TOLERANCE:
         warnings.warn(
             f"geometry is off the thin-lens surface "
@@ -262,7 +247,6 @@ def ghost_image_scan(
 
 
 def pseudo_object_scan(
-    geometry: SetupGeometry,
     obj: TransmissionMask,
     config: EnsembleConfig,
     mode: str = "raw",
@@ -271,11 +255,13 @@ def pseudo_object_scan(
     scan_halfwidth: float = 6e-3,
     workers: int = 1,
 ) -> ImageTrace:
-    """Scan the sigma plane (equal path length, no lens) in the reference arm.
+    """Scan the sigma plane of config.geometry (equal path length, no lens)
+    in the reference arm.
 
     The source acts as a conjugate mirror: the coincidence trace reproduces
     the object upright at unit magnification.
     """
+    geometry = config.geometry
     arm1, _ = build_arms(geometry, obj)
     return _scan(obj, config, arm1, sigma_arm(geometry), mode, engine, scan_halfwidth, workers)
 
@@ -365,7 +351,6 @@ class DefocusPoint:
 
 
 def defocus_sweep(
-    geometry: SetupGeometry,
     obj: TransmissionMask,
     config: EnsembleConfig,
     deltas: Sequence[float],
@@ -375,17 +360,19 @@ def defocus_sweep(
 ) -> list[DefocusPoint]:
     """Ghost-image visibility and peak width versus scan-plane defocus.
 
-    Each delta shifts d'_B; visibility is evaluated in the in-focus image
-    window for every delta so the points are comparable.  The analytic engine
-    builds the kernel up to the lens once (arm 2 on every column, which the
-    last hop needs) and per delta runs only that hop, _HOP_BLOCK modes at a
-    time, keeping the scan columns.  The MC entry, accumulate_mc, takes arms
+    Each delta shifts the d'_B of config.geometry, the in-focus bench;
+    visibility is evaluated in the in-focus image window for every delta so
+    the points are comparable.  The analytic engine builds the kernel up to
+    the lens once (arm 2 on every column, which the last hop needs) and per
+    delta runs only that hop, _HOP_BLOCK modes at a time, keeping the scan
+    columns.  The MC entry, accumulate_mc, takes arms
     rather than a kernel, so this reuse reads the engine here.
     """
+    geometry = config.geometry
     window = default_image_window(geometry, obj)
     x2_idx = scan_indices(config.grid, max(abs(window[0]), abs(window[1])))
     arm1, _ = build_arms(geometry, obj)
-    wl = config.geometry.wavelength
+    wl = geometry.wavelength
     prefix = ArmPath((Propagate(geometry.z_source_lens), Lens(geometry.f)))
     pre = detector_kernel(config, arm1, prefix) if engine == "analytic" else None
     results: list[DefocusPoint] = []

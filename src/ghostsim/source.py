@@ -27,7 +27,9 @@ __all__ = ["EnsembleConfig", "ModeSet", "sample_source_block", "mode_decompositi
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    """Ensemble parameters: identical (seed, config) => bit-identical streams."""
+    """Ensemble parameters and the one carrier of the bench: the procedures
+    read geometry, wavelength, source aperture and grid from here alone.
+    Identical (seed, config) => bit-identical streams."""
 
     n_realizations: int
     seed: int

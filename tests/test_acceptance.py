@@ -69,18 +69,18 @@ def criterion(num, desc):
 @pytest.fixture(scope="module")
 def slit_traces():
     obj = make_slit(GRID, 0.0, 0.2e-3)
-    an = ghost_image_scan(FOCUSED, obj, econf(FOCUSED, n=2), engine="analytic")
-    mc = ghost_image_scan(FOCUSED, obj, econf(FOCUSED), engine="mc", workers=4)
+    an = ghost_image_scan(obj, econf(FOCUSED, n=2), engine="analytic")
+    mc = ghost_image_scan(obj, econf(FOCUSED), engine="mc", workers=4)
     return obj, an, mc
 
 
 @pytest.fixture(scope="module")
 def fig4_traces():
     obj = make_double_slit(GRID, 1e-3, 0.2e-3)
-    an = ghost_image_scan(FOCUSED, obj, econf(FOCUSED, n=2), engine="analytic")
-    mc = ghost_image_scan(FOCUSED, obj, econf(FOCUSED), engine="mc", workers=4)
+    an = ghost_image_scan(obj, econf(FOCUSED, n=2), engine="analytic")
+    mc = ghost_image_scan(obj, econf(FOCUSED), engine="mc", workers=4)
     mc_small = ghost_image_scan(
-        FOCUSED, obj, econf(FOCUSED, n=1000), engine="mc", workers=4
+        obj, econf(FOCUSED, n=1000), engine="mc", workers=4
     )
     return obj, an, mc, mc_small
 
@@ -88,8 +88,8 @@ def fig4_traces():
 @pytest.fixture(scope="module")
 def sigma_traces():
     obj = make_pinhole(GRID, 1e-3, 60e-6)
-    an = pseudo_object_scan(FOCUSED, obj, econf(FOCUSED, n=2), engine="analytic")
-    mc = pseudo_object_scan(FOCUSED, obj, econf(FOCUSED), engine="mc", workers=4)
+    an = pseudo_object_scan(obj, econf(FOCUSED, n=2), engine="analytic")
+    mc = pseudo_object_scan(obj, econf(FOCUSED), engine="mc", workers=4)
     return obj, an, mc
 
 
@@ -102,8 +102,8 @@ def defocus_geometry():
 def defocus_traces(defocus_geometry):
     geo = defocus_geometry
     obj = make_pinhole(GRID, 0.0, 60e-6)
-    an = ghost_image_scan(geo, obj, econf(geo, n=2), engine="analytic", scan_halfwidth=2e-3)
-    mc = ghost_image_scan(geo, obj, econf(geo), engine="mc", workers=4, scan_halfwidth=2e-3)
+    an = ghost_image_scan(obj, econf(geo, n=2), engine="analytic", scan_halfwidth=2e-3)
+    mc = ghost_image_scan(obj, econf(geo), engine="mc", workers=4, scan_halfwidth=2e-3)
     return obj, an, mc
 
 
@@ -135,7 +135,7 @@ def test_c01_magnification_peak_shift():
         peaks = {}
         for shift in (0.0, 2e-3):
             obj = make_pinhole(GRID, shift, 60e-6)
-            trace = ghost_image_scan(FOCUSED, obj, cfg, engine="analytic")
+            trace = ghost_image_scan(obj, cfg, engine="analytic")
             peaks[shift] = peak_position(trace)
         measured_shift = peaks[2e-3] - peaks[0.0]
         assert abs(measured_shift - (-m * 2e-3)) <= 0.05e-3
@@ -172,7 +172,7 @@ def test_c03_visibility_law():
                 t = np.maximum(t, np.abs(make_slit(GRID, c, 0.04e-3).t))
             obj = TransmissionMask(GRID, t)
             trace = ghost_image_scan(
-                FOCUSED, obj, cfg, engine="analytic", scan_halfwidth=7.4e-3
+                obj, cfg, engine="analytic", scan_halfwidth=7.4e-3
             )
             v = visibility(trace, default_image_window(FOCUSED, obj))
             assert abs(v - predicted_visibility(k)) <= 0.02, f"k={k}: {v}"
@@ -295,7 +295,7 @@ def test_c08_pseudo_object_plane():
         cfg = econf(FOCUSED, n=2)
         for shift in (-2e-3, 1e-3, 2e-3):
             obj = make_pinhole(GRID, shift, 60e-6)
-            trace = pseudo_object_scan(FOCUSED, obj, cfg, engine="analytic")
+            trace = pseudo_object_scan(obj, cfg, engine="analytic")
             assert abs(peak_position(trace) - obj.centroid()) <= SCAN_STEP
 
 
@@ -305,7 +305,7 @@ def test_c09_defocus_optimum(defocus_geometry):
         cfg = econf(geo, n=2)
         obj = make_pinhole(GRID, 0.0, 60e-6)
         deltas = [d * 1e-3 for d in range(-50, 51, 10)]
-        points = defocus_sweep(geo, obj, cfg, deltas)
+        points = defocus_sweep(obj, cfg, deltas)
         vis = np.array([p.visibility for p in points])
         argmax_delta = points[int(np.argmax(vis))].delta
         assert abs(argmax_delta - 0.0) <= 10e-3
@@ -325,7 +325,7 @@ def test_c10_fluctuation_mode_background_free():
         ]
         for obj in objects:
             trace = ghost_image_scan(
-                FOCUSED, obj, cfg, mode="fluctuation", engine="analytic",
+                obj, cfg, mode="fluctuation", engine="analytic",
                 scan_halfwidth=7.4e-3,
             )
             v = visibility(trace, default_image_window(FOCUSED, obj))

@@ -152,7 +152,7 @@ class TestExportImage:
 
         geo = solve_image_plane(geometry)
         obj = make_double_slit(grid, 1e-3, 0.2e-3)
-        trace = ghost_image_scan(geo, obj, make_config(grid, geo), engine="analytic",
+        trace = ghost_image_scan(obj, make_config(grid, geo), engine="analytic",
                                  scan_halfwidth=3e-3)
         import tempfile
 
@@ -176,7 +176,7 @@ class TestExportImage:
         modes = mode_decomposition(config, ArmPath(()), ArmPath(()), columns1=idx, columns2=idx)
         cmap = siegert_normalize(g2_analytic(modes, bucket=False))
         path = tmp_path / "map.pgm"
-        export_image(cmap, path)
+        export_image(cmap.g2, path)
         data = path.read_bytes().split(b"65535\n", 1)[1]
         pix = np.frombuffer(data, dtype=">u2").reshape(len(idx), len(idx))
         assert np.all(pix.argmax(axis=1) == np.arange(len(idx)))
@@ -250,6 +250,29 @@ class TestMainCommands:
             code = main(["run", "fig4-doubleslit", "--config", str(cfg), "--out", str(out)])
         assert code == 0
         assert (out / "manifest.txt").exists()
+
+    @pytest.mark.parametrize(
+        "command,code",
+        [
+            (["run", "siegert-baseline"], 0),  # no propagation
+            (["run", "sigma-plane"], 0),       # a + d_A only
+            (["run", "defocus"], 0),           # re-solves d'_B
+            (["run", "fig3-point"], 3),
+            (["run", "fig4-doubleslit"], 3),
+            (["validate"], 3),                 # every hop of every scenario
+        ],
+        ids=["siegert", "sigma", "defocus", "fig3", "fig4", "validate"],
+    )
+    def test_run_checks_only_the_hops_its_scenario_runs(self, tmp_path, capsys, command, code):
+        # d'_B = 1 um: a lens -> scan-plane hop too short for the grid, run by fig3/fig4 only
+        cfg = small_cfg(tmp_path, **SMALL_GRID, d_B_prime="1um")
+        out = tmp_path / "o"
+        argv = command + ["--config", str(cfg)]
+        if command[0] == "run":
+            argv += ["--out", str(out)]
+        assert main(argv) == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert (out / "manifest.txt").exists() == (code == 0)
 
     @pytest.mark.parametrize(
         "scenario,override",

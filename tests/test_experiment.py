@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from ghostsim import (
     peak_position,
     predicted_visibility,
     pseudo_object_scan,
+    siegert_scan,
     solve_image_plane,
     solve_thin_lens,
     visibility,
@@ -37,33 +41,24 @@ class TestThinLens:
         sol = solve_thin_lens(s_o=124e-3, f=85e-3)
         assert sol.s_i == pytest.approx(0.27025641025641, rel=1e-12)
         assert sol.magnification == pytest.approx(2.17948717948718, rel=1e-12)
-        assert sol.residual == 0.0
 
     def test_bench_distances_report_residual(self):
         # as-built distances: slightly off the exact thin-lens surface
-        sol = solve_thin_lens(s_o=124e-3, s_i=268.5e-3, f=85e-3)
-        assert sol.magnification == pytest.approx(2.165, abs=1e-3)
-        f_eff = 1.0 / (1.0 / sol.s_o + 1.0 / sol.s_i)
+        bench = SetupGeometry.default()
+        assert magnification_scale(bench) == pytest.approx(2.165, abs=1e-3)
+        f_eff = 1.0 / (1.0 / bench.s_o + 1.0 / bench.d_b_prime)
         assert f_eff == pytest.approx(84.8e-3, abs=0.05e-3)
-        assert sol.residual == pytest.approx(0.0242, abs=5e-4)
-        assert sol.residual != 0.0
+        assert eq3_residual(bench) == pytest.approx(0.0242, abs=5e-4)
+        assert eq3_residual(bench) != 0.0
 
     def test_symmetric_conjugates(self):
         sol = solve_thin_lens(s_o=170e-3, f=85e-3)
         assert sol.s_i == pytest.approx(170e-3, rel=1e-12)
         assert sol.magnification == pytest.approx(1.0)
 
-    def test_solve_focal_length(self):
-        sol = solve_thin_lens(s_o=124e-3, s_i=270.25641025641e-3)
-        assert sol.f == pytest.approx(85e-3, rel=1e-10)
-
     def test_no_real_image_inside_focus(self):
         with pytest.raises(ValueError):
             solve_thin_lens(s_o=80e-3, f=85e-3)
-
-    def test_needs_two_values(self):
-        with pytest.raises(ValueError):
-            solve_thin_lens(s_o=124e-3)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -91,14 +86,14 @@ class TestPredictedVisibility:
 class TestGhostImageScan:
     def test_pinhole_peak_at_minus_m_times_position(self, grid, focused, config):
         obj = make_pinhole(grid, 2e-3, 60e-6)
-        trace = ghost_image_scan(focused, obj, config, engine="analytic")
+        trace = ghost_image_scan(obj, config, engine="analytic")
         m = magnification_scale(focused)
         expected = -m * obj.centroid()
         assert abs(peak_position(trace) - expected) <= 2 * grid.dx
 
     def test_double_slit_two_inverted_peaks(self, grid, focused, config):
         obj = make_double_slit(grid, 1e-3, 0.2e-3)
-        trace = ghost_image_scan(focused, obj, config, engine="analytic")
+        trace = ghost_image_scan(obj, config, engine="analytic")
         pos, coin = trace.positions, trace.coincidence
         pk_neg = pos[np.argmax(np.where(pos < 0, coin, -np.inf))]
         pk_pos = pos[np.argmax(np.where(pos > 0, coin, -np.inf))]
@@ -109,7 +104,7 @@ class TestGhostImageScan:
         geo = SetupGeometry.default()
         config = make_config(small_grid, geo, n_realizations=2)
         obj = make_slit(small_grid, 0.0, small_grid.span)
-        trace = ghost_image_scan(geo, obj, config, engine="analytic", scan_halfwidth=2.5e-3)
+        trace = ghost_image_scan(obj, config, engine="analytic", scan_halfwidth=2.5e-3)
         coin = trace.coincidence
         assert (coin.max() - coin.min()) / coin.mean() < 0.05
 
@@ -117,20 +112,18 @@ class TestGhostImageScan:
         from ghostsim import TransmissionMask
 
         with pytest.raises(ValueError):
-            ghost_image_scan(focused, TransmissionMask(grid, np.zeros(grid.n)), config)
+            ghost_image_scan(TransmissionMask(grid, np.zeros(grid.n)), config)
 
     def test_off_surface_geometry_warns(self, grid, geometry, config):
-        from dataclasses import replace
-
         geo = replace(geometry, d_b_prime=0.22)
         obj = make_pinhole(grid, 0.0, 60e-6)
         cfg = make_config(grid, geo, n_realizations=2)
         with pytest.warns(UserWarning):
-            ghost_image_scan(geo, obj, cfg, engine="analytic", scan_halfwidth=2e-3)
+            ghost_image_scan(obj, cfg, engine="analytic", scan_halfwidth=2e-3)
 
     def test_singles_flat_analytic(self, grid, focused, config):
         obj = make_double_slit(grid, 1e-3, 0.2e-3)
-        trace = ghost_image_scan(focused, obj, config, engine="analytic")
+        trace = ghost_image_scan(obj, config, engine="analytic")
         s2 = trace.singles2 / trace.singles2.mean()
         assert s2.std() < 0.01
         assert np.all(trace.singles1 == trace.singles1[0])
@@ -139,7 +132,7 @@ class TestGhostImageScan:
 class TestVisibility:
     def test_single_slit_one_third(self, grid, focused, config):
         obj = make_slit(grid, 0.0, 0.2e-3)
-        trace = ghost_image_scan(focused, obj, config, engine="analytic")
+        trace = ghost_image_scan(obj, config, engine="analytic")
         v = visibility(trace, default_image_window(focused, obj))
         assert v == pytest.approx(1 / 3, abs=0.01)
 
@@ -155,20 +148,20 @@ class TestVisibility:
 
         obj = TransmissionMask(grid, t)
         trace = ghost_image_scan(
-            focused, obj, config, engine="analytic", scan_halfwidth=7.4e-3
+            obj, config, engine="analytic", scan_halfwidth=7.4e-3
         )
         v = visibility(trace, default_image_window(focused, obj))
         assert v == pytest.approx(predicted_visibility(k), abs=0.02)
 
     def test_fluctuation_mode_visibility_near_unity(self, grid, focused, config):
         obj = make_slit(grid, 0.0, 0.2e-3)
-        trace = ghost_image_scan(focused, obj, config, mode="fluctuation", engine="analytic")
+        trace = ghost_image_scan(obj, config, mode="fluctuation", engine="analytic")
         v = visibility(trace, default_image_window(focused, obj))
         assert v > 0.98
 
     def test_window_validation(self, grid, focused, config):
         obj = make_slit(grid, 0.0, 0.2e-3)
-        trace = ghost_image_scan(focused, obj, config, engine="analytic")
+        trace = ghost_image_scan(obj, config, engine="analytic")
         with pytest.raises(ValueError):
             visibility(trace, (1e-3, 1e-3))
         with pytest.raises(ValueError):
@@ -177,8 +170,8 @@ class TestVisibility:
     def test_raw_vs_fluctuation_contrast(self, grid, focused, config):
         # raw trace keeps the background pedestal; fluctuation removes it
         obj = make_slit(grid, 0.0, 0.2e-3)
-        raw = ghost_image_scan(focused, obj, config, mode="raw", engine="analytic")
-        flu = ghost_image_scan(focused, obj, config, mode="fluctuation", engine="analytic")
+        raw = ghost_image_scan(obj, config, mode="raw", engine="analytic")
+        flu = ghost_image_scan(obj, config, mode="fluctuation", engine="analytic")
         w = default_image_window(focused, obj)
         assert visibility(raw, w) < 0.35
         assert visibility(flu, w) > 0.95
@@ -187,12 +180,12 @@ class TestVisibility:
 class TestPseudoObjectScan:
     def test_pinhole_upright_unit_magnification(self, grid, focused, config):
         obj = make_pinhole(grid, 1e-3, 60e-6)
-        trace = pseudo_object_scan(focused, obj, config, engine="analytic")
+        trace = pseudo_object_scan(obj, config, engine="analytic")
         assert abs(peak_position(trace) - obj.centroid()) <= 2 * grid.dx
 
     def test_double_slit_reproduced_at_unit_scale(self, grid, focused, config):
         obj = make_double_slit(grid, 1e-3, 0.2e-3)
-        trace = pseudo_object_scan(focused, obj, config, engine="analytic")
+        trace = pseudo_object_scan(obj, config, engine="analytic")
         pos, coin = trace.positions, trace.coincidence
         pk_neg = pos[np.argmax(np.where(pos < 0, coin, -np.inf))]
         pk_pos = pos[np.argmax(np.where(pos > 0, coin, -np.inf))]
@@ -201,19 +194,17 @@ class TestPseudoObjectScan:
 
     def test_sigma_visibility_below_ceiling(self, grid, focused, config):
         obj = make_pinhole(grid, 1e-3, 60e-6)
-        trace = pseudo_object_scan(focused, obj, config, engine="analytic")
+        trace = pseudo_object_scan(obj, config, engine="analytic")
         w = default_image_window(focused, obj, upright=True)
         assert visibility(trace, w) <= predicted_visibility(1) + 1e-6
 
 
 class TestDefocus:
     def test_visibility_maximal_in_focus(self, grid, focused):
-        from dataclasses import replace
-
         geo = replace(focused, source_diameter=3e-3)
         config = make_config(grid, geo, n_realizations=2)
         obj = make_pinhole(grid, 0.0, 60e-6)
-        points = defocus_sweep(geo, obj, config, [-30e-3, 0.0, 30e-3])
+        points = defocus_sweep(obj, config, [-30e-3, 0.0, 30e-3])
         vis = [p.visibility for p in points]
         assert np.argmax(vis) == 1
         assert all(p.peak_width > 0 for p in points)
@@ -222,7 +213,44 @@ class TestDefocus:
         config = make_config(grid, focused, n_realizations=2)
         obj = make_pinhole(grid, 0.0, 60e-6)
         with pytest.raises(ValueError):
-            defocus_sweep(focused, obj, config, [-focused.d_b_prime - 0.01])
+            defocus_sweep(obj, config, [-focused.d_b_prime - 0.01])
+
+    @pytest.mark.parametrize("engine", ["mc", "analytic"])
+    def test_each_point_equals_a_scan_at_the_shifted_plane(self, small_grid, engine):
+        geo = replace(solve_image_plane(SetupGeometry.default()), source_diameter=3e-3)
+        config = make_config(small_grid, geo, n_realizations=256)
+        obj = make_pinhole(small_grid, 0.0, 60e-6)
+        deltas = [-30e-3, 0.0, 30e-3]
+        points = defocus_sweep(obj, config, deltas, engine=engine)
+        window = default_image_window(geo, obj)
+        for point, delta in zip(points, deltas):
+            shifted = replace(config, geometry=replace(geo, d_b_prime=geo.d_b_prime + delta))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # off the thin-lens surface by design
+                trace = ghost_image_scan(obj, shifted, engine=engine,
+                                         scan_halfwidth=max(abs(window[0]), abs(window[1])))
+            sel = (trace.positions >= window[0]) & (trace.positions <= window[1])
+            expected = [visibility(trace, window),
+                        fwhm(trace.positions[sel], trace.coincidence[sel])]
+            assert point.delta == delta
+            if engine == "mc":  # the same kernel bits and the same draws
+                assert [point.visibility, point.peak_width] == expected
+            else:
+                assert [point.visibility, point.peak_width] == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("procedure", ["ghost", "pseudo", "siegert", "defocus"])
+def test_unknown_engine_is_named(small_grid, procedure):
+    config = make_config(small_grid, SetupGeometry.default(), n_realizations=2)
+    obj = make_pinhole(small_grid, 0.0, 60e-6)
+    calls = {
+        "ghost": lambda: ghost_image_scan(obj, config, engine="quantum", scan_halfwidth=2e-3),
+        "pseudo": lambda: pseudo_object_scan(obj, config, engine="quantum", scan_halfwidth=2e-3),
+        "siegert": lambda: siegert_scan(config, "quantum"),
+        "defocus": lambda: defocus_sweep(obj, config, [0.0], engine="quantum"),
+    }
+    with pytest.raises(ValueError, match="'quantum'"):
+        calls[procedure]()
 
 
 def test_speckle_size_default_bench(geometry):
