@@ -1,8 +1,11 @@
 """Batch front end: flat key=value configs, named scenarios, CSV/PGM export
 and a deterministic run manifest.
 
-Exit codes: 0 success, 2 config error, 3 sampling-validation failure,
-4 I/O error.
+Exit codes: 0 success; 2 config error (ConfigError or any other ValueError,
+e.g. an object, scan window or image plane the config values cannot build);
+3 sampling-validation failure (SamplingError: a guard band too small for the
+apertures, or a propagation hop whose chirp the grid cannot resolve); 4 I/O
+error (OSError).  A failed `run` removes the --out directory it made.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from .experiment import (
     pseudo_object_scan,
     siegert_scan,
     solve_image_plane,
-    solve_thin_lens,
     visibility,
 )
 from .optics import SamplingError
@@ -148,22 +150,15 @@ def _apertures(cfg: dict) -> list[float]:
     ]
 
 
-def _sampling_report(cfg: dict, scenario: str | None = None):
-    """Sampling check of the shortest hop that `scenario` (None: any) runs;
-    the chirp bound lambda*z/L tightens as z shrinks.  A scenario with no hop
-    (siegert-baseline) gets the guard-band check only."""
+def _sampling_report(cfg: dict):
+    """Sampling check of the shortest hop any scenario runs; the chirp bound
+    lambda*z/L tightens as z shrinks."""
     geometry = _geometry(cfg)
-    hops = []
-    if scenario in (None, "fig3-point", "fig4-doubleslit", "sigma-plane", "defocus"):
-        hops.append(geometry.z_source_object)
-    if scenario in (None, "fig3-point", "fig4-doubleslit", "defocus"):
-        hops.append(geometry.z_source_lens)
-    if scenario in (None, "fig3-point", "fig4-doubleslit"):
-        hops.append(geometry.d_b_prime)
-    if scenario in (None, "defocus") and geometry.s_o > geometry.f:
+    hops = [geometry.z_source_object, geometry.z_source_lens, geometry.d_b_prime]
+    if geometry.s_o > geometry.f:
         # the sweep's re-solved d'_B plus its most negative delta (if > 0)
         hops.append(solve_image_plane(geometry).d_b_prime + min(DEFOCUS_DELTAS_MM) * 1e-3)
-    shortest = min((h for h in hops if h > 0), default=0.0)  # 0: no chirp check
+    shortest = min(h for h in hops if h > 0)
     return validate_sampling(_grid(cfg), cfg["wavelength"], shortest, apertures=_apertures(cfg))
 
 
@@ -180,22 +175,6 @@ def export_trace(trace: ImageTrace, path: str | Path) -> None:
             fh.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise OSError(f"failed to write trace {path}: {exc}") from exc
-
-
-def import_trace(path: str | Path) -> ImageTrace:
-    """Read a CSV written by export_trace (exact round trip)."""
-    rows = Path(path).read_text().splitlines()
-    if rows[0] != "x2_m,coincidence,singles1,singles2":
-        raise ValueError(f"{path}: unexpected CSV header {rows[0]!r}")
-    data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]], dtype=float)
-    if data.size == 0:
-        data = data.reshape(0, 4)
-    return ImageTrace(
-        positions=data[:, 0],
-        coincidence=data[:, 1],
-        singles1=data[:, 2],
-        singles2=data[:, 3],
-    )
 
 
 def export_image(data: np.ndarray, path: str | Path) -> tuple[float, float]:
@@ -358,10 +337,6 @@ SCENARIOS = {
 }
 
 
-class SamplingFailure(RuntimeError):
-    pass
-
-
 def run_scenario(
     name: str,
     config_path: str | Path,
@@ -372,7 +347,15 @@ def run_scenario(
     workers: int = 1,
 ) -> dict:
     """Run a named scenario; writes traces plus a deterministic manifest and
-    returns the manifest entries."""
+    returns the manifest entries.
+
+    Raises ConfigError for an unknown scenario or a bad config line, and
+    ValueError for values the setup cannot be built from; SamplingError for a
+    guard band too small for the apertures, or for a hop the scenario runs
+    whose chirp the grid cannot resolve (optics.apply_path_block checks each
+    hop as it runs); OSError for unreadable config or unwritable output.  On
+    any failure after --out is made, the directory it made is removed.
+    """
     if name not in SCENARIOS:
         raise ConfigError(
             f"unknown scenario {name!r}; valid scenarios: {', '.join(sorted(SCENARIOS))}"
@@ -385,51 +368,41 @@ def run_scenario(
     if realizations is not None:
         cfg["n_realizations"] = realizations
 
-    try:
-        report = _sampling_report(cfg, name)
-        if not report.ok:
-            raise SamplingFailure("; ".join(report.messages))
-        econf = EnsembleConfig(
-            n_realizations=cfg["n_realizations"],
-            seed=cfg["seed"],
-            geometry=_geometry(cfg),
-            grid=_grid(cfg),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    grid = _grid(cfg)
+    report = validate_sampling(grid, cfg["wavelength"], 0.0, apertures=_apertures(cfg))
+    if not report.ok:
+        raise SamplingError("; ".join(report.messages))
+    econf = EnsembleConfig(
+        n_realizations=cfg["n_realizations"],
+        seed=cfg["seed"],
+        geometry=_geometry(cfg),
+        grid=grid,
+    )
 
     outdir = Path(out_dir)
     made = [p for p in (outdir, *outdir.parents) if not p.exists()]
     t0 = time.perf_counter()
     try:
-        try:
-            outdir.mkdir(parents=True, exist_ok=True)
-            files, summary = SCENARIOS[name](cfg, econf, workers, outdir)
-        except BaseException:
-            if made:  # a failed scenario leaves no directory of its own behind
-                shutil.rmtree(made[-1], ignore_errors=True)
-            raise
-    except OSError as exc:
-        raise OSError(f"I/O failure in scenario output to {outdir}: {exc}") from exc
-    except SamplingError as exc:
-        raise SamplingFailure(str(exc)) from None
-    except ValueError as exc:
-        # objects and scan windows are built from config values inside the scenario
-        raise ConfigError(str(exc)) from None
-
-    entries: dict = {"scenario": name, "version": __version__}
-    for key, value in cfg.items():
-        entries[f"config.{key}"] = value
-    geometry = econf.geometry
-    entries["geometry.s_o_m"] = geometry.s_o
-    entries["geometry.eq3_residual_per_m"] = eq3_residual(geometry)
-    entries["geometry.d_B_prime_solved_m"] = solve_thin_lens(geometry.s_o, geometry.f).s_i
-    entries.update(summary)
-    for fname in files:
-        fpath = outdir / fname
-        entries[f"output.{fname}.sha256"] = _digest(fpath)
-        entries[f"output.{fname}.bytes"] = fpath.stat().st_size
-    write_manifest(outdir / "manifest.txt", entries)
+        outdir.mkdir(parents=True, exist_ok=True)
+        files, summary = SCENARIOS[name](cfg, econf, workers, outdir)
+        entries: dict = {"scenario": name, "version": __version__}
+        for key, value in cfg.items():
+            entries[f"config.{key}"] = value
+        geometry = econf.geometry
+        entries["geometry.s_o_m"] = geometry.s_o
+        entries["geometry.eq3_residual_per_m"] = eq3_residual(geometry)
+        if geometry.s_o > geometry.f:  # else the thin lens forms no real image
+            entries["geometry.d_B_prime_solved_m"] = solve_image_plane(geometry).d_b_prime
+        entries.update(summary)
+        for fname in files:
+            fpath = outdir / fname
+            entries[f"output.{fname}.sha256"] = _digest(fpath)
+            entries[f"output.{fname}.bytes"] = fpath.stat().st_size
+        write_manifest(outdir / "manifest.txt", entries)
+    except BaseException:
+        if made:  # a failed run leaves no directory of its own behind
+            shutil.rmtree(made[-1], ignore_errors=True)
+        raise
     print(f"{name}: wrote {len(files)} file(s) to {outdir} "
           f"(wall time {time.perf_counter() - t0:.1f} s)")
     return entries
@@ -446,12 +419,12 @@ def _cmd_run(args) -> int:
             realizations=args.realizations,
             workers=args.workers,
         )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except SamplingFailure as exc:
+    except SamplingError as exc:  # a ValueError, so caught first
         print(f"sampling validation failed: {exc}", file=sys.stderr)
         return EXIT_SAMPLING
+    except ValueError as exc:  # ConfigError included
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -462,11 +435,8 @@ def _cmd_validate(args) -> int:
     try:
         cfg = parse_config(args.config)
         report = _sampling_report(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ValueError as exc:
-        print(f"config error: {args.config}: {exc}", file=sys.stderr)
+        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(f"chirp bound: dx_max = {report.chirp_dx_max:.6g} m "
           f"(margin {report.chirp_margin:.3g}) -> {'ok' if report.chirp_ok else 'FAIL'}")

@@ -50,12 +50,6 @@ class Grid1D:
     def coords(self) -> np.ndarray:
         return self.center + (np.arange(self.n) - self.n // 2) * self.dx
 
-    def coord_of(self, index: int) -> float:
-        return self.center + (index - self.n // 2) * self.dx
-
-    def index_of(self, x: float) -> int:
-        return int(round((x - self.center) / self.dx)) + self.n // 2
-
     def frequencies(self) -> np.ndarray:
         return np.fft.fftfreq(self.n, self.dx)
 

@@ -1,7 +1,9 @@
 import hashlib
+import os
 import shutil
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,6 @@ from ghostsim.cli import (
     ConfigError,
     export_image,
     export_trace,
-    import_trace,
     main,
     parse_config,
 )
@@ -117,11 +118,11 @@ class TestExportTrace:
         t = trace_of(7)
         path = tmp_path / "t.csv"
         export_trace(t, path)
-        back = import_trace(path)
-        assert np.array_equal(back.positions, t.positions)
-        assert np.array_equal(back.coincidence, t.coincidence)
-        assert np.array_equal(back.singles1, t.singles1)
-        assert np.array_equal(back.singles2, t.singles2)
+        back = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        assert np.array_equal(back[:, 0], t.positions)
+        assert np.array_equal(back[:, 1], t.coincidence)
+        assert np.array_equal(back[:, 2], t.singles1)
+        assert np.array_equal(back[:, 3], t.singles2)
 
     def test_empty_trace_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -232,6 +233,9 @@ class TestMainCommands:
             # the bench hops pass; the sweep's d'_B - 50 mm hop is too short for the grid
             ("defocus", "mc", {**SMALL_GRID, "f": "80mm"}),
             ("defocus", "analytic", {**SMALL_GRID, "f": "80mm"}),
+            # the only hop, a + d_A, is too long a chirp for the grid
+            ("sigma-plane", "analytic", COARSE_GRID),
+            ("sigma-plane", "mc", COARSE_GRID),
         ]
         for scenario, engine, override in cases:
             cfg = small_cfg(tmp_path, **override)
@@ -250,6 +254,29 @@ class TestMainCommands:
             code = main(["run", "fig4-doubleslit", "--config", str(cfg), "--out", str(out)])
         assert code == 0
         assert (out / "manifest.txt").exists()
+
+    @pytest.mark.filterwarnings("ignore:geometry is off the thin-lens surface")
+    @pytest.mark.parametrize(
+        "scenario,code",
+        [("fig4-doubleslit", 0), ("sigma-plane", 0), ("siegert-baseline", 0), ("defocus", 2)],
+    )
+    def test_run_without_real_image_writes_manifest_or_exits_2(
+        self, tmp_path, capsys, scenario, code
+    ):
+        # f = 130 mm > s_o = 124 mm: the thin lens forms no real image, so the
+        # manifest has no solved d'_B and the defocus sweep has no plane to focus on
+        cfg = small_cfg(tmp_path, **SMALL_GRID, f="130mm")
+        out = tmp_path / "o"
+        assert main(["run", scenario, "--config", str(cfg), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == 0:
+            manifest = (out / "manifest.txt").read_text()
+            assert "geometry.s_o_m = " in manifest
+            assert "geometry.d_B_prime_solved_m" not in manifest
+        else:
+            assert err.startswith("config error: no real image")
+            assert not out.exists()
 
     @pytest.mark.parametrize(
         "command,code",
@@ -399,6 +426,19 @@ class TestScenarios:
             .split(" = ")[1]
         )
         assert mean_g2 == pytest.approx(2.0, abs=0.05)
+
+
+def test_entry_point_is_cli_main():
+    root = Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["scripts"]["ghost"] == "ghostsim.cli:main"
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    res = subprocess.run([sys.executable, "-m", "ghostsim.cli", "list-scenarios"],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert sorted(res.stdout.split()) == sorted(
+        ["fig3-point", "fig4-doubleslit", "sigma-plane", "defocus", "siegert-baseline"]
+    )
 
 
 @pytest.mark.skipif(shutil.which("ghost") is None, reason="console script not installed")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,13 @@ from ghostsim import (
     mode_decomposition,
     siegert_normalize,
 )
-from ghostsim.experiment import build_arms, scan_indices, sigma_arm
+from ghostsim.experiment import (
+    build_arms,
+    predicted_visibility,
+    scan_indices,
+    sigma_arm,
+    solve_thin_lens,
+)
 from ghostsim.optics import apply_path_block
 from ghostsim.source import aperture_indices, sample_source_block
 
@@ -362,3 +370,54 @@ def test_worker_count_does_not_change_bits_for_maps(grid, geometry, kind):
         out = accumulate_mc(config, arm1, arm2, workers=workers, **options)
         for name in ("g2_raw", "i1_mean", "i2_mean", "eps"):
             assert np.array_equal(getattr(out, name), getattr(ref, name)), (workers, name)
+
+
+def _visibility_and_peaks(x, trace, halfwidth):
+    sel = np.abs(x) <= halfwidth
+    v = trace[sel]
+    peaks = (x[np.argmax(np.where(x < 0, trace, -np.inf))],
+             x[np.argmax(np.where(x > 0, trace, -np.inf))])
+    return (v.max() - v.min()) / (v.max() + v.min()), peaks
+
+
+def test_entangled_light_images_coherently_thermal_light_incoherently():
+    # One kernel per scan plane, reduced both ways.  Entangled (ideal EPR
+    # source): G2 = |sum_q g1 g2|^2, no conjugate and no background, imaging
+    # through the unfolded path s_o = (a + d_A) + (a + d_B) (Pittman, Shih,
+    # Strekalov & Sergienko, PRA 52, R3429, 1995).  Thermal: rho1 rho2 +
+    # |sum_q g1* g2|^2, imaging at s_o = d_B - d_A with the 1/(2N+1) ceiling.
+    # The 3 mm source resolves the slits at both planes; 8192 x 2 um keeps the
+    # short entangled-plane hop inside the chirp bound.
+    grid = Grid1D(n=8192, dx=2e-6)
+    geometry = SetupGeometry.default(source_diameter=3e-3)
+    obj = make_double_slit(grid, 1e-3, 0.2e-3)
+    columns2 = scan_indices(grid, 3e-3)
+    x = grid.coords()[columns2]
+    s_entangled = geometry.z_source_object + geometry.z_source_lens
+    found = {}
+    for plane, s_o in (("entangled", s_entangled), ("thermal", geometry.s_o)):
+        image = solve_thin_lens(s_o, geometry.f)
+        geo = replace(geometry, d_b_prime=image.s_i)
+        arm1, arm2 = build_arms(geo, obj)
+        kernel = mode_decomposition(make_config(grid, geo, n_realizations=1), arm1, arm2,
+                                    columns1=obj.support_indices(), columns2=columns2)
+        halfwidth = 1.5 * image.magnification * 0.6e-3  # outer slit edge, mapped, plus half
+        entangled = (np.abs(kernel.g1.T @ kernel.g2) ** 2).sum(axis=0)
+        thermal = siegert_normalize(g2_analytic(kernel)).g2
+        found[plane] = {
+            "entangled": _visibility_and_peaks(x, entangled, halfwidth),
+            "thermal": _visibility_and_peaks(x, thermal, halfwidth),
+            "slit_image": image.magnification * 0.5e-3,
+        }
+
+    at = found["entangled"]
+    vis, peaks = at["entangled"]
+    assert vis > 0.99  # coherent: no background
+    assert peaks == pytest.approx((-at["slit_image"], at["slit_image"]), rel=0.1)
+    assert at["thermal"][0] < 0.01  # thermal light forms no image here
+
+    at = found["thermal"]
+    vis, peaks = at["thermal"]
+    assert 0.02 < vis < predicted_visibility(2)
+    assert peaks == pytest.approx((-at["slit_image"], at["slit_image"]), rel=0.1)
+    assert at["entangled"][0] < vis / 2  # entangled light is defocused here

@@ -111,7 +111,7 @@ class TestLens:
         focused = apply_path_block(np.ones(grid.n, complex), grid, WL, path)
         intensity = np.abs(focused) ** 2
         ipk = int(np.argmax(intensity))
-        assert grid.coord_of(ipk) == pytest.approx(0.0, abs=grid.dx)
+        assert grid.coords()[ipk] == pytest.approx(0.0, abs=grid.dx)
         zero_pred = WL * f_len / grid.span
         search = intensity[ipk : ipk + int(2 * zero_pred / grid.dx)]
         first_zero = np.argmin(search) * grid.dx
