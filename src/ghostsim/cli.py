@@ -438,6 +438,9 @@ def _cmd_validate(args) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
     print(f"chirp bound: dx_max = {report.chirp_dx_max:.6g} m "
           f"(margin {report.chirp_margin:.3g}) -> {'ok' if report.chirp_ok else 'FAIL'}")
     print(f"guard band: window/(4*aperture) = {report.guard_margin:.3g} "

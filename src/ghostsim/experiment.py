@@ -10,8 +10,7 @@ SetupGeometry and no config.
 
 Every procedure names its engine ("analytic" or "mc") by string; _correlate
 is the one place that string selects an engine, and both engines read the
-kernel of correlation.detector_kernel.  defocus_sweep reads it only to reuse
-the analytic source->lens propagation across its deltas.
+kernel of correlation.detector_kernel.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from .correlation import (
     g2_analytic,
     siegert_normalize,
 )
-from .optics import ArmPath, Lens, Mask, Propagate, apply_path_block
+from .optics import ArmPath, Lens, Mask, Propagate
 from .source import EnsembleConfig, aperture_indices
 
 __all__ = [
@@ -57,7 +56,6 @@ __all__ = [
 
 # warn when |1/s_o + 1/s_i - 1/f| * f exceeds this (dimensionless lens-power units)
 FOCUS_TOLERANCE = 0.01
-_HOP_BLOCK = 512  # modes per batch of defocus_sweep's analytic last hop
 
 
 @dataclass(frozen=True)
@@ -362,34 +360,18 @@ def defocus_sweep(
 
     Each delta shifts the d'_B of config.geometry, the in-focus bench;
     visibility is evaluated in the in-focus image window for every delta so
-    the points are comparable.  The analytic engine builds the kernel up to
-    the lens once (arm 2 on every column, which the last hop needs) and per
-    delta runs only that hop, _HOP_BLOCK modes at a time, keeping the scan
-    columns.  The MC entry, accumulate_mc, takes arms
-    rather than a kernel, so this reuse reads the engine here.
+    the points are comparable.
     """
     geometry = config.geometry
     window = default_image_window(geometry, obj)
     x2_idx = scan_indices(config.grid, max(abs(window[0]), abs(window[1])))
-    arm1, _ = build_arms(geometry, obj)
-    wl = geometry.wavelength
-    prefix = ArmPath((Propagate(geometry.z_source_lens), Lens(geometry.f)))
-    pre = detector_kernel(config, arm1, prefix) if engine == "analytic" else None
     results: list[DefocusPoint] = []
     for delta in deltas:
         d = geometry.d_b_prime + delta
         if d <= 0:
             raise ValueError(f"defocus {delta} puts the scan plane behind the lens")
-        if pre is not None:
-            hop = ArmPath((Propagate(d),))
-            g2 = np.concatenate([
-                apply_path_block(pre.g2[b0 : b0 + _HOP_BLOCK], config.grid, wl, hop)[:, x2_idx]
-                for b0 in range(0, len(pre), _HOP_BLOCK)
-            ])
-            cmap = g2_analytic(replace(pre, g2=g2, columns2=x2_idx))
-        else:
-            _, arm2 = build_arms(replace(geometry, d_b_prime=d), obj)
-            cmap = _correlate(config, arm1, arm2, engine, x2_indices=x2_idx, workers=workers)
+        arm1, arm2 = build_arms(replace(geometry, d_b_prime=d), obj)
+        cmap = _correlate(config, arm1, arm2, engine, x2_indices=x2_idx, workers=workers)
         trace = _trace_from_map(cmap, "raw")
         sel = (trace.positions >= window[0]) & (trace.positions <= window[1])
         width = fwhm(trace.positions[sel], trace.coincidence[sel])

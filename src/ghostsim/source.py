@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import Generator, Philox, SeedSequence
 
 from .core import Grid1D, SetupGeometry, interval_indices
-from .optics import ArmPath, apply_path_block
+from .optics import ArmPath, Propagate, apply_path_block
 
 __all__ = ["EnsembleConfig", "ModeSet", "sample_source_block", "mode_decomposition"]
 
@@ -107,25 +108,40 @@ def mode_decomposition(
     columns1: np.ndarray | None = None,
     columns2: np.ndarray | None = None,
 ) -> ModeSet:
-    """Propagate a unit basis field from every transparent source sample
+    """Green's functions of a unit field at every transparent source sample
     through both arms.  One entry per sample inside the source aperture.
 
     columns1/columns2 keep only those grid columns of arm 1/arm 2 (None keeps
-    all n).  The modes are propagated block_size at a time, so the working
-    memory is a few block_size * n complex values on top of the kept
-    m * (|columns1| + |columns2|).
+    all n).  Leading Propagate hops commute with grid shifts (the band-limited
+    transfer function is circulant), so one centred impulse runs through them
+    and each sample's row is that response rolled to the sample.  The elements
+    from there to the last hop run on whole rows, block_size modes at a time:
+    a few block_size * n complex values of working memory on top of the kept
+    m * (|columns1| + |columns2|).  Lenses and masks after the last hop act
+    pointwise, so they are applied to the kept columns alone.
     """
     idx = aperture_indices(config)
-    n = config.grid.n
-    wl = config.geometry.wavelength
-    cols1 = np.arange(n) if columns1 is None else np.asarray(columns1)
-    cols2 = np.arange(n) if columns2 is None else np.asarray(columns2)
-    g1 = np.empty((len(idx), len(cols1)), dtype=np.complex128)
-    g2 = np.empty((len(idx), len(cols2)), dtype=np.complex128)
-    for b0 in range(0, len(idx), block_size):
-        rows = idx[b0 : b0 + block_size]
-        basis = np.zeros((len(rows), n), dtype=np.complex128)
-        basis[np.arange(len(rows)), rows] = 1.0
-        g1[b0 : b0 + len(rows)] = apply_path_block(basis, config.grid, wl, arm1)[:, cols1]
-        g2[b0 : b0 + len(rows)] = apply_path_block(basis, config.grid, wl, arm2)[:, cols2]
-    return ModeSet(config.grid, idx, g1, g2, cols1, cols2)
+    grid, wl = config.grid, config.geometry.wavelength
+    impulse = np.zeros(grid.n, dtype=np.complex128)
+    impulse[grid.n // 2] = 1.0
+    shifts = (grid.n // 2 - idx) % grid.n  # windows[shifts[j]]: a response rolled to idx[j]
+    kept = []
+    for arm, cols in ((arm1, columns1), (arm2, columns2)):
+        cols = np.arange(grid.n) if cols is None else np.asarray(cols)
+        hops = [isinstance(el, Propagate) for el in arm]
+        lead = hops.index(False) if False in hops else len(hops)
+        last = max((k + 1 for k, hop in enumerate(hops) if hop), default=0)
+        h = apply_path_block(impulse, grid, wl, ArmPath(arm.elements[:lead]))
+        windows = sliding_window_view(np.concatenate([h, h]), grid.n)
+        middle = ArmPath(arm.elements[lead:last])
+        g = np.empty((len(idx), len(cols)), dtype=np.complex128)
+        for b0 in range(0, len(idx), block_size):
+            s = shifts[b0 : b0 + block_size]
+            if len(middle):
+                g[b0 : b0 + len(s)] = apply_path_block(windows[s], grid, wl, middle)[:, cols]
+            else:
+                g[b0 : b0 + len(s)] = windows[s[:, None], cols]
+        g *= apply_path_block(np.ones(grid.n), grid, wl, ArmPath(arm.elements[last:]))[cols]
+        kept.append((g, cols))
+    (g1, cols1), (g2, cols2) = kept
+    return ModeSet(grid, idx, g1, g2, cols1, cols2)

@@ -218,6 +218,12 @@ class TestMainCommands:
         assert main(["validate", "--config", str(p)]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    def test_validate_missing_config_exit_4(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        assert main(["validate", "--config", str(missing)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and "missing.cfg" in err
+
     def test_run_unknown_scenario_lists_names(self, tmp_path, capsys):
         code = main(
             ["run", "fig9-nope", "--config", str(PAPER_CFG), "--out", str(tmp_path)]

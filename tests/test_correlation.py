@@ -336,13 +336,24 @@ def test_bucket_i1_over_mask_support_equals_full_grid_sum(small_grid, geometry, 
     assert cmap.i1_mean == pytest.approx(full_grid.mean(), rel=1e-12, abs=0)
 
 
+# benches whose hops a + d_A, a + d_B and d'_B all clear the small grid's
+# chirp bound dx * L / lambda = 0.207 m; the image need not be in focus
+BENCHES = st.builds(
+    lambda a, d_a, s_o, d_b_prime, f: SetupGeometry.default(
+        a=a, d_a=d_a, d_b=d_a + s_o, d_b_prime=d_b_prime, f=f
+    ),
+    st.floats(0.05, 0.2), st.floats(0.16, 0.3), st.floats(0.02, 0.3),
+    st.floats(0.21, 0.5), st.floats(0.03, 0.3),
+)
+
+
 @settings(max_examples=20, deadline=None)
-@given(slits=SLITS)
-def test_analytic_g2_between_one_and_two_on_random_slits(small_grid, geometry, slits):
+@given(slits=SLITS, bench=BENCHES)
+def test_analytic_g2_between_one_and_two_on_random_slits(small_grid, slits, bench):
     # thermal light: 1 <= g2 <= 2 by Cauchy-Schwarz on the mode sum
     obj = _slit_mask(small_grid, slits)
-    arm1, arm2 = build_arms(geometry, obj)
-    config = make_config(small_grid, geometry, n_realizations=2)
+    arm1, arm2 = build_arms(bench, obj)
+    config = make_config(small_grid, bench, n_realizations=2)
     X = scan_indices(small_grid, 3e-3)
     for bucket in (True, False):
         kernel = detector_kernel(

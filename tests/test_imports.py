@@ -1,4 +1,5 @@
-"""Module boundaries: no ghostsim module reaches another's private names."""
+"""Module boundaries: no ghostsim module reaches another's private names, and
+one function alone selects the correlation engine."""
 
 import ast
 from pathlib import Path
@@ -56,3 +57,54 @@ def test_check_sees_private_imports_and_attributes():
     assert _private_uses(ast.parse(code)) == [
         "core._readonly", "optics._transfer_function", "src._philox_key"
     ]
+
+
+def _is_string(node: ast.AST) -> bool:
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_is_string(el) for el in node.elts)
+    return isinstance(node, ast.Constant) and isinstance(node.value, str)
+
+
+def _engine_switches(tree: ast.AST) -> list[str]:
+    """Innermost functions holding a comparison of the name `engine` with a string."""
+    found = []
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(isinstance(o, ast.Name) and o.id == "engine" for o in operands) and any(
+                _is_string(o) for o in operands
+            ):
+                found.append(function)
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_correlate_selects_an_engine():
+    found = [
+        f"{p.stem}.{name}"
+        for p in sorted(PACKAGE.glob("*.py"))
+        for name in _engine_switches(ast.parse(p.read_text()))
+    ]
+    assert sorted(set(found)) == ["experiment._correlate"]
+
+
+def test_check_sees_engine_comparisons():
+    code = (
+        "def f(engine):\n"
+        "    return engine == 'mc'\n"
+        "def g(engine):\n"
+        "    def inner():\n"
+        "        return 'analytic' != engine\n"
+        "    return inner\n"
+        "def h(engine, kind, other):\n"
+        "    if kind == 'engine' or engine == other:\n"
+        "        return engine in ('mc', 'analytic')\n"
+        "engine is None\n"
+    )
+    assert _engine_switches(ast.parse(code)) == ["f", "inner", "h"]

@@ -1,8 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
-from ghostsim import ArmPath, EnsembleConfig, Propagate, mode_decomposition
+from ghostsim import (
+    ArmPath,
+    EnsembleConfig,
+    Grid1D,
+    Lens,
+    Mask,
+    Propagate,
+    SetupGeometry,
+    TransmissionMask,
+    mode_decomposition,
+)
+from ghostsim.optics import apply_path_block
 from ghostsim.source import aperture_indices, sample_source_block
 
 from conftest import make_config
@@ -130,8 +142,6 @@ class TestModeDecomposition:
         modes = mode_decomposition(config, arm, ArmPath(()))
         analytic = (np.abs(modes.g1) ** 2).sum(axis=0)
 
-        from ghostsim.optics import apply_path_block
-
         idx = aperture_indices(config)
         total = np.zeros(grid.n)
         for k0 in range(0, n_real, 500):
@@ -146,3 +156,57 @@ class TestModeDecomposition:
         # thermal intensity: per-point stderr is ~1/sqrt(n_real)
         assert np.median(rel) < 3.0 / np.sqrt(n_real) * 2
         assert rel.max() < 6.0 / np.sqrt(n_real) * 2
+
+
+# Arm paths on the 2048 x 8 um grid of the small_grid fixture: every nonzero
+# hop is above its chirp bound dx * L / lambda = 0.207 m; a mask is one slit.
+SMALL_GRID = Grid1D(n=2048, dx=8e-6)
+
+
+def _slit(start: int, width: int) -> Mask:
+    t = np.zeros(SMALL_GRID.n)
+    t[start : start + width] = 1.0
+    return Mask(TransmissionMask(SMALL_GRID, t))
+
+
+ELEMENTS = st.one_of(
+    st.builds(Propagate, st.just(0.0) | st.floats(0.21, 0.6)),
+    st.builds(Lens, st.floats(0.05, 0.5) | st.floats(-0.5, -0.05)),
+    st.builds(_slit, st.integers(0, SMALL_GRID.n - 1), st.integers(1, 512)),
+)
+PATHS = st.lists(ELEMENTS, max_size=5).map(ArmPath)
+COLUMNS = st.lists(st.integers(0, SMALL_GRID.n - 1), min_size=1, max_size=64, unique=True)
+
+
+def _unit_basis_oracle(config, path, columns):
+    """The arm run on the explicit unit field of every aperture sample."""
+    idx = aperture_indices(config)
+    basis = np.zeros((len(idx), config.grid.n), dtype=np.complex128)
+    basis[np.arange(len(idx)), idx] = 1.0
+    return apply_path_block(basis, config.grid, config.geometry.wavelength, path)[:, columns]
+
+
+@settings(max_examples=60, deadline=None)
+@given(arm1=PATHS, arm2=PATHS, columns1=COLUMNS, columns2=COLUMNS, block_size=st.integers(1, 40))
+@example(ArmPath(()), ArmPath(()), [0, 1023, 1024], [2047], 7)
+@example(ArmPath((_slit(900, 200), Propagate(0.3))), ArmPath((Lens(0.1), Propagate(0.25))),
+         [1000, 1030], [10, 1024, 2000], 512)
+@example(ArmPath((Propagate(0.21), Propagate(0.3), Lens(0.085), Propagate(0.27))),
+         ArmPath((Propagate(0.3), Lens(-0.2), _slit(1000, 40))), [1024], [1010, 1024, 1030], 4)
+@example(ArmPath((Propagate(0.25), Lens(0.1), Propagate(0.3), _slit(1000, 64), Lens(0.2))),
+         ArmPath((Propagate(0.3), _slit(1000, 64))), [999, 1000, 1063, 1064], [1024], 9)
+def test_kernel_equals_paths_run_on_the_unit_basis(small_grid, arm1, arm2, columns1, columns2,
+                                                   block_size):
+    # the oracle propagates every mode; the kernel propagates one impulse
+    # through the leading hops and applies trailing lenses and masks per column
+    config = make_config(small_grid, SetupGeometry.default(), n_realizations=1)
+    modes = mode_decomposition(config, arm1, arm2, block_size,
+                               columns1=np.array(columns1), columns2=np.array(columns2))
+    for path, columns, g in ((arm1, columns1, modes.g1), (arm2, columns2, modes.g2)):
+        expected = _unit_basis_oracle(config, path, columns)
+        if len(path) == 0:
+            assert np.array_equal(g, expected)
+        else:
+            scale = np.abs(expected).max()
+            np.testing.assert_allclose(g, expected, rtol=1e-12, atol=1e-12 * scale)
+
