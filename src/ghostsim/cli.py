@@ -5,13 +5,16 @@ Exit codes: 0 success; 2 config error (ConfigError or any other ValueError,
 e.g. an object, scan window or image plane the config values cannot build);
 3 sampling-validation failure (SamplingError: a guard band too small for the
 apertures, or a propagation hop whose chirp the grid cannot resolve); 4 I/O
-error (OSError).  A failed `run` removes the --out directory it made.
+error (OSError).  The commands raise these exceptions and `main` alone maps
+them to exit codes, with one stderr line each.  A failed `run` removes the
+--out directory it made.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import shutil
 import sys
 import time
@@ -112,8 +115,8 @@ def parse_config(path: str | Path) -> dict:
         try:
             if kind == "length":
                 cfg[key] = _parse_length(value)
-                if not cfg[key] > 0:
-                    raise ValueError(f"length must be positive, got {value!r}")
+                if not (math.isfinite(cfg[key]) and cfg[key] > 0):
+                    raise ValueError(f"length must be finite and positive, got {value!r}")
             elif kind == "int":
                 cfg[key] = int(value)
             elif kind == "engine":
@@ -162,6 +165,12 @@ def _sampling_report(cfg: dict):
     return validate_sampling(_grid(cfg), cfg["wavelength"], shortest, apertures=_apertures(cfg))
 
 
+def _write_lines(path: str | Path, lines) -> None:
+    """Text file of the given lines, each ended by LF on every platform."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
 def export_trace(trace: ImageTrace, path: str | Path) -> None:
     """CSV trace: header + one row per scan point, 17 significant digits, LF."""
     lines = ["x2_m,coincidence,singles1,singles2"]
@@ -170,11 +179,7 @@ def export_trace(trace: ImageTrace, path: str | Path) -> None:
             f"{trace.positions[i]:.17g},{trace.coincidence[i]:.17g},"
             f"{trace.singles1[i]:.17g},{trace.singles2[i]:.17g}"
         )
-    try:
-        with open(path, "w", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"failed to write trace {path}: {exc}") from exc
+    _write_lines(path, lines)
 
 
 def export_image(data: np.ndarray, path: str | Path) -> tuple[float, float]:
@@ -191,12 +196,9 @@ def export_image(data: np.ndarray, path: str | Path) -> tuple[float, float]:
     else:
         pixels = np.round((arr - lo) / (hi - lo) * 65535.0).astype(">u2")
     header = f"P5\n{arr.shape[1]} {arr.shape[0]}\n65535\n".encode("ascii")
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header)
-            fh.write(pixels.tobytes())
-    except OSError as exc:
-        raise OSError(f"failed to write image {path}: {exc}") from exc
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(pixels.tobytes())
     return lo, hi
 
 
@@ -207,9 +209,7 @@ def _fmt(value) -> str:
 
 
 def write_manifest(path: Path, entries: dict) -> None:
-    lines = [f"{k} = {_fmt(entries[k])}" for k in sorted(entries)]
-    with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, [f"{k} = {_fmt(entries[k])}" for k in sorted(entries)])
 
 
 def _digest(path: Path) -> str:
@@ -304,8 +304,7 @@ def _scenario_defocus(cfg, econf, workers, outdir):
     lines = ["delta_m,visibility,peak_width_m"]
     for p in points:
         lines.append(f"{p.delta:.17g},{p.visibility:.17g},{p.peak_width:.17g}")
-    with open(outdir / name, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(outdir / name, lines)
     best = max(points, key=lambda p: p.visibility)
     summary = {
         "summary.argmax_delta_mm": best.delta * 1e3,
@@ -353,8 +352,9 @@ def run_scenario(
     ValueError for values the setup cannot be built from; SamplingError for a
     guard band too small for the apertures, or for a hop the scenario runs
     whose chirp the grid cannot resolve (optics.apply_path_block checks each
-    hop as it runs); OSError for unreadable config or unwritable output.  On
-    any failure after --out is made, the directory it made is removed.
+    hop as it runs); OSError, as the file system raised it (naming the path),
+    for unreadable config or unwritable output.  On any failure after --out is
+    made, the directory it made is removed.  `main` maps these to exits 2-4.
     """
     if name not in SCENARIOS:
         raise ConfigError(
@@ -409,45 +409,30 @@ def run_scenario(
 
 
 def _cmd_run(args) -> int:
-    try:
-        run_scenario(
-            args.scenario,
-            args.config,
-            args.out,
-            engine=args.engine,
-            seed=args.seed,
-            realizations=args.realizations,
-            workers=args.workers,
-        )
-    except SamplingError as exc:  # a ValueError, so caught first
-        print(f"sampling validation failed: {exc}", file=sys.stderr)
-        return EXIT_SAMPLING
-    except ValueError as exc:  # ConfigError included
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    run_scenario(
+        args.scenario,
+        args.config,
+        args.out,
+        engine=args.engine,
+        seed=args.seed,
+        realizations=args.realizations,
+        workers=args.workers,
+    )
     return EXIT_OK
 
 
 def _cmd_validate(args) -> int:
-    try:
-        cfg = parse_config(args.config)
-        report = _sampling_report(cfg)
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    """Print the chirp and guard-band lines of the config's sampling report to
+    stdout; a failed report raises SamplingError with all its messages, so
+    the fault reads as the same one stderr line that `run` gives."""
+    report = _sampling_report(parse_config(args.config))
     print(f"chirp bound: dx_max = {report.chirp_dx_max:.6g} m "
           f"(margin {report.chirp_margin:.3g}) -> {'ok' if report.chirp_ok else 'FAIL'}")
     print(f"guard band: window/(4*aperture) = {report.guard_margin:.3g} "
           f"-> {'ok' if report.guard_ok else 'FAIL'}")
-    for msg in report.messages:
-        print(msg, file=sys.stderr)
-    return EXIT_OK if report.ok else EXIT_SAMPLING
+    if not report.ok:
+        raise SamplingError("; ".join(report.messages))
+    return EXIT_OK
 
 
 def _cmd_list(_args) -> int:
@@ -481,7 +466,17 @@ def main(argv=None) -> int:
     p_list.set_defaults(func=_cmd_list)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SamplingError as exc:  # a ValueError, so caught first
+        print(f"sampling validation failed: {exc}", file=sys.stderr)
+        return EXIT_SAMPLING
+    except ValueError as exc:  # ConfigError included
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

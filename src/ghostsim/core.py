@@ -31,11 +31,10 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Uniform 1D transverse grid. Sample k sits at center + (k - n/2)*dx."""
+    """Uniform 1D transverse grid. Sample k sits at (k - n/2)*dx."""
 
     n: int
     dx: float
-    center: float = 0.0
 
     def __post_init__(self):
         if self.n < 2 or (self.n & (self.n - 1)) != 0:
@@ -48,7 +47,7 @@ class Grid1D:
         return self.n * self.dx
 
     def coords(self) -> np.ndarray:
-        return self.center + (np.arange(self.n) - self.n // 2) * self.dx
+        return (np.arange(self.n) - self.n // 2) * self.dx
 
     def frequencies(self) -> np.ndarray:
         return np.fft.fftfreq(self.n, self.dx)
@@ -146,8 +145,8 @@ class SetupGeometry:
 
 def interval_indices(grid: Grid1D, center: float, width: float) -> tuple[int, int]:
     """Half-open sample range [i0, i1) covering [center - width/2, center + width/2)."""
-    lo = (center - width / 2 - grid.center) / grid.dx + grid.n / 2
-    hi = (center + width / 2 - grid.center) / grid.dx + grid.n / 2
+    lo = (center - width / 2) / grid.dx + grid.n / 2
+    hi = (center + width / 2) / grid.dx + grid.n / 2
     i0 = int(np.ceil(lo - 1e-9))
     i1 = int(np.ceil(hi - 1e-9))
     return i0, i1

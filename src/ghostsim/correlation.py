@@ -84,7 +84,6 @@ def detector_kernel(
     diagonal: bool = False,
     x1_indices: np.ndarray | None = None,
     x2_indices: np.ndarray | None = None,
-    block_size: int = 512,
 ) -> ModeSet:
     """The arms' Green's functions (mode_decomposition) at the grid columns
     the detectors read: the one kernel both engines reduce.  Arm 2 is read at
@@ -102,7 +101,7 @@ def detector_kernel(
         x1_idx = np.asarray(x1_indices)
     if kind == "full" and len(x1_idx) * len(x2_idx) > _FULL_MAP_LIMIT:
         raise ValueError("full correlation map too large; restrict x1_indices/x2_indices")
-    return mode_decomposition(config, arm1, arm2, block_size, columns1=x1_idx, columns2=x2_idx)
+    return mode_decomposition(config, arm1, arm2, columns1=x1_idx, columns2=x2_idx)
 
 
 def _mc_block(config, kernel, kind, k0, k1):
@@ -141,16 +140,16 @@ def accumulate_mc(
 
     The arms are propagated once, as the kernel of detector_kernel; each
     realization's fields are then its m source amplitudes times that kernel.
-    Memory stays bounded by the kernel build's few block_size * n complex
-    values, the kernel's m * (|arm-1 columns| + |x2|), and one block_size *
-    (m + |arm-1 columns| + |x2|) block per worker, plus one running sum: each
-    block's partial sums are merged in block-index order as they arrive (a
-    block that finishes before its predecessors waits for them).
+    Memory stays bounded by the kernel build's few n-sample complex rows per
+    mode of mode_decomposition's own default block (block_size here counts
+    realizations only), the kernel's m * (|arm-1 columns| + |x2|), and one
+    block_size * (m + |arm-1 columns| + |x2|) block per worker, plus one
+    running sum: each block's partial sums are merged in block-index order as
+    they arrive (a block that finishes before its predecessors waits for them).
     """
     kind = _kind(bucket, diagonal)
     kernel = detector_kernel(
-        config, arm1, arm2, bucket, diagonal=diagonal,
-        x1_indices=x1_indices, x2_indices=x2_indices, block_size=block_size,
+        config, arm1, arm2, bucket, diagonal=diagonal, x1_indices=x1_indices, x2_indices=x2_indices
     )
 
     n = config.n_realizations

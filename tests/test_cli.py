@@ -3,7 +3,6 @@ import os
 import shutil
 import subprocess
 import sys
-import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -89,7 +88,9 @@ class TestConfig:
 
     def test_nonpositive_length_is_line_anchored_error(self, tmp_path, capsys):
         for text, line in (("slit_width = 0mm\n", "line 1"),
-                           ("a = 125mm\nscan_halfwidth = -1mm\n", "line 2")):
+                           ("a = 125mm\nscan_halfwidth = -1mm\n", "line 2"),
+                           ("d_A = 88mm\na = inf\n", "line 2"),
+                           ("f = 1e400mm\n", "line 1")):
             p = tmp_path / "bad.cfg"
             p.write_text(text)
             with pytest.raises(ConfigError, match=line):
@@ -318,6 +319,7 @@ class TestMainCommands:
             ("fig4-doubleslit", {**SMALL_GRID, "slit_width": "0mm"}),
             ("fig3-point", {**SMALL_GRID, "pinhole_diameter": "0mm"}),
             ("fig4-doubleslit", {**SMALL_GRID, "slit_width": "2mm", "slit_separation": "1mm"}),
+            ("fig4-doubleslit", {**SMALL_GRID, "a": "inf"}),
         ],
         ids=[
             "grid_n_not_power_of_two",
@@ -328,6 +330,7 @@ class TestMainCommands:
             "zero_slit_width",
             "zero_pinhole_diameter",
             "slits_wider_than_separation",
+            "infinite_length",
         ],
     )
     def test_run_bad_config_exit_2(self, tmp_path, capsys, scenario, override):
@@ -435,6 +438,7 @@ class TestScenarios:
 
 
 def test_entry_point_is_cli_main():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
     root = Path(__file__).resolve().parents[1]
     with open(root / "pyproject.toml", "rb") as fh:
         assert tomllib.load(fh)["project"]["scripts"]["ghost"] == "ghostsim.cli:main"

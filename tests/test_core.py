@@ -22,11 +22,11 @@ class TestGrid1D:
         with pytest.raises(ValueError):
             Grid1D(n=64, dx=0.0)
 
-    @pytest.mark.parametrize("n,dx,center", [(64, 1e-6, 0.0), (4096, 2e-6, 1e-3), (2, 0.5, -3.0)])
-    def test_coordinate_roundtrip_identity(self, n, dx, center):
-        g = Grid1D(n=n, dx=dx, center=center)
+    @pytest.mark.parametrize("n,dx", [(64, 1e-6), (4096, 2e-6), (2, 0.5)])
+    def test_coordinate_roundtrip_identity(self, n, dx):
+        g = Grid1D(n=n, dx=dx)
         x = g.coords()
-        assert x[n // 2] == pytest.approx(center, abs=1e-15)
+        assert x[n // 2] == pytest.approx(0.0, abs=1e-15)
         assert np.allclose(np.diff(x), dx)
 
     def test_span(self):

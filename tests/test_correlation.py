@@ -364,13 +364,13 @@ def test_analytic_g2_between_one_and_two_on_random_slits(small_grid, slits, benc
         assert g2.max() <= 2.0 + 1e-9
 
 
-@pytest.mark.parametrize("kind", ["full", "diagonal"])
+@pytest.mark.parametrize("kind", ["full", "diagonal", "bucket"])
 def test_worker_count_does_not_change_bits_for_maps(grid, geometry, kind):
     # 257 realizations in blocks of 256: the last block holds a single row
     config = make_config(grid, geometry, n_realizations=257, seed=8)
     obj, arm1, arm2 = _bench_arms(grid, geometry, "fig4")
     options = dict(
-        bucket=False,
+        bucket=kind == "bucket",
         diagonal=kind == "diagonal",
         x1_indices=obj.support_indices() if kind == "full" else None,
         x2_indices=scan_indices(grid, 2e-3),

@@ -1,5 +1,6 @@
-"""Module boundaries: no ghostsim module reaches another's private names, and
-one function alone selects the correlation engine."""
+"""Module boundaries: no ghostsim module reaches another's private names, one
+function alone selects the correlation engine, and one alone maps failures to
+exit codes."""
 
 import ast
 from pathlib import Path
@@ -65,24 +66,34 @@ def _is_string(node: ast.AST) -> bool:
     return isinstance(node, ast.Constant) and isinstance(node.value, str)
 
 
-def _engine_switches(tree: ast.AST) -> list[str]:
-    """Innermost functions holding a comparison of the name `engine` with a string."""
+def _innermost_functions(tree: ast.AST, hit) -> list[str | None]:
+    """Innermost functions (None: module level) holding a node where hit(node)."""
     found = []
 
     def visit(node: ast.AST, function: str | None) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        elif isinstance(node, ast.Compare):
-            operands = [node.left, *node.comparators]
-            if any(isinstance(o, ast.Name) and o.id == "engine" for o in operands) and any(
-                _is_string(o) for o in operands
-            ):
-                found.append(function)
+        elif hit(node):
+            found.append(function)
         for child in ast.iter_child_nodes(node):
             visit(child, function)
 
     visit(tree, None)
     return found
+
+
+def _is_engine_switch(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Compare):
+        return False
+    operands = [node.left, *node.comparators]
+    return any(isinstance(o, ast.Name) and o.id == "engine" for o in operands) and any(
+        _is_string(o) for o in operands
+    )
+
+
+def _engine_switches(tree: ast.AST) -> list[str]:
+    """Innermost functions holding a comparison of the name `engine` with a string."""
+    return _innermost_functions(tree, _is_engine_switch)
 
 
 def test_only_correlate_selects_an_engine():
@@ -108,3 +119,41 @@ def test_check_sees_engine_comparisons():
         "engine is None\n"
     )
     assert _engine_switches(ast.parse(code)) == ["f", "inner", "h"]
+
+
+EXIT_FAILURES = {"EXIT_CONFIG", "EXIT_SAMPLING", "EXIT_IO"}
+
+
+def _reads_exit_failure(node: ast.AST) -> bool:
+    if isinstance(node, ast.Name):
+        return isinstance(node.ctx, ast.Load) and node.id in EXIT_FAILURES
+    return isinstance(node, ast.Attribute) and node.attr in EXIT_FAILURES
+
+
+def _exit_code_readers(tree: ast.AST) -> list[str | None]:
+    """Innermost functions (None: module level) that read a failure exit code,
+    as a name or as an attribute."""
+    return _innermost_functions(tree, _reads_exit_failure)
+
+
+def test_only_main_maps_failures_to_exit_codes():
+    found = [
+        f"{p.stem}.{name}"
+        for p in sorted(PACKAGE.glob("*.py"))
+        for name in _exit_code_readers(ast.parse(p.read_text()))
+    ]
+    assert sorted(set(found)) == ["cli.main"]
+
+
+def test_check_sees_exit_code_reads():
+    code = (
+        "EXIT_IO = 4\n"
+        "def main():\n"
+        "    return EXIT_CONFIG\n"
+        "def run():\n"
+        "    def inner():\n"
+        "        return cli.EXIT_SAMPLING\n"
+        "    return EXIT_OK\n"
+        "CODES = (EXIT_IO,)\n"
+    )
+    assert _exit_code_readers(ast.parse(code)) == ["main", "inner", None]
