@@ -11,8 +11,9 @@ Two interchangeable engines compute <I1 I2>:
 Both engines read one kernel (detector_kernel): the two arms' source-mode
 Green's functions at the grid columns the detectors read, from which thermal
 light gives G2 = <I1><I2> + |sum_q h1* h2|^2 (Gatti, Brambilla, Bache &
-Lugiato, PRL 93, 093602, 2004).  The MC result converges to the analytic one
-as 1/sqrt(n).
+Lugiato, PRL 93, 093602, 2004).  An arm's kernel may be built from its
+detector side, by reciprocity (mode_decomposition).  The MC result converges
+to the analytic one as 1/sqrt(n).
 """
 
 from __future__ import annotations
@@ -140,9 +141,11 @@ def accumulate_mc(
 
     The arms are propagated once, as the kernel of detector_kernel; each
     realization's fields are then its m source amplitudes times that kernel.
-    Memory stays bounded by the kernel build's few n-sample complex rows per
-    mode of mode_decomposition's own default block (block_size here counts
-    realizations only), the kernel's m * (|arm-1 columns| + |x2|), and one
+    Memory stays bounded by the kernel build's working memory (a few
+    n-sample complex rows per row of mode_decomposition's default batch,
+    whose rows are modes or kept columns, whichever side it builds from;
+    block_size here counts realizations only), the kernel's
+    m * (|arm-1 columns| + |x2|), and one
     block_size * (m + |arm-1 columns| + |x2|) block per worker, plus one
     running sum: each block's partial sums are merged in block-index order as
     they arrive (a block that finishes before its predecessors waits for them).

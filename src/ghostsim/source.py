@@ -62,18 +62,25 @@ def sample_source_block(config: EnsembleConfig, k0: int, k1: int) -> np.ndarray:
     """Aperture amplitudes for realizations k0..k1-1 as a (k1-k0, m) array.
 
     Column j belongs to grid sample aperture_indices(config)[j]; the field is
-    zero everywhere else on the grid.
+    zero everywhere else on the grid.  Realization k is
+    z = Generator(Philox(key, counter=[0, 0, 0, k])).standard_normal(2 m)
+    taken as (z[:m] + i z[m:]) / sqrt(2), with
+    key = SeedSequence(seed).generate_state(2, uint64); one Philox is
+    rewound to that counter for each row.
     """
     if not 0 <= k0 <= k1 <= config.n_realizations:
         raise ValueError(
             f"realization range [{k0}, {k1}) outside [0, {config.n_realizations})"
         )
     m = len(aperture_indices(config))
-    key = _philox_key(config.seed)
+    bitgen = Philox(key=_philox_key(config.seed))
+    rng = Generator(bitgen)
+    state = bitgen.state  # as constructed: empty buffer, so a draw starts at the counter
     out = np.empty((k1 - k0, m), dtype=np.complex128)
     for row, k in enumerate(range(k0, k1)):
         # realization index in the high counter word: disjoint counter blocks
-        rng = Generator(Philox(key=key, counter=[0, 0, 0, k]))
+        state["state"]["counter"][:] = (0, 0, 0, k)
+        bitgen.state = state
         z = rng.standard_normal(2 * m)
         out[row] = (z[:m] + 1j * z[m:]) / np.sqrt(2.0)
     return out
@@ -99,6 +106,53 @@ class ModeSet:
         return len(self.indices)
 
 
+def _split(arm: ArmPath) -> tuple[int, int]:
+    """(lead, last): arm.elements[:lead] are its leading hops, [lead:last] the
+    segment that runs on whole rows, [last:] its trailing lenses and masks."""
+    hops = [isinstance(el, Propagate) for el in arm]
+    lead = hops.index(False) if False in hops else len(hops)
+    last = max((k + 1 for k, hop in enumerate(hops) if hop), default=0)
+    return lead, last
+
+
+def _fft_rows(arm: ArmPath, rows: np.ndarray) -> int:
+    """How many of rows _arm_kernel runs through arm's whole-row segment:
+    all of them, or none if that segment is empty."""
+    lead, last = _split(arm)
+    return len(rows) if lead < last else 0
+
+
+def _arm_kernel(
+    grid: Grid1D, wavelength: float, arm: ArmPath, rows: np.ndarray, cols: np.ndarray,
+    block_size: int,
+) -> np.ndarray:
+    """G[rows, cols]: the field at grid columns cols behind arm from a unit
+    amplitude at each grid sample in rows.
+
+    Leading Propagate hops commute with grid shifts (the band-limited transfer
+    function is circulant), so one centred impulse runs through them and each
+    row is that response rolled to its sample.  The elements from there to the
+    last hop run on whole rows, block_size at a time.  Lenses and masks after
+    the last hop act pointwise, so they are applied to the kept columns alone.
+    """
+    lead, last = _split(arm)
+    impulse = np.zeros(grid.n, dtype=np.complex128)
+    impulse[grid.n // 2] = 1.0
+    h = apply_path_block(impulse, grid, wavelength, ArmPath(arm.elements[:lead]))
+    windows = sliding_window_view(np.concatenate([h, h]), grid.n)
+    shifts = (grid.n // 2 - rows) % grid.n  # windows[shifts[j]]: a response rolled to rows[j]
+    middle = ArmPath(arm.elements[lead:last])
+    g = np.empty((len(rows), len(cols)), dtype=np.complex128)
+    for b0 in range(0, len(rows), block_size):
+        s = shifts[b0 : b0 + block_size]
+        if len(middle):
+            g[b0 : b0 + len(s)] = apply_path_block(windows[s], grid, wavelength, middle)[:, cols]
+        else:
+            g[b0 : b0 + len(s)] = windows[s[:, None], cols]
+    g *= apply_path_block(np.ones(grid.n), grid, wavelength, ArmPath(arm.elements[last:]))[cols]
+    return g
+
+
 def mode_decomposition(
     config: EnsembleConfig,
     arm1: ArmPath,
@@ -112,36 +166,29 @@ def mode_decomposition(
     through both arms.  One entry per sample inside the source aperture.
 
     columns1/columns2 keep only those grid columns of arm 1/arm 2 (None keeps
-    all n).  Leading Propagate hops commute with grid shifts (the band-limited
-    transfer function is circulant), so one centred impulse runs through them
-    and each sample's row is that response rolled to the sample.  The elements
-    from there to the last hop run on whole rows, block_size modes at a time:
-    a few block_size * n complex values of working memory on top of the kept
-    m * (|columns1| + |columns2|).  Lenses and masks after the last hop act
-    pointwise, so they are applied to the kept columns alone.
+    all n).  Each arm is built from whichever side sends fewer rows through
+    FFTs: forward, one row per source mode, or from the detector side, one
+    row per kept column run through the reversed path, then transposed; ties
+    go forward.  A side whose hops all precede its first lens or mask sends
+    none (its rows are gathered from one propagated impulse).  The detector
+    side is exact, not a truncation: every element is symmetric (the
+    band-limited transfer function is even in frequency, so its circulant
+    kernel is; lenses and masks are pointwise), so an arm's kernel
+    transposed is the kernel of its reversed path (Klyshko's advanced wave).
+    block_size counts the rows of one whole-row batch: modes forward, kept
+    columns reversed.  Working memory is a few block_size * n complex values
+    on top of the kept m * (|columns1| + |columns2|).
     """
     idx = aperture_indices(config)
     grid, wl = config.grid, config.geometry.wavelength
-    impulse = np.zeros(grid.n, dtype=np.complex128)
-    impulse[grid.n // 2] = 1.0
-    shifts = (grid.n // 2 - idx) % grid.n  # windows[shifts[j]]: a response rolled to idx[j]
     kept = []
     for arm, cols in ((arm1, columns1), (arm2, columns2)):
         cols = np.arange(grid.n) if cols is None else np.asarray(cols)
-        hops = [isinstance(el, Propagate) for el in arm]
-        lead = hops.index(False) if False in hops else len(hops)
-        last = max((k + 1 for k, hop in enumerate(hops) if hop), default=0)
-        h = apply_path_block(impulse, grid, wl, ArmPath(arm.elements[:lead]))
-        windows = sliding_window_view(np.concatenate([h, h]), grid.n)
-        middle = ArmPath(arm.elements[lead:last])
-        g = np.empty((len(idx), len(cols)), dtype=np.complex128)
-        for b0 in range(0, len(idx), block_size):
-            s = shifts[b0 : b0 + block_size]
-            if len(middle):
-                g[b0 : b0 + len(s)] = apply_path_block(windows[s], grid, wl, middle)[:, cols]
-            else:
-                g[b0 : b0 + len(s)] = windows[s[:, None], cols]
-        g *= apply_path_block(np.ones(grid.n), grid, wl, ArmPath(arm.elements[last:]))[cols]
+        reverse = ArmPath(arm.elements[::-1])
+        if _fft_rows(reverse, cols) < _fft_rows(arm, idx):
+            g = _arm_kernel(grid, wl, reverse, cols, idx, block_size).T
+        else:
+            g = _arm_kernel(grid, wl, arm, idx, cols, block_size)
         kept.append((g, cols))
     (g1, cols1), (g2, cols2) = kept
     return ModeSet(grid, idx, g1, g2, cols1, cols2)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghostsim import (
     ArmPath,
@@ -11,6 +12,8 @@ from ghostsim import (
     make_slit,
 )
 from ghostsim.optics import _transfer_function, apply_path_block, lens_phase, propagate_block
+
+from conftest import ELEMENTS, PATHS, SMALL_GRID
 
 WL = 633e-9
 
@@ -226,3 +229,23 @@ class TestRunArm:
         for row, out in zip(rows, block):
             single = apply_path_block(row, g4096, WL, path)
             assert np.linalg.norm(out - single) / np.linalg.norm(single) < 1e-12
+
+
+class TestReciprocity:
+    """Every element is symmetric (the band-limited transfer function is even
+    in frequency, lenses and masks are pointwise), so a path transposed is
+    its reversed path: y^T P x = x^T P_reversed y, with no conjugate.  For a
+    single element that is y^T P x = x^T P y.  mode_decomposition's
+    detector-side build rests on this."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(path=ELEMENTS.map(lambda el: ArmPath((el,))) | PATHS,
+           seed=st.integers(0, 2**32 - 1))
+    def test_path_transposed_is_the_reversed_path(self, path, seed):
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal((2, SMALL_GRID.n)) + 1j * rng.standard_normal((2, SMALL_GRID.n))
+        reverse = ArmPath(path.elements[::-1])
+        lhs = (y * apply_path_block(x, SMALL_GRID, WL, path)).sum()
+        rhs = (x * apply_path_block(y, SMALL_GRID, WL, reverse)).sum()
+        scale = np.linalg.norm(x) * np.linalg.norm(y)
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12 * scale)

@@ -1,23 +1,21 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from numpy.random import Generator, Philox, SeedSequence
 from scipy import stats
 
 from ghostsim import (
     ArmPath,
     EnsembleConfig,
-    Grid1D,
     Lens,
-    Mask,
     Propagate,
     SetupGeometry,
-    TransmissionMask,
     mode_decomposition,
 )
 from ghostsim.optics import apply_path_block
 from ghostsim.source import aperture_indices, sample_source_block
 
-from conftest import make_config
+from conftest import PATHS, SMALL_GRID, make_config, one_slit
 
 
 @pytest.fixture(scope="module")
@@ -39,6 +37,15 @@ class TestDeterminism:
         a = sample_source_block(config, 17, 18)
         b = sample_source_block(config, 17, 18)
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("k0, k1", [(0, 3), (17, 20), (9997, 10000)])
+    def test_rows_follow_the_documented_philox_stream(self, config, k0, k1):
+        # realization k is its own Philox stream, counter [0, 0, 0, k]
+        m = len(aperture_indices(config))
+        key = SeedSequence(config.seed).generate_state(2, dtype=np.uint64)
+        for row, k in zip(sample_source_block(config, k0, k1), range(k0, k1)):
+            z = Generator(Philox(key=key, counter=[0, 0, 0, k])).standard_normal(2 * m)
+            assert np.array_equal(row, (z[:m] + 1j * z[m:]) / np.sqrt(2.0))
 
     def test_block_matches_single_draws(self, config):
         block = sample_source_block(config, 5, 8)
@@ -158,23 +165,6 @@ class TestModeDecomposition:
         assert rel.max() < 6.0 / np.sqrt(n_real) * 2
 
 
-# Arm paths on the 2048 x 8 um grid of the small_grid fixture: every nonzero
-# hop is above its chirp bound dx * L / lambda = 0.207 m; a mask is one slit.
-SMALL_GRID = Grid1D(n=2048, dx=8e-6)
-
-
-def _slit(start: int, width: int) -> Mask:
-    t = np.zeros(SMALL_GRID.n)
-    t[start : start + width] = 1.0
-    return Mask(TransmissionMask(SMALL_GRID, t))
-
-
-ELEMENTS = st.one_of(
-    st.builds(Propagate, st.just(0.0) | st.floats(0.21, 0.6)),
-    st.builds(Lens, st.floats(0.05, 0.5) | st.floats(-0.5, -0.05)),
-    st.builds(_slit, st.integers(0, SMALL_GRID.n - 1), st.integers(1, 512)),
-)
-PATHS = st.lists(ELEMENTS, max_size=5).map(ArmPath)
 COLUMNS = st.lists(st.integers(0, SMALL_GRID.n - 1), min_size=1, max_size=64, unique=True)
 
 
@@ -189,16 +179,25 @@ def _unit_basis_oracle(config, path, columns):
 @settings(max_examples=60, deadline=None)
 @given(arm1=PATHS, arm2=PATHS, columns1=COLUMNS, columns2=COLUMNS, block_size=st.integers(1, 40))
 @example(ArmPath(()), ArmPath(()), [0, 1023, 1024], [2047], 7)
-@example(ArmPath((_slit(900, 200), Propagate(0.3))), ArmPath((Lens(0.1), Propagate(0.25))),
+@example(ArmPath((one_slit(900, 200), Propagate(0.3))), ArmPath((Lens(0.1), Propagate(0.25))),
          [1000, 1030], [10, 1024, 2000], 512)
 @example(ArmPath((Propagate(0.21), Propagate(0.3), Lens(0.085), Propagate(0.27))),
-         ArmPath((Propagate(0.3), Lens(-0.2), _slit(1000, 40))), [1024], [1010, 1024, 1030], 4)
-@example(ArmPath((Propagate(0.25), Lens(0.1), Propagate(0.3), _slit(1000, 64), Lens(0.2))),
-         ArmPath((Propagate(0.3), _slit(1000, 64))), [999, 1000, 1063, 1064], [1024], 9)
+         ArmPath((Propagate(0.3), Lens(-0.2), one_slit(1000, 40))), [1024], [1010, 1024, 1030], 4)
+@example(ArmPath((Propagate(0.25), Lens(0.1), Propagate(0.3), one_slit(1000, 64), Lens(0.2))),
+         ArmPath((Propagate(0.3), one_slit(1000, 64))), [999, 1000, 1063, 1064], [1024], 9)
+# one arm from both sides: fewer kept columns than the m = 25 modes runs it
+# reversed, more runs it forward
+@example(ArmPath((Propagate(0.21), one_slit(1000, 64), Lens(0.1), Propagate(0.3))),
+         ArmPath((Propagate(0.21), one_slit(1000, 64), Lens(0.1), Propagate(0.3))),
+         [1000, 1024, 1050], list(range(1000, 1040)), 5)
+@example(ArmPath((Propagate(0.25), Lens(-0.1), Propagate(0.3))),
+         ArmPath((Propagate(0.25), Lens(-0.1), Propagate(0.3))),
+         list(range(990, 1030)), [1010, 1024, 1030], 2)
 def test_kernel_equals_paths_run_on_the_unit_basis(small_grid, arm1, arm2, columns1, columns2,
                                                    block_size):
     # the oracle propagates every mode; the kernel propagates one impulse
-    # through the leading hops and applies trailing lenses and masks per column
+    # through the leading hops and applies trailing lenses and masks per
+    # column, from the source side or the detector side (the reversed path)
     config = make_config(small_grid, SetupGeometry.default(), n_realizations=1)
     modes = mode_decomposition(config, arm1, arm2, block_size,
                                columns1=np.array(columns1), columns2=np.array(columns2))
