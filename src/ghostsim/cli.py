@@ -144,25 +144,26 @@ def _grid(cfg: dict) -> Grid1D:
     return Grid1D(n=cfg["grid_n"], dx=cfg["grid_dx"])
 
 
-def _apertures(cfg: dict) -> list[float]:
-    return [
-        cfg["source_diameter"],
-        cfg["defocus_source_diameter"],
-        cfg["pinhole_diameter"],
-        cfg["slit_separation"] + cfg["slit_width"],
-    ]
+def _apertures(cfg: dict) -> dict[str, float]:
+    return {
+        "source": cfg["source_diameter"],
+        "defocus_source": cfg["defocus_source_diameter"],
+        "pinhole": cfg["pinhole_diameter"],
+        "slits": cfg["slit_separation"] + cfg["slit_width"],
+    }
 
 
 def _sampling_report(cfg: dict):
-    """Sampling check of the shortest hop any scenario runs; the chirp bound
-    lambda*z/L tightens as z shrinks."""
+    """Sampling check of the shortest hop any scenario runs (the chirp bound
+    lambda*z/L tightens as z shrinks) and of every aperture any places."""
     geometry = _geometry(cfg)
     hops = [geometry.z_source_object, geometry.z_source_lens, geometry.d_b_prime]
     if geometry.s_o > geometry.f:
         # the sweep's re-solved d'_B plus its most negative delta (if > 0)
         hops.append(solve_image_plane(geometry).d_b_prime + min(DEFOCUS_DELTAS_MM) * 1e-3)
     shortest = min(h for h in hops if h > 0)
-    return validate_sampling(_grid(cfg), cfg["wavelength"], shortest, apertures=_apertures(cfg))
+    apertures = list(_apertures(cfg).values())
+    return validate_sampling(_grid(cfg), cfg["wavelength"], shortest, apertures=apertures)
 
 
 def _write_lines(path: str | Path, lines) -> None:
@@ -327,12 +328,13 @@ def _scenario_siegert(cfg, econf, workers, outdir):
     return ["siegert_baseline.csv"], summary
 
 
+# name -> (scenario, the apertures it places, as named by _apertures)
 SCENARIOS = {
-    "fig3-point": _scenario_fig3,
-    "fig4-doubleslit": _scenario_fig4,
-    "sigma-plane": _scenario_sigma,
-    "defocus": _scenario_defocus,
-    "siegert-baseline": _scenario_siegert,
+    "fig3-point": (_scenario_fig3, ("source", "pinhole")),
+    "fig4-doubleslit": (_scenario_fig4, ("source", "slits")),
+    "sigma-plane": (_scenario_sigma, ("source", "pinhole")),
+    "defocus": (_scenario_defocus, ("defocus_source", "pinhole")),
+    "siegert-baseline": (_scenario_siegert, ("source",)),
 }
 
 
@@ -350,11 +352,12 @@ def run_scenario(
 
     Raises ConfigError for an unknown scenario or a bad config line, and
     ValueError for values the setup cannot be built from; SamplingError for a
-    guard band too small for the apertures, or for a hop the scenario runs
-    whose chirp the grid cannot resolve (optics.apply_path_block checks each
-    hop as it runs); OSError, as the file system raised it (naming the path),
-    for unreadable config or unwritable output.  On any failure after --out is
-    made, the directory it made is removed.  `main` maps these to exits 2-4.
+    guard band too small for the apertures the scenario places (checked
+    before --out is made), or for a hop the scenario runs whose chirp the
+    grid cannot resolve (optics.apply_path_block checks each hop as it runs);
+    OSError, as the file system raised it (naming the path), for unreadable
+    config or unwritable output.  On any failure after --out is made, the
+    directory it made is removed.  `main` maps these to exits 2-4.
     """
     if name not in SCENARIOS:
         raise ConfigError(
@@ -369,7 +372,8 @@ def run_scenario(
         cfg["n_realizations"] = realizations
 
     grid = _grid(cfg)
-    report = validate_sampling(grid, cfg["wavelength"], 0.0, apertures=_apertures(cfg))
+    scenario, places = SCENARIOS[name]
+    report = validate_sampling(grid, cfg["wavelength"], 0.0, [_apertures(cfg)[a] for a in places])
     if not report.ok:
         raise SamplingError("; ".join(report.messages))
     econf = EnsembleConfig(
@@ -384,7 +388,7 @@ def run_scenario(
     t0 = time.perf_counter()
     try:
         outdir.mkdir(parents=True, exist_ok=True)
-        files, summary = SCENARIOS[name](cfg, econf, workers, outdir)
+        files, summary = scenario(cfg, econf, workers, outdir)
         entries: dict = {"scenario": name, "version": __version__}
         for key, value in cfg.items():
             entries[f"config.{key}"] = value
@@ -455,7 +459,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--engine", choices=["mc", "analytic"], default=None)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--realizations", type=int, default=None)
-    p_run.add_argument("--workers", type=int, default=1)
+    p_run.add_argument("--workers", type=int, default=1, help="MC threads, at most the CPU count")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="parse a config and check sampling")

@@ -14,16 +14,20 @@ light gives G2 = <I1><I2> + |sum_q h1* h2|^2 (Gatti, Brambilla, Bache &
 Lugiato, PRL 93, 093602, 2004).  An arm's kernel may be built from its
 detector side, by reciprocity (mode_decomposition).  The MC result converges
 to the analytic one as 1/sqrt(n).
+
+The observable's rules live here alone: the bucket's columns (detector_kernel),
+degeneracy (CorrelationMap.degenerate) and normalization (siegert_normalize).
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .optics import ArmPath
+from .optics import ArmPath, Mask
 from .source import EnsembleConfig, ModeSet, mode_decomposition, sample_source_block
 
 __all__ = [
@@ -58,6 +62,8 @@ class CorrelationMap:
     (x1 = x2) or "full" (x1 by x2 matrix); x2 holds the coordinates of the
     kernel's arm-2 columns.  For the analytic engine n_accumulated is 0, eps
     is None and term2 is the interference part: g2_raw = <I1><I2> + term2.
+    detector_kernel picks the bucket's arm-1 columns, degenerate is derived from
+    the marginals, and siegert_normalize alone sets g2.
     """
 
     kind: str
@@ -68,8 +74,12 @@ class CorrelationMap:
     n_accumulated: int
     eps: np.ndarray | None = None
     term2: np.ndarray | None = None
-    degenerate: bool = False
     g2: np.ndarray | None = None
+
+    @property
+    def degenerate(self) -> bool:
+        """A marginal is zero everywhere, so no position can be normalized."""
+        return bool(np.all(np.asarray(self.i1_mean) == 0) or np.all(self.i2_mean == 0))
 
     def marginal_product(self) -> np.ndarray:
         """<I1><I2> with the shape of g2_raw."""
@@ -88,14 +98,15 @@ def detector_kernel(
 ) -> ModeSet:
     """The arms' Green's functions (mode_decomposition) at the grid columns
     the detectors read: the one kernel both engines reduce.  Arm 2 is read at
-    x2_indices (None: every column); arm 1 over ArmPath.support() for the
-    bucket, at x2_indices for the diagonal, and at x1_indices (default
-    x2_indices) for a full map, which is refused above 2^24 entries.
+    x2_indices (None: every column); arm 1 over its final Mask's support
+    (else every column) for the bucket, at x2_indices for the diagonal, and
+    at x1_indices (default x2_indices) for a full map, refused above 2^24.
     """
     kind = _kind(bucket, diagonal)
     x2_idx = np.arange(config.grid.n) if x2_indices is None else np.asarray(x2_indices)
     if kind == "bucket":
-        x1_idx = arm1.support(config.grid)
+        end = arm1.elements[-1] if len(arm1) else None
+        x1_idx = end.mask.support_indices() if isinstance(end, Mask) else np.arange(config.grid.n)
     elif kind == "diagonal" or x1_indices is None:
         x1_idx = x2_idx
     else:
@@ -149,6 +160,7 @@ def accumulate_mc(
     block_size * (m + |arm-1 columns| + |x2|) block per worker, plus one
     running sum: each block's partial sums are merged in block-index order as
     they arrive (a block that finishes before its predecessors waits for them).
+    At most os.cpu_count() workers run: more hold more blocks, no faster.
     """
     kind = _kind(bucket, diagonal)
     kernel = detector_kernel(
@@ -161,8 +173,9 @@ def accumulate_mc(
     def job(b):
         return _mc_block(config, kernel, kind, b[0], b[1])
 
-    # threads start on the first submit, so workers <= 1 starts none
-    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+    workers = min(max(workers, 1), os.cpu_count() or 1)
+    # one worker runs here: in a pool thread fig4's 512-draw full map peaked at 170 MB, not 140
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         partials = pool.map(job, bounds) if workers > 1 else map(job, bounds)
         # merge in block-index order: bit-identical for any worker count
         s_p, s_p2, s_i1, s_i2 = (np.copy(a) for a in next(partials))
@@ -177,7 +190,6 @@ def accumulate_mc(
     i2_mean = s_i2 / n
     if not (np.all(np.isfinite(g2_raw)) and np.all(np.isfinite(i2_mean))):
         raise FloatingPointError("non-finite accumulator")
-    degenerate = bool(np.all(np.asarray(i1_mean) == 0) or np.all(i2_mean == 0))
 
     denom = _product(kind, i1_mean, i2_mean)
     var = np.maximum(s_p2 / n - g2_raw**2, 0.0)
@@ -192,7 +204,6 @@ def accumulate_mc(
         i2_mean=i2_mean,
         n_accumulated=n,
         eps=eps,
-        degenerate=degenerate,
     )
 
 
@@ -236,22 +247,20 @@ def g2_analytic(modes: ModeSet, bucket: bool = True, *, diagonal: bool = False) 
         i2_mean=rho2,
         n_accumulated=0,
         term2=term2,
-        degenerate=bool(np.all(np.asarray(i1_mean) == 0) or np.all(rho2 == 0)),
     )
 
 
 def siegert_normalize(cmap: CorrelationMap) -> CorrelationMap:
-    """Normalize: g2 = <I1 I2> / (<I1><I2>).  Thermal light obeys 1 <= g2 <= 2
-    exactly on the analytic path (Cauchy-Schwarz on the mode sum)."""
+    """Normalize: g2 = <I1 I2> / (<I1><I2>), NaN where that product is 0, or
+    None for a degenerate map.  Thermal light obeys 1 <= g2 <= 2 exactly on
+    the analytic path (Cauchy-Schwarz on the mode sum)."""
     if cmap.degenerate:
-        return replace(cmap, g2=None, degenerate=True)
+        return replace(cmap, g2=None)
     denom = cmap.marginal_product()
-    if np.any(denom == 0):
-        # zero marginal somewhere: normalize where possible, flag the map
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g2 = np.where(denom > 0, cmap.g2_raw / np.where(denom > 0, denom, 1.0), np.nan)
-        return replace(cmap, g2=g2, degenerate=True)
-    return replace(cmap, g2=cmap.g2_raw / denom)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g2 = cmap.g2_raw / denom
+    g2[denom == 0] = np.nan
+    return replace(cmap, g2=g2)
 
 
 def fluctuation_correlation(cmap: CorrelationMap) -> np.ndarray:

@@ -8,9 +8,9 @@ they build and the source they draw always describe one setup.  The arm
 builders (build_arms, sigma_arm) and the geometric helpers take a
 SetupGeometry and no config.
 
-Every procedure names its engine ("analytic" or "mc") by string; _correlate
-is the one place that string selects an engine, and both engines read the
-kernel of correlation.detector_kernel.
+Every procedure names its engine ("analytic" or "mc") by string; _correlate,
+the one step from arms to ImageTrace, alone selects an engine by it and
+applies correlation's bucket-column, degeneracy and normalization rules.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 
 from .core import Grid1D, SetupGeometry, TransmissionMask
 from .correlation import (
-    CorrelationMap,
     accumulate_mc,
     detector_kernel,
     fluctuation_correlation,
@@ -156,49 +155,44 @@ def scan_indices(grid: Grid1D, halfwidth: float) -> np.ndarray:
     return idx
 
 
-def _trace_from_map(cmap: CorrelationMap, mode: str) -> ImageTrace:
-    norm = siegert_normalize(cmap)
-    if norm.degenerate:
-        raise ValueError("degenerate map: a marginal intensity is zero")
-    if mode == "raw":
-        coincidence = norm.g2
-    elif mode == "fluctuation":
-        coincidence = fluctuation_correlation(cmap) / cmap.marginal_product()
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    # a bucket map holds one I1 for the whole scan
-    singles1 = np.broadcast_to(np.asarray(cmap.i1_mean, dtype=float), cmap.x2.shape)
-    return ImageTrace(
-        positions=cmap.x2,
-        coincidence=coincidence,
-        singles1=singles1.copy(),
-        singles2=cmap.i2_mean.copy(),
-        eps=None if cmap.eps is None else cmap.eps.copy(),
-    )
-
-
 def _correlate(
     config: EnsembleConfig,
     arm1: ArmPath,
     arm2: ArmPath,
     engine: str,
     *,
+    mode: str = "raw",
     diagonal: bool = False,
     x2_indices: np.ndarray,
     workers: int = 1,
-) -> CorrelationMap:
-    """<I1 I2> of the two arms from the named engine: a bucket map over
-    x2_indices, or the x1 = x2 diagonal when diagonal is set."""
+) -> ImageTrace:
+    """The named engine's bucket map over x2_indices (or x1 = x2 diagonal) as a
+    trace of g2 ("raw") or g2 - 1 ("fluctuation"); refused if a marginal is 0."""
+    if mode not in ("raw", "fluctuation"):
+        raise ValueError(f"unknown mode {mode!r}")
+    bucket = not diagonal
     if engine == "analytic":
-        kernel = detector_kernel(config, arm1, arm2, not diagonal, diagonal=diagonal,
+        kernel = detector_kernel(config, arm1, arm2, bucket, diagonal=diagonal,
                                  x2_indices=x2_indices)
-        return g2_analytic(kernel, not diagonal, diagonal=diagonal)
-    if engine == "mc":
-        return accumulate_mc(
-            config, arm1, arm2, not diagonal,
-            diagonal=diagonal, x2_indices=x2_indices, workers=workers,
-        )
-    raise ValueError(f"unknown engine {engine!r}")
+        cmap = g2_analytic(kernel, bucket, diagonal=diagonal)
+    elif engine == "mc":
+        cmap = accumulate_mc(config, arm1, arm2, bucket, diagonal=diagonal, x2_indices=x2_indices,
+                             workers=workers)
+    else:
+        raise ValueError(f"unknown engine {engine!r}")
+    if np.any(cmap.marginal_product() == 0):
+        raise ValueError("degenerate map: a marginal intensity is zero")
+    if mode == "raw":
+        coincidence = siegert_normalize(cmap).g2
+    else:
+        coincidence = fluctuation_correlation(cmap) / cmap.marginal_product()
+    return ImageTrace(
+        positions=cmap.x2,
+        coincidence=coincidence,
+        singles1=np.full(cmap.x2.shape, cmap.i1_mean, dtype=float),  # a bucket holds one I1
+        singles2=cmap.i2_mean,
+        eps=cmap.eps,
+    )
 
 
 def _scan(
@@ -214,8 +208,7 @@ def _scan(
     if not np.any(np.abs(obj.t) > 0):
         raise ValueError("object mask is fully opaque")
     x2_idx = scan_indices(config.grid, scan_halfwidth)
-    cmap = _correlate(config, arm1, arm2, engine, x2_indices=x2_idx, workers=workers)
-    return _trace_from_map(cmap, mode)
+    return _correlate(config, arm1, arm2, engine, mode=mode, x2_indices=x2_idx, workers=workers)
 
 
 def ghost_image_scan(
@@ -269,11 +262,10 @@ def siegert_scan(
 ) -> ImageTrace:
     """Identical arms with no optics, read out on the source aperture: the
     diagonal g2(x, x), which thermal light holds at 2 (Siegert relation)."""
-    cmap = _correlate(
+    return _correlate(
         config, ArmPath(()), ArmPath(()), engine,
         diagonal=True, x2_indices=aperture_indices(config), workers=workers,
     )
-    return _trace_from_map(cmap, "raw")
 
 
 def visibility(trace: ImageTrace, window: tuple[float, float]) -> float:
@@ -371,8 +363,7 @@ def defocus_sweep(
         if d <= 0:
             raise ValueError(f"defocus {delta} puts the scan plane behind the lens")
         arm1, arm2 = build_arms(replace(geometry, d_b_prime=d), obj)
-        cmap = _correlate(config, arm1, arm2, engine, x2_indices=x2_idx, workers=workers)
-        trace = _trace_from_map(cmap, "raw")
+        trace = _correlate(config, arm1, arm2, engine, x2_indices=x2_idx, workers=workers)
         sel = (trace.positions >= window[0]) & (trace.positions <= window[1])
         width = fwhm(trace.positions[sel], trace.coincidence[sel])
         results.append(DefocusPoint(float(delta), visibility(trace, window), width))

@@ -85,11 +85,6 @@ class ArmPath:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def support(self, grid: Grid1D) -> np.ndarray:
-        """Grid columns the output can be nonzero at: a final Mask's support, else all."""
-        last = self.elements[-1] if self.elements else None
-        return last.mask.support_indices() if isinstance(last, Mask) else np.arange(grid.n)
-
 
 @lru_cache(maxsize=128)
 def _transfer_function(n: int, dx: float, wavelength: float, distance: float) -> np.ndarray:

@@ -309,6 +309,41 @@ class TestMainCommands:
         assert (out / "manifest.txt").exists() == (code == 0)
 
     @pytest.mark.parametrize(
+        "override,command,code",
+        [
+            ({"defocus_source_diameter": "5mm"}, ["run", "fig3-point"], 0),
+            ({"defocus_source_diameter": "5mm"}, ["run", "fig4-doubleslit"], 0),
+            ({"defocus_source_diameter": "5mm"}, ["run", "sigma-plane"], 0),
+            ({"defocus_source_diameter": "5mm"}, ["run", "siegert-baseline"], 0),
+            ({"defocus_source_diameter": "5mm"}, ["run", "defocus"], 3),
+            ({"defocus_source_diameter": "5mm"}, ["validate"], 3),  # every aperture
+            ({"pinhole_diameter": "5mm"}, ["run", "fig4-doubleslit"], 0),
+            ({"pinhole_diameter": "5mm"}, ["run", "siegert-baseline"], 0),
+            ({"pinhole_diameter": "5mm"}, ["run", "fig3-point"], 3),
+        ],
+        ids=[
+            "defocus_source-fig3", "defocus_source-fig4", "defocus_source-sigma",
+            "defocus_source-siegert", "defocus_source-defocus", "defocus_source-validate",
+            "pinhole-fig4", "pinhole-siegert", "pinhole-fig3",
+        ],
+    )
+    def test_run_checks_only_the_apertures_its_scenario_places(
+        self, tmp_path, capsys, override, command, code
+    ):
+        # a 5 mm aperture needs a 20 mm window; the 2048 x 8 um grid spans 16.4 mm
+        cfg = small_cfg(tmp_path, **SMALL_GRID, **override)
+        out = tmp_path / "o"
+        argv = command + ["--config", str(cfg)]
+        if command[0] == "run":
+            argv += ["--out", str(out)]
+        assert main(argv) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert ("largest aperture (0.005 m)" in err) == (code == 3)
+        assert (out / "manifest.txt").exists() == (code == 0)
+        assert out.exists() == (code == 0)
+
+    @pytest.mark.parametrize(
         "scenario,override",
         [
             ("fig4-doubleslit", {"grid_n": 1000}),

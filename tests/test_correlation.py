@@ -1,3 +1,6 @@
+import os
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +25,7 @@ from ghostsim import (
     mode_decomposition,
     siegert_normalize,
 )
+from ghostsim import correlation
 from ghostsim.experiment import (
     build_arms,
     predicted_visibility,
@@ -165,6 +169,56 @@ def test_degenerate_all_blocking_mask(grid, geometry):
     )
     assert cmap.degenerate
     assert siegert_normalize(cmap).g2 is None
+
+
+def test_normalize_is_nan_exactly_where_a_marginal_is_zero(small_grid, geometry):
+    # a full map whose arm-1 columns mix a slit's support with columns off it,
+    # where rho1 = 0: not degenerate, so one division with NaN on those rows
+    config = make_config(small_grid, geometry, n_realizations=1)
+    slit = make_slit(small_grid, 0.0, 0.4e-3)
+    arm1 = ArmPath((Propagate(geometry.z_source_object), Mask(slit)))
+    S = slit.support_indices()
+    off = np.array([0, S[0] - 1, S[-1] + 1, small_grid.n - 1])
+    columns1 = np.concatenate([S[::5], off])
+    modes = mode_decomposition(config, arm1, sigma_arm(geometry), columns1=columns1,
+                               columns2=scan_indices(small_grid, 1e-3))
+    cmap = g2_analytic(modes, bucket=False)
+    zero = ~np.isin(columns1, S)
+    assert np.array_equal(cmap.i1_mean == 0, zero)
+    assert np.all(cmap.i2_mean > 0)
+    assert not cmap.degenerate
+    g2 = siegert_normalize(cmap).g2
+    assert np.array_equal(np.isnan(g2), np.broadcast_to(zero[:, None], g2.shape))
+    assert np.array_equal(g2[~zero], cmap.g2_raw[~zero] / cmap.marginal_product()[~zero])
+
+
+def test_mc_threads_capped_at_cpu_count(small_grid, geometry, monkeypatch):
+    cpus = os.cpu_count() or 1
+    workers = cpus + 4
+    config = make_config(small_grid, geometry, n_realizations=8 * workers, seed=6)
+    options = dict(bucket=False, diagonal=True, x2_indices=aperture_indices(config),
+                   block_size=8)
+    ref = accumulate_mc(config, IDENTITY, IDENTITY, workers=1, **options)
+
+    lock, running, peak = threading.Lock(), [0], [0]
+    block = correlation._mc_block
+
+    def counted(*args):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        try:
+            time.sleep(0.05)  # long enough for every started thread to pick up a block
+            return block(*args)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(correlation, "_mc_block", counted)
+    out = accumulate_mc(config, IDENTITY, IDENTITY, workers=workers, **options)
+    assert 1 <= peak[0] <= cpus
+    for name in ("g2_raw", "i1_mean", "i2_mean", "eps"):
+        assert np.array_equal(getattr(out, name), getattr(ref, name)), name
 
 
 def test_fluctuation_equals_interference_term(grid, geometry):
