@@ -4,7 +4,8 @@ and a deterministic run manifest.
 Exit codes: 0 success; 2 config error (ConfigError or any other ValueError,
 e.g. an object, scan window or image plane the config values cannot build);
 3 sampling-validation failure (SamplingError: a guard band too small for the
-apertures, or a propagation hop whose chirp the grid cannot resolve); 4 I/O
+apertures, or a propagation hop whose chirp the grid cannot resolve or whose
+window Fresnel number is below 1); 4 I/O
 error (OSError).  The commands raise these exceptions and `main` alone maps
 them to exit codes, with one stderr line each.  A failed `run` removes the
 --out directory it made.
@@ -153,17 +154,24 @@ def _apertures(cfg: dict) -> dict[str, float]:
     }
 
 
-def _sampling_report(cfg: dict):
-    """Sampling check of the shortest hop any scenario runs (the chirp bound
-    lambda*z/L tightens as z shrinks) and of every aperture any places."""
+def _sampling_reports(cfg: dict):
+    """Sampling checks of the shortest hop any scenario runs, with every
+    aperture any places (the chirp bound lambda*z/L tightens as z shrinks),
+    and of the longest (the window Fresnel number L^2/(lambda*z) falls as z
+    grows)."""
     geometry = _geometry(cfg)
     hops = [geometry.z_source_object, geometry.z_source_lens, geometry.d_b_prime]
     if geometry.s_o > geometry.f:
-        # the sweep's re-solved d'_B plus its most negative delta (if > 0)
-        hops.append(solve_image_plane(geometry).d_b_prime + min(DEFOCUS_DELTAS_MM) * 1e-3)
-    shortest = min(h for h in hops if h > 0)
+        # the sweep's re-solved d'_B plus its most negative and positive deltas
+        d_b_prime = solve_image_plane(geometry).d_b_prime
+        hops += [d_b_prime + d * 1e-3 for d in (min(DEFOCUS_DELTAS_MM), max(DEFOCUS_DELTAS_MM))]
+    hops = [h for h in hops if h > 0]
+    grid, wavelength = _grid(cfg), cfg["wavelength"]
     apertures = list(_apertures(cfg).values())
-    return validate_sampling(_grid(cfg), cfg["wavelength"], shortest, apertures=apertures)
+    return (
+        validate_sampling(grid, wavelength, min(hops), apertures=apertures),
+        validate_sampling(grid, wavelength, max(hops)),
+    )
 
 
 def _write_lines(path: str | Path, lines) -> None:
@@ -354,7 +362,8 @@ def run_scenario(
     ValueError for values the setup cannot be built from; SamplingError for a
     guard band too small for the apertures the scenario places (checked
     before --out is made), or for a hop the scenario runs whose chirp the
-    grid cannot resolve (optics.apply_path_block checks each hop as it runs);
+    grid cannot resolve or whose window Fresnel number is below 1
+    (optics.apply_path_block checks each hop as it runs);
     OSError, as the file system raised it (naming the path), for unreadable
     config or unwritable output.  On any failure after --out is made, the
     directory it made is removed.  `main` maps these to exits 2-4.
@@ -426,16 +435,21 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    """Print the chirp and guard-band lines of the config's sampling report to
-    stdout; a failed report raises SamplingError with all its messages, so
-    the fault reads as the same one stderr line that `run` gives."""
-    report = _sampling_report(parse_config(args.config))
-    print(f"chirp bound: dx_max = {report.chirp_dx_max:.6g} m "
-          f"(margin {report.chirp_margin:.3g}) -> {'ok' if report.chirp_ok else 'FAIL'}")
-    print(f"guard band: window/(4*aperture) = {report.guard_margin:.3g} "
-          f"-> {'ok' if report.guard_ok else 'FAIL'}")
-    if not report.ok:
-        raise SamplingError("; ".join(report.messages))
+    """Print the chirp, Fresnel-number and guard-band lines of the config's
+    sampling reports to stdout; a failed check raises SamplingError with all
+    its messages, so the fault reads as the same one stderr line that `run`
+    gives."""
+    shortest, longest = _sampling_reports(parse_config(args.config))
+    print(f"chirp bound: dx_max = {shortest.chirp_dx_max:.6g} m "
+          f"(margin {shortest.chirp_margin:.3g}) -> {'ok' if shortest.chirp_ok else 'FAIL'}")
+    print(f"window Fresnel number: L^2/(lambda*z) = {longest.fresnel_number:.3g} "
+          f"-> {'ok' if longest.fresnel_ok else 'FAIL'}")
+    print(f"guard band: window/(4*aperture) = {shortest.guard_margin:.3g} "
+          f"-> {'ok' if shortest.guard_ok else 'FAIL'}")
+    # the longest hop passes the chirp bound if the shortest does
+    messages = shortest.messages + (() if longest.fresnel_ok else longest.messages)
+    if messages:
+        raise SamplingError("; ".join(messages))
     return EXIT_OK
 
 

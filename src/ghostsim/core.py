@@ -194,6 +194,8 @@ class SamplingReport:
     chirp_margin: float  # chirp_dx_max / dx  (>= 1 passes)
     guard_ok: bool
     guard_margin: float  # window / (4 * largest aperture)  (>= 1 passes)
+    fresnel_ok: bool
+    fresnel_number: float  # window Fresnel number L^2 / (lambda * z)  (>= 1 passes)
     messages: tuple[str, ...] = field(default_factory=tuple)
 
 
@@ -205,14 +207,29 @@ def validate_sampling(
 ) -> SamplingReport:
     """Check the discrete-Fresnel sampling constraints for this grid.
 
-    (i)  the pitch resolves the Fresnel chirp over max_distance:
-         dx <= wavelength * max_distance / (n * dx);
-    (ii) the window is at least 4x the largest aperture in play.
+    (i)   the pitch resolves the Fresnel chirp over max_distance:
+          dx <= wavelength * max_distance / (n * dx);
+    (ii)  the window is at least 4x the largest aperture in play;
+    (iii) the window Fresnel number N_F = L^2 / (wavelength * max_distance)
+          is at least 1.  Below it the propagator's band limit L / (2 lambda z)
+          falls under half a frequency bin and passes only the zero-frequency
+          component, so the hop keeps nothing of the field but its mean.
+    The chirp bound tightens as the distance shrinks and N_F falls as it
+    grows: check the shortest hop for (i) and the longest for (iii).
     """
     msgs = []
     if max_distance == 0:
         chirp_ok, dx_max, chirp_margin = True, np.inf, np.inf
+        fresnel_ok, fresnel_number = True, np.inf
     else:
+        fresnel_number = grid.span**2 / (wavelength * abs(max_distance))
+        fresnel_ok = fresnel_number >= 1.0
+        if not fresnel_ok:
+            msgs.append(
+                f"window Fresnel number L^2/(lambda*z) = {fresnel_number:.3g} is below 1 "
+                f"at z = {max_distance:.3g} m; the band limit passes only the "
+                "zero-frequency component"
+            )
         dx_max = wavelength * abs(max_distance) / grid.span
         chirp_margin = dx_max / grid.dx
         chirp_ok = grid.dx <= dx_max
@@ -234,11 +251,13 @@ def validate_sampling(
     else:
         guard_ok, guard_margin = True, np.inf
     return SamplingReport(
-        ok=chirp_ok and guard_ok,
+        ok=chirp_ok and guard_ok and fresnel_ok,
         chirp_ok=chirp_ok,
         chirp_dx_max=float(dx_max),
         chirp_margin=float(chirp_margin),
         guard_ok=guard_ok,
         guard_margin=float(guard_margin),
+        fresnel_ok=fresnel_ok,
+        fresnel_number=float(fresnel_number),
         messages=tuple(msgs),
     )

@@ -4,7 +4,9 @@ Two interchangeable engines compute <I1 I2>:
 
 * accumulate_mc    - ensemble average over speckle realizations, accumulated
                      in fixed-size blocks merged in index order, so results
-                     are bit-identical for any worker count;
+                     are bit-identical for any worker count; a full map's
+                     block sums over realizations are matrix products (BLAS),
+                     and at most one unmerged block per worker is in flight;
 * g2_analytic      - Gaussian-moment (mode-sum) evaluation, exact in the
                      discrete model, exposing the interference term separately.
 
@@ -22,6 +24,7 @@ degeneracy (CorrelationMap.degenerate) and normalization (siegert_normalize).
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -117,18 +120,33 @@ def detector_kernel(
 
 
 def _mc_block(config, kernel, kind, k0, k1):
+    """(sum I1 I2, sum (I1 I2)^2, sum I1, sum I2) over realizations k0..k1-1."""
     c = sample_source_block(config, k0, k1)
     I1 = np.abs(c @ kernel.g1) ** 2
     I2 = np.abs(c @ kernel.g2) ** 2
     if kind == "full":
-        P = np.einsum("bi,bj->ij", I1, I2)
-        return P, np.einsum("bi,bj->ij", I1**2, I2**2), I1.sum(axis=0), I2.sum(axis=0)
+        return I1.T @ I2, (I1 * I1).T @ (I2 * I2), I1.sum(axis=0), I2.sum(axis=0)
     if kind == "bucket":
         I1 = I1.sum(axis=1) * config.grid.dx
-        P = I1[:, None] * I2
-    else:
-        P = I1 * I2
-    return P.sum(axis=0), (P**2).sum(axis=0), I1.sum(axis=0), I2.sum(axis=0)
+    s1, s2 = I1.sum(axis=0), I2.sum(axis=0)
+    # P = I1 I2, then P^2, in I2's buffer: the broadcast form's bits with no
+    # temporary (a gemv here ran fig4's 2-worker bucket about 10 % slower)
+    I2 *= I1[:, None] if kind == "bucket" else I1
+    p = I2.sum(axis=0)
+    I2 *= I2
+    return p, I2.sum(axis=0), s1, s2
+
+
+def _in_order(pool, job, items, window):
+    """job(item) for each item, yielded in order, with at most window jobs
+    submitted and not yet yielded: a slow job holds back the ones after it."""
+    pending = deque()
+    for item in items:
+        pending.append(pool.submit(job, item))
+        if len(pending) == window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def accumulate_mc(
@@ -152,14 +170,19 @@ def accumulate_mc(
 
     The arms are propagated once, as the kernel of detector_kernel; each
     realization's fields are then its m source amplitudes times that kernel.
+    A full map's block sums over its realizations are matrix products,
+    I1^T I2 and (I1^2)^T (I2^2) (BLAS gemm); the bucket's and the
+    diagonal's are elementwise, in place, with no block-sized temporary.
     Memory stays bounded by the kernel build's working memory (a few
     n-sample complex rows per row of mode_decomposition's default batch,
     whose rows are modes or kept columns, whichever side it builds from;
     block_size here counts realizations only), the kernel's
     m * (|arm-1 columns| + |x2|), and one
     block_size * (m + |arm-1 columns| + |x2|) block per worker, plus one
-    running sum: each block's partial sums are merged in block-index order as
-    they arrive (a block that finishes before its predecessors waits for them).
+    running sum: blocks are submitted through a window of `workers`, and
+    their partial sums are merged in block-index order as they arrive, so
+    at most `workers` blocks are running or finished and unmerged at once
+    (a slow block holds back the submission of later ones).
     At most os.cpu_count() workers run: more hold more blocks, no faster.
     """
     kind = _kind(bucket, diagonal)
@@ -176,7 +199,7 @@ def accumulate_mc(
     workers = min(max(workers, 1), os.cpu_count() or 1)
     # one worker runs here: in a pool thread fig4's 512-draw full map peaked at 170 MB, not 140
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        partials = pool.map(job, bounds) if workers > 1 else map(job, bounds)
+        partials = _in_order(pool, job, bounds, workers) if workers > 1 else map(job, bounds)
         # merge in block-index order: bit-identical for any worker count
         s_p, s_p2, s_i1, s_i2 = (np.copy(a) for a in next(partials))
         for p, p2, i1, i2 in partials:

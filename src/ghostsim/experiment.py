@@ -130,8 +130,12 @@ class ImageTrace:
     """Coincidence trace versus scan position, with the singles of both arms.
 
     coincidence is g2 = <I1 I2>/(<I1><I2>) in "raw" mode and g2 - 1 in
-    "fluctuation" mode; eps is the Monte Carlo standard error of g2 per
-    position, or None for the analytic engine.
+    "fluctuation" mode; eps is the Monte Carlo error of g2 per position, or
+    None for the analytic engine.  eps = sqrt(var(I1 I2)/n)/(<I1><I2>) is a
+    conservative per-point bound, about twice the calibrated error: it
+    ignores that g2 divides by the sample marginals, whose errors move with
+    the numerator (on fig4, 1000 realizations, std of (MC - analytic)/eps
+    is 0.47).
     """
 
     positions: np.ndarray

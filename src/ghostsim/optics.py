@@ -129,7 +129,9 @@ def apply_path_block(
     """Run a (..., n) stack of amplitudes through an arm path.
 
     Refuses (SamplingError) a propagation hop whose Fresnel chirp the grid
-    cannot resolve, and (ValueError) a mask sampled on another grid.
+    cannot resolve or whose band limit passes only the zero-frequency
+    component (window Fresnel number below 1), and (ValueError) a mask
+    sampled on another grid.
     """
     out = amplitudes
     for el in path:
@@ -137,8 +139,8 @@ def apply_path_block(
             if el.distance == 0:
                 continue
             report = validate_sampling(grid, wavelength, el.distance)
-            if not report.chirp_ok:
-                raise SamplingError(report.messages[0])
+            if not report.ok:
+                raise SamplingError("; ".join(report.messages))
             out = propagate_block(out, grid, wavelength, el.distance)
         elif isinstance(el, Lens):
             out = out * lens_phase(grid, wavelength, el.focal_length)

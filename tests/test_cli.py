@@ -309,6 +309,28 @@ class TestMainCommands:
         assert (out / "manifest.txt").exists() == (code == 0)
 
     @pytest.mark.parametrize(
+        "command",
+        [
+            ["validate"],
+            ["run", "fig4-doubleslit", "--engine", "mc"],
+            ["run", "fig4-doubleslit", "--engine", "analytic"],
+        ],
+        ids=["validate", "fig4-mc", "fig4-analytic"],
+    )
+    def test_hop_whose_band_limit_keeps_only_dc_exits_3(self, tmp_path, capsys, command):
+        # a = 1e300 m: the source hops' window Fresnel number L^2/(lambda z) is ~4e-298
+        cfg = small_cfg(tmp_path, **SMALL_GRID, a="1e300m")
+        out = tmp_path / "o"
+        argv = command + ["--config", str(cfg)]
+        if command[0] == "run":
+            argv += ["--out", str(out)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("sampling validation failed: window Fresnel number")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "override,command,code",
         [
             ({"defocus_source_diameter": "5mm"}, ["run", "fig3-point"], 0),

@@ -117,6 +117,17 @@ class TestValidateSampling:
         g = Grid1D(n=64, dx=0.25e-3)
         assert validate_sampling(g, 633e-9, 0.0).ok
 
+    def test_window_fresnel_number(self):
+        g = Grid1D(n=2048, dx=8e-6)
+        rep = validate_sampling(g, 633e-9, 337e-3)
+        assert rep.fresnel_number == pytest.approx(g.span**2 / (633e-9 * 0.337), rel=1e-12)
+        assert rep.ok and rep.fresnel_ok
+        z1 = g.span**2 / 633e-9  # N_F = 1
+        assert validate_sampling(g, 633e-9, 0.99 * z1).ok
+        rep = validate_sampling(g, 633e-9, 1.01 * z1)
+        assert not rep.ok and not rep.fresnel_ok and rep.chirp_ok
+        assert len(rep.messages) == 1 and "zero-frequency" in rep.messages[0]
+
     def test_guard_band(self, grid):
         rep = validate_sampling(grid, 633e-9, 337e-3, apertures=[grid.span / 2])
         assert not rep.guard_ok

@@ -221,6 +221,64 @@ def test_mc_threads_capped_at_cpu_count(small_grid, geometry, monkeypatch):
         assert np.array_equal(getattr(out, name), getattr(ref, name)), name
 
 
+def test_mc_holds_at_most_workers_blocks_unmerged(small_grid, geometry, monkeypatch):
+    workers = os.cpu_count() or 1
+    config = make_config(small_grid, geometry, n_realizations=8 * (4 * workers + 3), seed=7)
+    options = dict(bucket=False, diagonal=True, x2_indices=aperture_indices(config),
+                   block_size=8)
+    ref = accumulate_mc(config, IDENTITY, IDENTITY, workers=1, **options)
+
+    lock, started, held = threading.Lock(), [], []
+    block = correlation._mc_block
+
+    def stalled(config, kernel, kind, k0, k1):
+        with lock:
+            started.append(k0)
+        if k0 == 0:
+            # long enough for every other block to run, had it been submitted
+            time.sleep(0.3)
+            with lock:
+                held.append(len(started))  # nothing is merged before block 0
+        return block(config, kernel, kind, k0, k1)
+
+    monkeypatch.setattr(correlation, "_mc_block", stalled)
+    out = accumulate_mc(config, IDENTITY, IDENTITY, workers=workers, **options)
+    assert 1 <= held[0] <= workers
+    assert sorted(started) == list(range(0, config.n_realizations, 8))
+    for name in ("g2_raw", "i1_mean", "i2_mean", "eps"):
+        assert np.array_equal(getattr(out, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("kind", ["full", "bucket", "diagonal"])
+def test_block_sums_equal_the_einsum_and_broadcast_forms(small_grid, geometry, kind):
+    # 257 realizations in blocks of 256: the last block holds a single row
+    config = make_config(small_grid, geometry, n_realizations=257, seed=9)
+    obj = make_double_slit(small_grid, 1e-3, 0.2e-3)
+    kernel = detector_kernel(
+        config, *build_arms(geometry, obj), bucket=kind == "bucket", diagonal=kind == "diagonal",
+        x1_indices=obj.support_indices(), x2_indices=scan_indices(small_grid, 2e-3),
+    )
+    for k0, k1 in ((0, 256), (256, 257)):
+        c = sample_source_block(config, k0, k1)
+        I1 = np.abs(c @ kernel.g1) ** 2
+        I2 = np.abs(c @ kernel.g2) ** 2
+        if kind == "full":
+            want = [np.einsum("bi,bj->ij", I1, I2), np.einsum("bi,bj->ij", I1**2, I2**2)]
+        else:
+            if kind == "bucket":
+                I1 = I1.sum(axis=1) * small_grid.dx
+            P = I1[:, None] * I2 if kind == "bucket" else I1 * I2
+            want = [P.sum(axis=0), (P**2).sum(axis=0)]
+        want += [I1.sum(axis=0), I2.sum(axis=0)]
+        got = correlation._mc_block(config, kernel, kind, k0, k1)
+        for name, g, w in zip(("P", "P2", "I1", "I2"), got, want):
+            if kind == "full" and name in ("P", "P2"):
+                # GEMM sums non-negative terms in another order: k1 - k0 ulps at most
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=0, err_msg=name)
+            else:  # the same elementwise operations
+                assert np.array_equal(g, w), (k0, name)
+
+
 def test_fluctuation_equals_interference_term(grid, geometry):
     config = make_config(grid, geometry, n_realizations=2)
     obj = make_pinhole(grid, 0.0, 60e-6)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ghostsim import (
     ArmPath,
@@ -9,11 +9,15 @@ from ghostsim import (
     Mask,
     Propagate,
     SamplingError,
+    SetupGeometry,
+    TransmissionMask,
+    make_double_slit,
     make_slit,
 )
+from ghostsim.experiment import build_arms
 from ghostsim.optics import _transfer_function, apply_path_block, lens_phase, propagate_block
 
-from conftest import ELEMENTS, PATHS, SMALL_GRID
+from conftest import ELEMENTS, PATHS, SMALL_GRID, one_slit
 
 WL = 633e-9
 
@@ -99,6 +103,14 @@ class TestFresnelPropagate:
         grid = Grid1D(n=64, dx=0.25e-3)
         with pytest.raises(SamplingError):
             propagate(np.ones(grid.n, complex), grid, 337e-3)
+
+    def test_refuses_hop_whose_band_limit_keeps_only_dc(self):
+        z1 = SMALL_GRID.span**2 / WL  # window Fresnel number L^2/(lambda z) = 1
+        H = _transfer_function(SMALL_GRID.n, SMALL_GRID.dx, WL, 1.01 * z1)
+        assert np.flatnonzero(H).tolist() == [0]  # the band limit passes only DC
+        with pytest.raises(SamplingError, match="Fresnel number"):
+            propagate(np.ones(SMALL_GRID.n, complex), SMALL_GRID, 1.01 * z1)
+        propagate(np.ones(SMALL_GRID.n, complex), SMALL_GRID, 0.99 * z1)
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
@@ -247,5 +259,45 @@ class TestReciprocity:
         reverse = ArmPath(path.elements[::-1])
         lhs = (y * apply_path_block(x, SMALL_GRID, WL, path)).sum()
         rhs = (x * apply_path_block(y, SMALL_GRID, WL, reverse)).sum()
+        scale = np.linalg.norm(x) * np.linalg.norm(y)
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12 * scale)
+
+
+def _adjoint(path, y):
+    """P^dagger y on SMALL_GRID: each element's adjoint, last element first.
+    A hop's adjoint is propagation by -z, a lens's the lens of focal length
+    -f, a mask's the conjugate transmittance."""
+    for el in reversed(path.elements):
+        if isinstance(el, Propagate):
+            y = propagate_block(y, SMALL_GRID, WL, -el.distance)
+        elif isinstance(el, Lens):
+            y = apply_path_block(y, SMALL_GRID, WL, ArmPath((Lens(-el.focal_length),)))
+        else:
+            y = y * el.mask.t.conj()
+    return y
+
+
+_CHIRP = np.exp(1j * np.linspace(0, 40, SMALL_GRID.n) ** 1.5)
+_PHASE_MASK = Mask(TransmissionMask(SMALL_GRID, 0.9 * _CHIRP * one_slit(600, 800).mask.t))
+_BENCH = SetupGeometry.default()
+
+
+class TestAdjoint:
+    """<P x, y> = <x, P^dagger y> for every element and composed arm, with
+    P^dagger as _adjoint builds it.  A compressed source basis needs this."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(path=ELEMENTS.map(lambda el: ArmPath((el,))) | PATHS,
+           seed=st.integers(0, 2**32 - 1))
+    @example(path=ArmPath((Propagate(0.3),)), seed=1)
+    @example(path=ArmPath((Lens(0.085),)), seed=2)
+    @example(path=ArmPath((_PHASE_MASK,)), seed=3)
+    @example(path=build_arms(_BENCH, make_double_slit(SMALL_GRID, 1e-3, 0.2e-3))[0], seed=4)
+    @example(path=build_arms(_BENCH, make_double_slit(SMALL_GRID, 1e-3, 0.2e-3))[1], seed=5)
+    def test_inner_product_moves_to_the_adjoint(self, path, seed):
+        rng = np.random.default_rng(seed)
+        x, y = rng.standard_normal((2, SMALL_GRID.n)) + 1j * rng.standard_normal((2, SMALL_GRID.n))
+        lhs = np.vdot(apply_path_block(x, SMALL_GRID, WL, path), y)
+        rhs = np.vdot(x, _adjoint(path, y))
         scale = np.linalg.norm(x) * np.linalg.norm(y)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12 * scale)
