@@ -98,9 +98,10 @@ def _parse_length(text: str) -> float:
 
 
 def parse_config(path: str | Path) -> dict:
-    """Read a flat key = value config; unknown keys and bad values are errors
-    reported with their line number."""
+    """Read a flat key = value config; unknown, repeated and bad keys are
+    errors reported with their line numbers."""
     cfg = {key: default for key, (_, default) in CONFIG_SCHEMA.items()}
+    first_line: dict[str, int] = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -112,6 +113,10 @@ def parse_config(path: str | Path) -> dict:
         key, value = key.strip(), value.strip()
         if key not in CONFIG_SCHEMA:
             raise ConfigError(f"{path}: line {lineno}: unknown key {key!r}")
+        if key in first_line:
+            raise ConfigError(f"{path}: line {lineno}: key {key!r} already set on line "
+                              f"{first_line[key]}")
+        first_line[key] = lineno
         kind, _ = CONFIG_SCHEMA[key]
         try:
             if kind == "length":

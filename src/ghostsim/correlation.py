@@ -17,8 +17,9 @@ Lugiato, PRL 93, 093602, 2004).  An arm's kernel may be built from its
 detector side, by reciprocity (mode_decomposition).  The MC result converges
 to the analytic one as 1/sqrt(n).
 
-The observable's rules live here alone: the bucket's columns (detector_kernel),
-degeneracy (CorrelationMap.degenerate) and normalization (siegert_normalize).
+The observable's rules live here alone: the bucket's columns, refused when
+its mask is opaque (detector_kernel), and normalization, refused where a
+marginal is zero (siegert_normalize).
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ class CorrelationMap:
     (x1 = x2) or "full" (x1 by x2 matrix); x2 holds the coordinates of the
     kernel's arm-2 columns.  For the analytic engine n_accumulated is 0, eps
     is None and term2 is the interference part: g2_raw = <I1><I2> + term2.
-    detector_kernel picks the bucket's arm-1 columns, degenerate is derived from
-    the marginals, and siegert_normalize alone sets g2.
+    detector_kernel picks the bucket's arm-1 columns and siegert_normalize
+    alone sets g2.
     """
 
     kind: str
@@ -78,11 +79,6 @@ class CorrelationMap:
     eps: np.ndarray | None = None
     term2: np.ndarray | None = None
     g2: np.ndarray | None = None
-
-    @property
-    def degenerate(self) -> bool:
-        """A marginal is zero everywhere, so no position can be normalized."""
-        return bool(np.all(np.asarray(self.i1_mean) == 0) or np.all(self.i2_mean == 0))
 
     def marginal_product(self) -> np.ndarray:
         """<I1><I2> with the shape of g2_raw."""
@@ -102,14 +98,17 @@ def detector_kernel(
     """The arms' Green's functions (mode_decomposition) at the grid columns
     the detectors read: the one kernel both engines reduce.  Arm 2 is read at
     x2_indices (None: every column); arm 1 over its final Mask's support
-    (else every column) for the bucket, at x2_indices for the diagonal, and
-    at x1_indices (default x2_indices) for a full map, refused above 2^24.
+    (else every column) for the bucket, refused if that support is empty, at
+    x2_indices for the diagonal, and at x1_indices (default x2_indices) for a
+    full map, refused above 2^24.  Both refusals come before any propagation.
     """
     kind = _kind(bucket, diagonal)
     x2_idx = np.arange(config.grid.n) if x2_indices is None else np.asarray(x2_indices)
     if kind == "bucket":
         end = arm1.elements[-1] if len(arm1) else None
         x1_idx = end.mask.support_indices() if isinstance(end, Mask) else np.arange(config.grid.n)
+        if len(x1_idx) == 0:
+            raise ValueError("bucket arm's mask is fully opaque")
     elif kind == "diagonal" or x1_indices is None:
         x1_idx = x2_idx
     else:
@@ -177,12 +176,17 @@ def accumulate_mc(
     n-sample complex rows per row of mode_decomposition's default batch,
     whose rows are modes or kept columns, whichever side it builds from;
     block_size here counts realizations only), the kernel's
-    m * (|arm-1 columns| + |x2|), and one
-    block_size * (m + |arm-1 columns| + |x2|) block per worker, plus one
-    running sum: blocks are submitted through a window of `workers`, and
-    their partial sums are merged in block-index order as they arrive, so
-    at most `workers` blocks are running or finished and unmerged at once
-    (a slow block holds back the submission of later ones).
+    m * (|arm-1 columns| + |x2|), and one block per worker: blocks are
+    submitted through a window of `workers`, and their partial sums are
+    merged in block-index order as they arrive, so at most `workers` blocks
+    are running or finished and unmerged at once (a slow block holds back
+    the submission of later ones).  With B = block_size, m modes, n1 arm-1
+    columns, n2 = |x2| and S map entries (n1 * n2 for a full map, else n2),
+    one block's working memory is at most 8*B*(4*m + 3*(n1 + n2)) + 16*S
+    bytes: the draw's normals and complex amplitudes (32*B*m), both arms'
+    fields and intensities (24*B*(n1 + n2)) and its sums (16*S).  The
+    running sums, the last merged block's sums and the final ratios with
+    their temporaries add at most 72*(S + n1 + n2) bytes.
     At most os.cpu_count() workers run: more hold more blocks, no faster.
     """
     kind = _kind(bucket, diagonal)
@@ -197,7 +201,9 @@ def accumulate_mc(
         return _mc_block(config, kernel, kind, b[0], b[1])
 
     workers = min(max(workers, 1), os.cpu_count() or 1)
-    # one worker runs here: in a pool thread fig4's 512-draw full map peaked at 170 MB, not 140
+    # one worker runs here: a pool thread allocates from its own glibc malloc
+    # arena, and fig4's 512-draw full map peaked at 170.3 MB RSS there against
+    # 141.0 MB here (140.7 MB there with MALLOC_ARENA_MAX=1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         partials = _in_order(pool, job, bounds, workers) if workers > 1 else map(job, bounds)
         # merge in block-index order: bit-identical for any worker count
@@ -214,10 +220,10 @@ def accumulate_mc(
     if not (np.all(np.isfinite(g2_raw)) and np.all(np.isfinite(i2_mean))):
         raise FloatingPointError("non-finite accumulator")
 
-    denom = _product(kind, i1_mean, i2_mean)
     var = np.maximum(s_p2 / n - g2_raw**2, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        eps = np.where(denom > 0, np.sqrt(var / n) / np.where(denom > 0, denom, 1.0), np.inf)
+        eps = np.sqrt(var / n) / _product(kind, i1_mean, i2_mean)
+    eps[np.isnan(eps)] = np.inf  # no bound where a marginal is 0 (0/0), as for x/0
 
     return CorrelationMap(
         kind=kind,
@@ -274,16 +280,13 @@ def g2_analytic(modes: ModeSet, bucket: bool = True, *, diagonal: bool = False) 
 
 
 def siegert_normalize(cmap: CorrelationMap) -> CorrelationMap:
-    """Normalize: g2 = <I1 I2> / (<I1><I2>), NaN where that product is 0, or
-    None for a degenerate map.  Thermal light obeys 1 <= g2 <= 2 exactly on
-    the analytic path (Cauchy-Schwarz on the mode sum)."""
-    if cmap.degenerate:
-        return replace(cmap, g2=None)
+    """Normalize: g2 = <I1 I2> / (<I1><I2>), refused (ValueError) if that
+    product is 0 anywhere.  Thermal light obeys 1 <= g2 <= 2 exactly on the
+    analytic path (Cauchy-Schwarz on the mode sum)."""
     denom = cmap.marginal_product()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g2 = cmap.g2_raw / denom
-    g2[denom == 0] = np.nan
-    return replace(cmap, g2=g2)
+    if np.any(denom == 0):
+        raise ValueError("degenerate map: a marginal intensity is zero")
+    return replace(cmap, g2=cmap.g2_raw / denom)
 
 
 def fluctuation_correlation(cmap: CorrelationMap) -> np.ndarray:

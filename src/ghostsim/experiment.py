@@ -10,7 +10,8 @@ SetupGeometry and no config.
 
 Every procedure names its engine ("analytic" or "mc") by string; _correlate,
 the one step from arms to ImageTrace, alone selects an engine by it and
-applies correlation's bucket-column, degeneracy and normalization rules.
+applies correlation's bucket-column and normalization rules, which refuse an
+opaque bucket and a zero marginal.
 """
 
 from __future__ import annotations
@@ -146,8 +147,9 @@ class ImageTrace:
 
     def __post_init__(self):
         m = len(self.positions)
-        for name in ("coincidence", "singles1", "singles2"):
-            if len(getattr(self, name)) != m:
+        for name in ("coincidence", "singles1", "singles2", "eps"):
+            value = getattr(self, name)
+            if value is not None and len(value) != m:
                 raise ValueError(f"{name} length does not match scan positions")
 
 
@@ -171,7 +173,8 @@ def _correlate(
     workers: int = 1,
 ) -> ImageTrace:
     """The named engine's bucket map over x2_indices (or x1 = x2 diagonal) as a
-    trace of g2 ("raw") or g2 - 1 ("fluctuation"); refused if a marginal is 0."""
+    trace of g2 ("raw") or g2 - 1 ("fluctuation"); siegert_normalize refuses
+    it in either mode if a marginal is 0."""
     if mode not in ("raw", "fluctuation"):
         raise ValueError(f"unknown mode {mode!r}")
     bucket = not diagonal
@@ -184,11 +187,8 @@ def _correlate(
                              workers=workers)
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    if np.any(cmap.marginal_product() == 0):
-        raise ValueError("degenerate map: a marginal intensity is zero")
-    if mode == "raw":
-        coincidence = siegert_normalize(cmap).g2
-    else:
+    coincidence = siegert_normalize(cmap).g2
+    if mode == "fluctuation":
         coincidence = fluctuation_correlation(cmap) / cmap.marginal_product()
     return ImageTrace(
         positions=cmap.x2,
@@ -197,22 +197,6 @@ def _correlate(
         singles2=cmap.i2_mean,
         eps=cmap.eps,
     )
-
-
-def _scan(
-    obj: TransmissionMask,
-    config: EnsembleConfig,
-    arm1: ArmPath,
-    arm2: ArmPath,
-    mode: str,
-    engine: str,
-    scan_halfwidth: float,
-    workers: int,
-) -> ImageTrace:
-    if not np.any(np.abs(obj.t) > 0):
-        raise ValueError("object mask is fully opaque")
-    x2_idx = scan_indices(config.grid, scan_halfwidth)
-    return _correlate(config, arm1, arm2, engine, mode=mode, x2_indices=x2_idx, workers=workers)
 
 
 def ghost_image_scan(
@@ -238,7 +222,8 @@ def ghost_image_scan(
             stacklevel=2,
         )
     arm1, arm2 = build_arms(geometry, obj)
-    return _scan(obj, config, arm1, arm2, mode, engine, scan_halfwidth, workers)
+    return _correlate(config, arm1, arm2, engine, mode=mode,
+                      x2_indices=scan_indices(config.grid, scan_halfwidth), workers=workers)
 
 
 def pseudo_object_scan(
@@ -258,7 +243,8 @@ def pseudo_object_scan(
     """
     geometry = config.geometry
     arm1, _ = build_arms(geometry, obj)
-    return _scan(obj, config, arm1, sigma_arm(geometry), mode, engine, scan_halfwidth, workers)
+    return _correlate(config, arm1, sigma_arm(geometry), engine, mode=mode,
+                      x2_indices=scan_indices(config.grid, scan_halfwidth), workers=workers)
 
 
 def siegert_scan(

@@ -80,6 +80,14 @@ class TestConfig:
         with pytest.raises(ConfigError, match="line 3"):
             parse_config(p)
 
+    def test_repeated_key_names_both_lines(self, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_text("seed = 1\n# comment\nseed = 2\n")
+        with pytest.raises(ConfigError, match=r"line 3: key 'seed' already set on line 1"):
+            parse_config(p)
+        assert main(["validate", "--config", str(p)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_bad_value_reports_line(self, tmp_path):
         p = tmp_path / "bad.cfg"
         p.write_text("seed = notanumber\n")

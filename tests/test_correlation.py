@@ -1,6 +1,7 @@
 import os
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -27,6 +28,7 @@ from ghostsim import (
 )
 from ghostsim import correlation
 from ghostsim.experiment import (
+    _correlate,
     build_arms,
     predicted_visibility,
     scan_indices,
@@ -161,19 +163,23 @@ def test_worker_count_does_not_change_bits(grid, geometry):
 
 
 def test_degenerate_all_blocking_mask(grid, geometry):
+    # a bucket mask open only off the source aperture, with no hop: every
+    # realization's I1 is exactly 0, so siegert_normalize refuses the map
     config = make_config(grid, geometry, n_realizations=64, seed=3)
-    block = TransmissionMask(grid, np.zeros(grid.n))
+    t = np.ones(grid.n)
+    t[aperture_indices(config)] = 0.0
     cmap = accumulate_mc(
-        config, ArmPath((Mask(block),)), IDENTITY, bucket=True,
+        config, ArmPath((Mask(TransmissionMask(grid, t)),)), IDENTITY, bucket=True,
         x2_indices=np.arange(0, grid.n, 64),
     )
-    assert cmap.degenerate
-    assert siegert_normalize(cmap).g2 is None
+    assert cmap.i1_mean == 0.0
+    with pytest.raises(ValueError, match="marginal intensity is zero"):
+        siegert_normalize(cmap)
 
 
-def test_normalize_is_nan_exactly_where_a_marginal_is_zero(small_grid, geometry):
+def test_normalize_refuses_a_map_where_some_marginal_is_zero(small_grid, geometry):
     # a full map whose arm-1 columns mix a slit's support with columns off it,
-    # where rho1 = 0: not degenerate, so one division with NaN on those rows
+    # where rho1 = 0: the rows on the support alone normalize
     config = make_config(small_grid, geometry, n_realizations=1)
     slit = make_slit(small_grid, 0.0, 0.4e-3)
     arm1 = ArmPath((Propagate(geometry.z_source_object), Mask(slit)))
@@ -186,10 +192,25 @@ def test_normalize_is_nan_exactly_where_a_marginal_is_zero(small_grid, geometry)
     zero = ~np.isin(columns1, S)
     assert np.array_equal(cmap.i1_mean == 0, zero)
     assert np.all(cmap.i2_mean > 0)
-    assert not cmap.degenerate
-    g2 = siegert_normalize(cmap).g2
-    assert np.array_equal(np.isnan(g2), np.broadcast_to(zero[:, None], g2.shape))
-    assert np.array_equal(g2[~zero], cmap.g2_raw[~zero] / cmap.marginal_product()[~zero])
+    with pytest.raises(ValueError, match="marginal intensity is zero"):
+        siegert_normalize(cmap)
+    on = replace(cmap, g2_raw=cmap.g2_raw[~zero], i1_mean=cmap.i1_mean[~zero])
+    assert np.array_equal(siegert_normalize(on).g2, on.g2_raw / on.marginal_product())
+
+
+@pytest.mark.parametrize("engine", ["analytic", "mc"])
+def test_opaque_bucket_refused_before_any_kernel_or_draw(small_grid, geometry, engine,
+                                                         monkeypatch):
+    calls = []
+    monkeypatch.setattr(correlation, "mode_decomposition", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(correlation, "sample_source_block", lambda *a, **k: calls.append(a))
+    config = make_config(small_grid, geometry, n_realizations=64, seed=3)
+    opaque = TransmissionMask(small_grid, np.zeros(small_grid.n))
+    arm1 = ArmPath((Propagate(geometry.z_source_object), Mask(opaque)))
+    with pytest.raises(ValueError, match="fully opaque"):
+        _correlate(config, arm1, sigma_arm(geometry), engine,
+                   x2_indices=scan_indices(small_grid, 1e-3), workers=2)
+    assert calls == []
 
 
 def test_mc_threads_capped_at_cpu_count(small_grid, geometry, monkeypatch):
@@ -247,6 +268,35 @@ def test_mc_holds_at_most_workers_blocks_unmerged(small_grid, geometry, monkeypa
     assert sorted(started) == list(range(0, config.n_realizations, 8))
     for name in ("g2_raw", "i1_mean", "i2_mean", "eps"):
         assert np.array_equal(getattr(out, name), getattr(ref, name)), name
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", ["full", "bucket", "diagonal"])
+def test_mc_memory_within_the_documented_bound(small_grid, geometry, kind, workers):
+    # accumulate_mc's docstring: beyond the kernel build, `workers` blocks of
+    # 8*B*(4m + 3(n1 + n2)) + 16*S bytes and a tail of 72*(S + n1 + n2)
+    config = make_config(small_grid, geometry, n_realizations=2048, seed=13)
+    arms = build_arms(geometry, make_double_slit(small_grid, 1e-3, 0.2e-3))
+    x2 = scan_indices(small_grid, 3e-3)
+    options = dict(bucket=kind == "bucket", diagonal=kind == "diagonal",
+                   x1_indices=x2, x2_indices=x2)
+    kernel_peak = _traced_peak(lambda: detector_kernel(config, *arms, **options))
+    mc_peak = _traced_peak(lambda: accumulate_mc(config, *arms, workers=workers, **options))
+    kernel = detector_kernel(config, *arms, **options)
+    m, n1, n2 = len(kernel), len(kernel.columns1), len(kernel.columns2)
+    S = n1 * n2 if kind == "full" else n2
+    block = 8 * 256 * (4 * m + 3 * (n1 + n2)) + 16 * S
+    slack = 64 * 1024  # Python objects: futures, tuples, the pool
+    assert mc_peak <= kernel_peak + workers * block + 72 * (S + n1 + n2) + slack
 
 
 @pytest.mark.parametrize("kind", ["full", "bucket", "diagonal"])

@@ -21,7 +21,13 @@ from ghostsim import (
     solve_thin_lens,
     visibility,
 )
-from ghostsim.experiment import eq3_residual, fwhm, magnification_scale, speckle_size
+from ghostsim.experiment import (
+    ImageTrace,
+    eq3_residual,
+    fwhm,
+    magnification_scale,
+    speckle_size,
+)
 
 from conftest import make_config
 
@@ -249,6 +255,15 @@ def test_unknown_engine_is_named(small_grid, procedure):
     }
     with pytest.raises(ValueError, match="'quantum'"):
         calls[procedure]()
+
+
+@pytest.mark.parametrize("name", ["coincidence", "singles2", "eps"])
+def test_image_trace_refuses_a_column_of_wrong_length(name):
+    columns = {col: np.ones(3) for col in ("coincidence", "singles1", "singles2", "eps")}
+    ImageTrace(positions=np.linspace(-1e-3, 1e-3, 3), **columns)
+    ImageTrace(positions=np.linspace(-1e-3, 1e-3, 3), **{**columns, "eps": None})
+    with pytest.raises(ValueError, match=f"{name} length"):
+        ImageTrace(positions=np.linspace(-1e-3, 1e-3, 3), **{**columns, name: np.ones(2)})
 
 
 def test_speckle_size_default_bench(geometry):
