@@ -3,10 +3,9 @@ and a deterministic run manifest.
 
 Exit codes: 0 success; 2 config error (ConfigError or any other ValueError,
 e.g. an object, scan window or image plane the config values cannot build);
-3 sampling-validation failure (SamplingError: a guard band too small for the
-apertures, or a propagation hop whose chirp the grid cannot resolve or whose
-window Fresnel number is below 1); 4 I/O
-error (OSError).  The commands raise these exceptions and `main` alone maps
+3 sampling-validation failure (SamplingError: a guard band, chirp bound or
+window Fresnel number that core.validate_sampling refuses); 4 I/O error
+(OSError).  The commands raise these exceptions and `main` alone maps
 them to exit codes, with one stderr line each.  A failed `run` removes the
 --out directory it made.
 """
@@ -366,9 +365,9 @@ def run_scenario(
     Raises ConfigError for an unknown scenario or a bad config line, and
     ValueError for values the setup cannot be built from; SamplingError for a
     guard band too small for the apertures the scenario places (checked
-    before --out is made), or for a hop the scenario runs whose chirp the
-    grid cannot resolve or whose window Fresnel number is below 1
-    (optics.apply_path_block checks each hop as it runs);
+    before --out is made), or for a hop the scenario runs that
+    core.validate_sampling refuses (optics.propagate_block checks each hop
+    as it runs);
     OSError, as the file system raised it (naming the path), for unreadable
     config or unwritable output.  On any failure after --out is made, the
     directory it made is removed.  `main` maps these to exits 2-4.

@@ -144,23 +144,24 @@ class SetupGeometry:
 
 
 def interval_indices(grid: Grid1D, center: float, width: float) -> tuple[int, int]:
-    """Half-open sample range [i0, i1) covering [center - width/2, center + width/2)."""
+    """Half-open sample range [i0, i1) covering [center - width/2, center + width/2).
+    A width below the grid pitch, or NaN, is refused (ValueError) wherever the
+    interval sits: it would hold one sample or none depending on its centre."""
+    if not width >= grid.dx:
+        raise ValueError(f"aperture width {width:.3g} m is below the grid pitch {grid.dx:.3g} m")
     lo = (center - width / 2) / grid.dx + grid.n / 2
     hi = (center + width / 2) / grid.dx + grid.n / 2
     i0 = int(np.ceil(lo - 1e-9))
-    i1 = int(np.ceil(hi - 1e-9))
+    # hi - lo >= 1 holds exactly; max() keeps the one sample that rounding can drop
+    i1 = max(int(np.ceil(hi - 1e-9)), i0 + 1)
     return i0, i1
 
 
 def make_slit(grid: Grid1D, center: float, width: float) -> TransmissionMask:
     """Binary slit: t = 1 on [center - width/2, center + width/2), 0 outside."""
-    if not width > 0:
-        raise ValueError(f"slit width must be positive, got {width}")
     i0, i1 = interval_indices(grid, center, width)
     if i0 < 0 or i1 > grid.n:
         raise ValueError("slit extends outside the grid window")
-    if i1 <= i0:
-        raise ValueError("slit narrower than one grid sample")
     t = np.zeros(grid.n)
     t[i0:i1] = 1.0
     return TransmissionMask(grid, t)
@@ -179,8 +180,6 @@ def make_double_slit(grid: Grid1D, separation: float, width: float) -> Transmiss
 
 def make_pinhole(grid: Grid1D, center: float, diameter: float) -> TransmissionMask:
     """1D cross-section of a circular aperture of the given diameter."""
-    if not diameter > 0:
-        raise ValueError(f"pinhole diameter must be positive, got {diameter}")
     return make_slit(grid, center, diameter)
 
 
@@ -195,7 +194,7 @@ class SamplingReport:
     guard_ok: bool
     guard_margin: float  # window / (4 * largest aperture)  (>= 1 passes)
     fresnel_ok: bool
-    fresnel_number: float  # window Fresnel number L^2 / (lambda * z)  (>= 1 passes)
+    fresnel_number: float  # window Fresnel number L^2 / (lambda * z); see validate_sampling
     messages: tuple[str, ...] = field(default_factory=tuple)
 
 
@@ -211,9 +210,9 @@ def validate_sampling(
           dx <= wavelength * max_distance / (n * dx);
     (ii)  the window is at least 4x the largest aperture in play;
     (iii) the window Fresnel number N_F = L^2 / (wavelength * max_distance)
-          is at least 1.  Below it the propagator's band limit L / (2 lambda z)
-          falls under half a frequency bin and passes only the zero-frequency
-          component, so the hop keeps nothing of the field but its mean.
+          exceeds 2: the propagator's band edge L / (2 lambda z) = N_F / (2 L)
+          must pass the first nonzero frequency bin, 1/L.  At N_F <= 2 the hop
+          passes only the zero-frequency component, the field's mean.
     The chirp bound tightens as the distance shrinks and N_F falls as it
     grows: check the shortest hop for (i) and the longest for (iii).
     """
@@ -223,10 +222,10 @@ def validate_sampling(
         fresnel_ok, fresnel_number = True, np.inf
     else:
         fresnel_number = grid.span**2 / (wavelength * abs(max_distance))
-        fresnel_ok = fresnel_number >= 1.0
+        fresnel_ok = fresnel_number > 2.0
         if not fresnel_ok:
             msgs.append(
-                f"window Fresnel number L^2/(lambda*z) = {fresnel_number:.3g} is below 1 "
+                f"window Fresnel number L^2/(lambda*z) = {fresnel_number:.3g} is not above 2 "
                 f"at z = {max_distance:.3g} m; the band limit passes only the "
                 "zero-frequency component"
             )

@@ -185,10 +185,13 @@ def accumulate_mc(
     one block's working memory is at most 8*B*(4*m + 3*(n1 + n2)) + 16*S
     bytes: the draw's normals and complex amplitudes (32*B*m), both arms'
     fields and intensities (24*B*(n1 + n2)) and its sums (16*S).  The
-    running sums, the last merged block's sums and the final ratios with
-    their temporaries add at most 72*(S + n1 + n2) bytes.
-    At most os.cpu_count() workers run: more hold more blocks, no faster.
+    running sums (the first block's) and the final ratios with their
+    temporaries add at most 56*(S + n1 + n2) bytes; a later block is dropped
+    once merged.  workers < 1 is refused (ValueError); at most
+    os.cpu_count() workers run: more hold more blocks, no faster.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     kind = _kind(bucket, diagonal)
     kernel = detector_kernel(
         config, arm1, arm2, bucket, diagonal=diagonal, x1_indices=x1_indices, x2_indices=x2_indices
@@ -200,19 +203,20 @@ def accumulate_mc(
     def job(b):
         return _mc_block(config, kernel, kind, b[0], b[1])
 
-    workers = min(max(workers, 1), os.cpu_count() or 1)
+    workers = min(workers, os.cpu_count() or 1)
     # one worker runs here: a pool thread allocates from its own glibc malloc
     # arena, and fig4's 512-draw full map peaked at 170.3 MB RSS there against
     # 141.0 MB here (140.7 MB there with MALLOC_ARENA_MAX=1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         partials = _in_order(pool, job, bounds, workers) if workers > 1 else map(job, bounds)
-        # merge in block-index order: bit-identical for any worker count
-        s_p, s_p2, s_i1, s_i2 = (np.copy(a) for a in next(partials))
+        # merge into block 0's fresh sums in block-index order: bit-identical for any worker count
+        s_p, s_p2, s_i1, s_i2 = next(partials)
         for p, p2, i1, i2 in partials:
             s_p += p
             s_p2 += p2
             s_i1 += i1
             s_i2 += i2
+            del p, p2, i1, i2  # not held while the next block runs
 
     g2_raw = s_p / n
     i1_mean = s_i1 / n

@@ -93,15 +93,15 @@ def _transfer_function(n: int, dx: float, wavelength: float, distance: float) ->
         -1j * np.pi * wavelength * distance * nu**2
     )
     if distance != 0:
+        # propagate_block's checks keep 1/L < nu_lim <= Nyquist (validate_sampling)
         nu_lim = (n * dx) / (2 * wavelength * abs(distance))
-        if nu_lim < np.abs(nu).max():
-            anu = np.abs(nu)
-            window = np.ones(n)
-            lo = (1.0 - _BAND_TAPER) * nu_lim
-            ramp = (anu > lo) & (anu <= nu_lim)
-            window[ramp] = 0.5 * (1 + np.cos(np.pi * (anu[ramp] - lo) / (nu_lim - lo)))
-            window[anu > nu_lim] = 0.0
-            H = H * window
+        anu = np.abs(nu)
+        window = np.ones(n)
+        lo = (1.0 - _BAND_TAPER) * nu_lim
+        ramp = (anu > lo) & (anu <= nu_lim)
+        window[ramp] = 0.5 * (1 + np.cos(np.pi * (anu[ramp] - lo) / (nu_lim - lo)))
+        window[anu > nu_lim] = 0.0
+        H = H * window
     H.setflags(write=False)
     return H
 
@@ -109,7 +109,11 @@ def _transfer_function(n: int, dx: float, wavelength: float, distance: float) ->
 def propagate_block(
     amplitudes: np.ndarray, grid: Grid1D, wavelength: float, distance: float
 ) -> np.ndarray:
-    """Fresnel-propagate a (..., n) stack of amplitudes along the last axis."""
+    """Fresnel-propagate a (..., n) stack of amplitudes along the last axis;
+    a hop that validate_sampling refuses raises SamplingError."""
+    report = validate_sampling(grid, wavelength, distance)
+    if not report.ok:
+        raise SamplingError("; ".join(report.messages))
     H = _transfer_function(grid.n, grid.dx, wavelength, distance)
     return np.fft.ifft(np.fft.fft(amplitudes, axis=-1) * H, axis=-1)
 
@@ -128,19 +132,14 @@ def apply_path_block(
 ) -> np.ndarray:
     """Run a (..., n) stack of amplitudes through an arm path.
 
-    Refuses (SamplingError) a propagation hop whose Fresnel chirp the grid
-    cannot resolve or whose band limit passes only the zero-frequency
-    component (window Fresnel number below 1), and (ValueError) a mask
-    sampled on another grid.
+    Refuses (SamplingError) a propagation hop that validate_sampling refuses,
+    as propagate_block checks it, and (ValueError) a mask on another grid.
     """
     out = amplitudes
     for el in path:
         if isinstance(el, Propagate):
             if el.distance == 0:
                 continue
-            report = validate_sampling(grid, wavelength, el.distance)
-            if not report.ok:
-                raise SamplingError("; ".join(report.messages))
             out = propagate_block(out, grid, wavelength, el.distance)
         elif isinstance(el, Lens):
             out = out * lens_phase(grid, wavelength, el.focal_length)

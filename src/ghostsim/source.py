@@ -45,13 +45,9 @@ class EnsembleConfig:
 
 
 def aperture_indices(config: EnsembleConfig) -> np.ndarray:
-    """Grid samples inside the source aperture [-D/2, D/2)."""
+    """Grid samples inside the source aperture [-D/2, D/2), clipped to the window."""
     i0, i1 = interval_indices(config.grid, 0.0, config.geometry.source_diameter)
-    i0 = max(i0, 0)
-    i1 = min(i1, config.grid.n)
-    if i1 <= i0:
-        raise ValueError("source aperture narrower than one grid sample")
-    return np.arange(i0, i1)
+    return np.arange(max(i0, 0), min(i1, config.grid.n))
 
 
 def _philox_key(seed: int) -> np.ndarray:

@@ -39,8 +39,9 @@ def small_cfg(tmp_path, **overrides):
 
 # chirp bound dx*L/lambda = 207 mm: just below the 213 mm source -> object hop
 SMALL_GRID = {"grid_n": 2048, "grid_dx": "8um"}
-# too coarse for every bench hop
-COARSE_GRID = {"grid_n": 64, "grid_dx": "0.25mm"}
+# too coarse for every bench hop; its apertures span at least one 0.25 mm pitch
+COARSE_GRID = {"grid_n": 64, "grid_dx": "0.25mm", "source_diameter": "0.5mm",
+               "pinhole_diameter": "0.5mm"}
 
 
 def trace_of(n=3):
@@ -84,6 +85,14 @@ class TestConfig:
         p = tmp_path / "bad.cfg"
         p.write_text("seed = 1\n# comment\nseed = 2\n")
         with pytest.raises(ConfigError, match=r"line 3: key 'seed' already set on line 1"):
+            parse_config(p)
+        assert main(["validate", "--config", str(p)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_line_without_equals_is_line_anchored_error(self, tmp_path, capsys):
+        p = tmp_path / "bad.cfg"
+        p.write_text("a = 125mm\nd_A 88mm\n")
+        with pytest.raises(ConfigError, match="line 2: expected 'key = value'"):
             parse_config(p)
         assert main(["validate", "--config", str(p)]) == 2
         assert "Traceback" not in capsys.readouterr().err
@@ -317,17 +326,23 @@ class TestMainCommands:
         assert (out / "manifest.txt").exists() == (code == 0)
 
     @pytest.mark.parametrize(
-        "command",
+        "command,a",
         [
-            ["validate"],
-            ["run", "fig4-doubleslit", "--engine", "mc"],
-            ["run", "fig4-doubleslit", "--engine", "analytic"],
+            (["validate"], "1e300m"),
+            (["run", "fig4-doubleslit", "--engine", "mc"], "1e300m"),
+            (["run", "fig4-doubleslit", "--engine", "analytic"], "1e300m"),
+            (["validate"], "282.5m"),
+            (["run", "fig4-doubleslit", "--engine", "mc"], "282.5m"),
+            (["run", "fig4-doubleslit", "--engine", "analytic"], "282.5m"),
         ],
-        ids=["validate", "fig4-mc", "fig4-analytic"],
+        ids=["validate", "fig4-mc", "fig4-analytic",
+             "validate-NF1.5", "fig4-mc-NF1.5", "fig4-analytic-NF1.5"],
     )
-    def test_hop_whose_band_limit_keeps_only_dc_exits_3(self, tmp_path, capsys, command):
-        # a = 1e300 m: the source hops' window Fresnel number L^2/(lambda z) is ~4e-298
-        cfg = small_cfg(tmp_path, **SMALL_GRID, a="1e300m")
+    def test_hop_whose_band_limit_keeps_only_dc_exits_3(self, tmp_path, capsys, command, a):
+        # the source hops' window Fresnel number L^2/(lambda z) is ~4e-298 at
+        # a = 1e300 m and 1.50 at a = 282.5 m: at or below 2 the band edge
+        # L/(2 lambda z) does not pass the first frequency bin 1/L
+        cfg = small_cfg(tmp_path, **SMALL_GRID, a=a)
         out = tmp_path / "o"
         argv = command + ["--config", str(cfg)]
         if command[0] == "run":
@@ -385,6 +400,9 @@ class TestMainCommands:
             ("fig3-point", {**SMALL_GRID, "pinhole_diameter": "0mm"}),
             ("fig4-doubleslit", {**SMALL_GRID, "slit_width": "2mm", "slit_separation": "1mm"}),
             ("fig4-doubleslit", {**SMALL_GRID, "a": "inf"}),
+            # below the 8 um pitch: at x = 0 either would have become one full sample
+            ("fig4-doubleslit", {**SMALL_GRID, "source_diameter": "1nm"}),
+            ("fig3-point", {**SMALL_GRID, "pinhole_diameter": "1nm"}),
         ],
         ids=[
             "grid_n_not_power_of_two",
@@ -396,6 +414,8 @@ class TestMainCommands:
             "zero_pinhole_diameter",
             "slits_wider_than_separation",
             "infinite_length",
+            "sub_pitch_source",
+            "sub_pitch_pinhole",
         ],
     )
     def test_run_bad_config_exit_2(self, tmp_path, capsys, scenario, override):
@@ -407,6 +427,14 @@ class TestMainCommands:
         assert err.startswith("config error: ") and "Traceback" not in err
         # also where the objects are built inside the scenario, after --out is made
         assert not (tmp_path / "o").exists()
+
+    def test_run_refuses_fewer_than_one_mc_worker(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["run", "siegert-baseline", "--config", str(small_cfg(tmp_path)),
+                     "--out", str(out), "--engine", "mc", "--workers", "-3"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: workers must be at least 1")
+        assert not out.exists()
 
     def test_failed_run_keeps_an_out_it_did_not_make(self, tmp_path, capsys):
         cfg = small_cfg(tmp_path, **SMALL_GRID, slit_width="2mm", slit_separation="1mm")

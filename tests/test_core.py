@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ghostsim import (
     Grid1D,
@@ -92,6 +93,34 @@ class TestMasks:
         with pytest.raises(ValueError):
             TransmissionMask(grid, np.full(grid.n, 1.5))
 
+    def test_mask_length_must_match_grid(self, grid):
+        with pytest.raises(ValueError, match="does not match grid size"):
+            TransmissionMask(grid, np.ones(grid.n - 1))
+
+    def test_opaque_mask_has_no_features_and_no_centroid(self, grid):
+        opaque = TransmissionMask(grid, np.zeros(grid.n))
+        assert opaque.feature_count() == 0
+        with pytest.raises(ValueError, match="fully opaque"):
+            opaque.centroid()
+
+    @settings(max_examples=200, deadline=None)
+    @given(log2n=st.integers(1, 14), dx=st.floats(1e-7, 1e-3), u=st.floats(0, 1),
+           frac=st.floats(-1, 1) | st.just(float("nan")), pitches=st.floats(1, 64))
+    @example(log2n=11, dx=8e-6, u=0.5, frac=1e-9 / 8e-6, pitches=1.0)  # 1 nm slit at x = 0
+    # a one-pitch slit whose edges round to the same sample: the interval must not come out empty
+    @example(log2n=4, dx=6.215979936155503e-06, u=6.66666721826914e-11, frac=0.5, pitches=1.0)
+    def test_slit_refused_below_the_pitch_and_sampled_at_or_above_it(
+        self, log2n, dx, u, frac, pitches
+    ):
+        # a width below the pitch is refused wherever it sits; a width of at
+        # least one pitch inside the window holds at least one sample
+        grid = Grid1D(n=2**log2n, dx=dx)
+        with pytest.raises(ValueError, match="below the grid pitch"):
+            make_slit(grid, (u - 0.5) * grid.span, np.nextafter(dx, 0.0) * frac)
+        width = min(pitches * dx, grid.span)
+        center = (u - 0.5) * (grid.span - width)
+        assert make_slit(grid, center, width).support_indices().size >= 1
+
     @pytest.mark.parametrize("sep,width", [(1e-3, 0.2e-3), (3e-3, 0.04e-3), (2e-3, 0.5e-3)])
     def test_feature_counts_hold_for_all_parameters(self, grid, sep, width):
         assert make_double_slit(grid, sep, width).feature_count() == 2
@@ -122,11 +151,12 @@ class TestValidateSampling:
         rep = validate_sampling(g, 633e-9, 337e-3)
         assert rep.fresnel_number == pytest.approx(g.span**2 / (633e-9 * 0.337), rel=1e-12)
         assert rep.ok and rep.fresnel_ok
-        z1 = g.span**2 / 633e-9  # N_F = 1
-        assert validate_sampling(g, 633e-9, 0.99 * z1).ok
-        rep = validate_sampling(g, 633e-9, 1.01 * z1)
+        z2 = g.span**2 / (2 * 633e-9)  # N_F = 2: the band edge sits on the first bin
+        assert validate_sampling(g, 633e-9, 0.99 * z2).ok
+        rep = validate_sampling(g, 633e-9, 1.01 * z2)
         assert not rep.ok and not rep.fresnel_ok and rep.chirp_ok
-        assert len(rep.messages) == 1 and "zero-frequency" in rep.messages[0]
+        assert len(rep.messages) == 1
+        assert "Fresnel number" in rep.messages[0] and "zero-frequency" in rep.messages[0]
 
     def test_guard_band(self, grid):
         rep = validate_sampling(grid, 633e-9, 337e-3, apertures=[grid.span / 2])

@@ -213,6 +213,26 @@ def test_opaque_bucket_refused_before_any_kernel_or_draw(small_grid, geometry, e
     assert calls == []
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_mc_refuses_fewer_than_one_worker(small_grid, geometry, workers):
+    config = make_config(small_grid, geometry, n_realizations=8)
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        accumulate_mc(config, IDENTITY, IDENTITY, workers=workers)
+
+
+@pytest.mark.parametrize("call", ["kernel", "mc", "analytic"])
+def test_bucket_and_diagonal_are_exclusive(small_grid, geometry, call):
+    config = make_config(small_grid, geometry, n_realizations=8)
+    calls = {
+        "kernel": lambda: detector_kernel(config, IDENTITY, IDENTITY, True, diagonal=True),
+        "mc": lambda: accumulate_mc(config, IDENTITY, IDENTITY, True, diagonal=True),
+        "analytic": lambda: g2_analytic(
+            mode_decomposition(config, IDENTITY, IDENTITY), True, diagonal=True),
+    }
+    with pytest.raises(ValueError, match="mutually exclusive"):
+        calls[call]()
+
+
 def test_mc_threads_capped_at_cpu_count(small_grid, geometry, monkeypatch):
     cpus = os.cpu_count() or 1
     workers = cpus + 4
@@ -283,7 +303,7 @@ def _traced_peak(call):
 @pytest.mark.parametrize("kind", ["full", "bucket", "diagonal"])
 def test_mc_memory_within_the_documented_bound(small_grid, geometry, kind, workers):
     # accumulate_mc's docstring: beyond the kernel build, `workers` blocks of
-    # 8*B*(4m + 3(n1 + n2)) + 16*S bytes and a tail of 72*(S + n1 + n2)
+    # 8*B*(4m + 3(n1 + n2)) + 16*S bytes and a tail of 56*(S + n1 + n2)
     config = make_config(small_grid, geometry, n_realizations=2048, seed=13)
     arms = build_arms(geometry, make_double_slit(small_grid, 1e-3, 0.2e-3))
     x2 = scan_indices(small_grid, 3e-3)
@@ -296,7 +316,7 @@ def test_mc_memory_within_the_documented_bound(small_grid, geometry, kind, worke
     S = n1 * n2 if kind == "full" else n2
     block = 8 * 256 * (4 * m + 3 * (n1 + n2)) + 16 * S
     slack = 64 * 1024  # Python objects: futures, tuples, the pool
-    assert mc_peak <= kernel_peak + workers * block + 72 * (S + n1 + n2) + slack
+    assert mc_peak <= kernel_peak + workers * block + 56 * (S + n1 + n2) + slack
 
 
 @pytest.mark.parametrize("kind", ["full", "bucket", "diagonal"])
@@ -539,7 +559,7 @@ def test_worker_count_does_not_change_bits_for_maps(grid, geometry, kind):
     )
     ref = accumulate_mc(config, arm1, arm2, workers=1, **options)
     assert ref.kind == kind
-    for workers in (0, 2, 4):
+    for workers in (2, 4):
         out = accumulate_mc(config, arm1, arm2, workers=workers, **options)
         for name in ("g2_raw", "i1_mean", "i2_mean", "eps"):
             assert np.array_equal(getattr(out, name), getattr(ref, name)), (workers, name)

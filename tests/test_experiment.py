@@ -243,7 +243,7 @@ class TestDefocus:
             assert [point.visibility, point.peak_width] == expected
 
 
-@pytest.mark.parametrize("procedure", ["ghost", "pseudo", "siegert", "defocus"])
+@pytest.mark.parametrize("procedure", ["ghost", "pseudo", "siegert", "defocus", "mode"])
 def test_unknown_engine_is_named(small_grid, procedure):
     config = make_config(small_grid, SetupGeometry.default(), n_realizations=2)
     obj = make_pinhole(small_grid, 0.0, 60e-6)
@@ -252,6 +252,7 @@ def test_unknown_engine_is_named(small_grid, procedure):
         "pseudo": lambda: pseudo_object_scan(obj, config, engine="quantum", scan_halfwidth=2e-3),
         "siegert": lambda: siegert_scan(config, "quantum"),
         "defocus": lambda: defocus_sweep(obj, config, [0.0], engine="quantum"),
+        "mode": lambda: ghost_image_scan(obj, config, mode="quantum", scan_halfwidth=2e-3),
     }
     with pytest.raises(ValueError, match="'quantum'"):
         calls[procedure]()
@@ -275,3 +276,26 @@ def test_fwhm_of_triangle():
     x = np.linspace(-1, 1, 201)
     y = np.maximum(1 - np.abs(x), 0.0)
     assert fwhm(x, y) == pytest.approx(1.0, abs=0.02)
+
+
+def test_fwhm_of_a_peak_at_the_window_edge_spans_sample_to_sample():
+    # no half-maximum crossing left of the peak: the width runs from the edge
+    # sample to the first sample at or below half maximum
+    x = np.linspace(0, 1, 11)
+    assert fwhm(x, 1 - x) == pytest.approx(0.5, rel=1e-12)
+    assert fwhm(x, x) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_all_zero_trace_has_no_visibility():
+    zero = np.zeros(5)
+    trace = ImageTrace(positions=np.linspace(-1e-3, 1e-3, 5), coincidence=zero,
+                       singles1=zero, singles2=zero)
+    with pytest.raises(ValueError, match="max \\+ min is zero"):
+        visibility(trace, (-1e-3, 1e-3))
+
+
+def test_opaque_object_has_no_image_window(small_grid, geometry):
+    from ghostsim import TransmissionMask
+
+    with pytest.raises(ValueError, match="fully opaque"):
+        default_image_window(geometry, TransmissionMask(small_grid, np.zeros(small_grid.n)))

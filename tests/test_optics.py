@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ghostsim import (
     ArmPath,
@@ -13,6 +13,7 @@ from ghostsim import (
     TransmissionMask,
     make_double_slit,
     make_slit,
+    validate_sampling,
 )
 from ghostsim.experiment import build_arms
 from ghostsim.optics import _transfer_function, apply_path_block, lens_phase, propagate_block
@@ -105,12 +106,28 @@ class TestFresnelPropagate:
             propagate(np.ones(grid.n, complex), grid, 337e-3)
 
     def test_refuses_hop_whose_band_limit_keeps_only_dc(self):
-        z1 = SMALL_GRID.span**2 / WL  # window Fresnel number L^2/(lambda z) = 1
-        H = _transfer_function(SMALL_GRID.n, SMALL_GRID.dx, WL, 1.01 * z1)
+        z2 = SMALL_GRID.span**2 / (2 * WL)  # window Fresnel number L^2/(lambda z) = 2
+        H = _transfer_function(SMALL_GRID.n, SMALL_GRID.dx, WL, 1.01 * z2)
         assert np.flatnonzero(H).tolist() == [0]  # the band limit passes only DC
         with pytest.raises(SamplingError, match="Fresnel number"):
-            propagate(np.ones(SMALL_GRID.n, complex), SMALL_GRID, 1.01 * z1)
-        propagate(np.ones(SMALL_GRID.n, complex), SMALL_GRID, 0.99 * z1)
+            propagate(np.ones(SMALL_GRID.n, complex), SMALL_GRID, 1.01 * z2)
+        H = _transfer_function(SMALL_GRID.n, SMALL_GRID.dx, WL, 0.99 * z2)
+        assert np.flatnonzero(H).tolist() == [0, 1, SMALL_GRID.n - 1]  # DC and +-1/L
+        propagate(np.ones(SMALL_GRID.n, complex), SMALL_GRID, 0.99 * z2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(log2n=st.integers(1, 12), dx=st.floats(1e-7, 1e-3), wavelength=st.floats(2e-7, 2e-6),
+           log_nf=st.floats(-1, 2))
+    @example(log2n=11, dx=8e-6, wavelength=633e-9, log_nf=np.log10(1.5))  # a = 282.5 m
+    def test_fresnel_check_passes_exactly_the_hops_that_keep_more_than_dc(
+        self, log2n, dx, wavelength, log_nf
+    ):
+        grid = Grid1D(n=2**log2n, dx=dx)
+        z = grid.span**2 / (wavelength * 10**log_nf)  # window Fresnel number 10^log_nf
+        report = validate_sampling(grid, wavelength, z)
+        assume(abs(report.fresnel_number / 2 - 1) > 1e-9)
+        H = _transfer_function(grid.n, grid.dx, wavelength, z)
+        assert report.fresnel_ok == bool(np.any(H[1:] != 0))
 
     def test_negative_distance_rejected(self):
         with pytest.raises(ValueError):
