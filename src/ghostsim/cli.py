@@ -2,12 +2,12 @@
 and a deterministic run manifest.
 
 Exit codes: 0 success; 2 config error (ConfigError or any other ValueError,
-e.g. an object, scan window or image plane the config values cannot build);
-3 sampling-validation failure (SamplingError: a guard band, chirp bound or
-window Fresnel number that core.validate_sampling refuses); 4 I/O error
-(OSError).  The commands raise these exceptions and `main` alone maps
-them to exit codes, with one stderr line each.  A failed `run` removes the
---out directory it made.
+e.g. an object, scan window or image plane the config values cannot build,
+or a g2 map they leave non-finite); 3 sampling-validation failure
+(SamplingError: a guard band, chirp bound or window Fresnel number that
+core.validate_sampling refuses); 4 I/O error (OSError).  The commands raise
+these exceptions and `main` alone maps them to exit codes, with one stderr
+line each.  A failed `run` removes the --out directory it made.
 """
 
 from __future__ import annotations
@@ -477,7 +477,8 @@ def main(argv=None) -> int:
     p_run.add_argument("--engine", choices=["mc", "analytic"], default=None)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--realizations", type=int, default=None)
-    p_run.add_argument("--workers", type=int, default=1, help="MC threads, at most the CPU count")
+    p_run.add_argument("--workers", type=int, default=1,
+                       help="MC threads, at most the CPU count; below 1 refused by either engine")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="parse a config and check sampling")

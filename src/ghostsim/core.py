@@ -64,8 +64,8 @@ class TransmissionMask:
         t = np.asarray(self.t, dtype=np.complex128)
         if t.shape != (self.grid.n,):
             raise ValueError(f"mask length {t.shape} does not match grid size {self.grid.n}")
-        if np.abs(t).max() > 1.0 + 1e-12:
-            raise ValueError("transmittance magnitude exceeds 1")
+        if not np.abs(t).max() <= 1.0 + 1e-12:  # NaN and inf fail too
+            raise ValueError("transmittance magnitude exceeds 1 or is not finite")
         object.__setattr__(self, "t", _readonly(t))
 
     def feature_count(self) -> int:

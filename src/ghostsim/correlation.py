@@ -4,9 +4,7 @@ Two interchangeable engines compute <I1 I2>:
 
 * accumulate_mc    - ensemble average over speckle realizations, accumulated
                      in fixed-size blocks merged in index order, so results
-                     are bit-identical for any worker count; a full map's
-                     block sums over realizations are matrix products (BLAS),
-                     and at most one unmerged block per worker is in flight;
+                     are bit-identical for any worker count;
 * g2_analytic      - Gaussian-moment (mode-sum) evaluation, exact in the
                      discrete model, exposing the interference term separately.
 
@@ -18,8 +16,8 @@ detector side, by reciprocity (mode_decomposition).  The MC result converges
 to the analytic one as 1/sqrt(n).
 
 The observable's rules live here alone: the bucket's columns, refused when
-its mask is opaque (detector_kernel), and normalization, refused where a
-marginal is zero (siegert_normalize).
+its mask is opaque (detector_kernel), and normalization, refused where g2 is
+not finite (siegert_normalize); both engines return raw maps as computed.
 """
 
 from __future__ import annotations
@@ -188,7 +186,8 @@ def accumulate_mc(
     running sums (the first block's) and the final ratios with their
     temporaries add at most 56*(S + n1 + n2) bytes; a later block is dropped
     once merged.  workers < 1 is refused (ValueError); at most
-    os.cpu_count() workers run: more hold more blocks, no faster.
+    os.cpu_count() workers run: more hold more blocks, no faster.  The map
+    is returned as computed; siegert_normalize refuses it where g2 is not finite.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -221,9 +220,6 @@ def accumulate_mc(
     g2_raw = s_p / n
     i1_mean = s_i1 / n
     i2_mean = s_i2 / n
-    if not (np.all(np.isfinite(g2_raw)) and np.all(np.isfinite(i2_mean))):
-        raise FloatingPointError("non-finite accumulator")
-
     var = np.maximum(s_p2 / n - g2_raw**2, 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         eps = np.sqrt(var / n) / _product(kind, i1_mean, i2_mean)
@@ -284,13 +280,14 @@ def g2_analytic(modes: ModeSet, bucket: bool = True, *, diagonal: bool = False) 
 
 
 def siegert_normalize(cmap: CorrelationMap) -> CorrelationMap:
-    """Normalize: g2 = <I1 I2> / (<I1><I2>), refused (ValueError) if that
-    product is 0 anywhere.  Thermal light obeys 1 <= g2 <= 2 exactly on the
-    analytic path (Cauchy-Schwarz on the mode sum)."""
-    denom = cmap.marginal_product()
-    if np.any(denom == 0):
-        raise ValueError("degenerate map: a marginal intensity is zero")
-    return replace(cmap, g2=cmap.g2_raw / denom)
+    """Normalize: g2 = <I1 I2> / (<I1><I2>), refused (ValueError) where it is
+    not finite: a zero marginal, a NaN or an overflow.  Thermal light obeys
+    1 <= g2 <= 2 exactly on the analytic path (Cauchy-Schwarz on the mode sum)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        g2 = cmap.g2_raw / cmap.marginal_product()
+    if not np.all(np.isfinite(g2)):
+        raise ValueError("g2 is not finite: a marginal intensity is zero or a field is not finite")
+    return replace(cmap, g2=g2)
 
 
 def fluctuation_correlation(cmap: CorrelationMap) -> np.ndarray:

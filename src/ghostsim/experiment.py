@@ -11,7 +11,7 @@ SetupGeometry and no config.
 Every procedure names its engine ("analytic" or "mc") by string; _correlate,
 the one step from arms to ImageTrace, alone selects an engine by it and
 applies correlation's bucket-column and normalization rules, which refuse an
-opaque bucket and a zero marginal.
+opaque bucket and a map whose g2 is not finite.
 """
 
 from __future__ import annotations
@@ -174,9 +174,11 @@ def _correlate(
 ) -> ImageTrace:
     """The named engine's bucket map over x2_indices (or x1 = x2 diagonal) as a
     trace of g2 ("raw") or g2 - 1 ("fluctuation"); siegert_normalize refuses
-    it in either mode if a marginal is 0."""
+    it in either mode if g2 is not finite.  workers < 1 is refused for both."""
     if mode not in ("raw", "fluctuation"):
         raise ValueError(f"unknown mode {mode!r}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     bucket = not diagonal
     if engine == "analytic":
         kernel = detector_kernel(config, arm1, arm2, bucket, diagonal=diagonal,

@@ -3,6 +3,8 @@ import os
 import shutil
 import subprocess
 import sys
+from contextlib import nullcontext
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +44,8 @@ SMALL_GRID = {"grid_n": 2048, "grid_dx": "8um"}
 # too coarse for every bench hop; its apertures span at least one 0.25 mm pitch
 COARSE_GRID = {"grid_n": 64, "grid_dx": "0.25mm", "source_diameter": "0.5mm",
                "pinhole_diameter": "0.5mm"}
+# ghost_image_scan's warning for a bench off the thin-lens surface
+OFF_FOCUS = partial(pytest.warns, UserWarning, match="off the thin-lens surface")
 
 
 def trace_of(n=3):
@@ -263,8 +267,10 @@ class TestMainCommands:
         ]
         for scenario, engine, override in cases:
             cfg = small_cfg(tmp_path, **override)
-            code = main(["run", scenario, "--config", str(cfg), "--out", str(tmp_path / "o"),
-                         "--engine", engine])
+            argv = ["run", scenario, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                    "--engine", engine]
+            with OFF_FOCUS() if override.get("d_B_prime") == "1um" else nullcontext():
+                code = main(argv)
             assert code == 3, (scenario, engine)
             err = capsys.readouterr().err
             assert "chirp" in err and "Traceback" not in err
@@ -321,7 +327,10 @@ class TestMainCommands:
         argv = command + ["--config", str(cfg)]
         if command[0] == "run":
             argv += ["--out", str(out)]
-        assert main(argv) == code
+        # d'_B = 1 um puts fig3's and fig4's scans off the thin-lens surface
+        off_focus = command[-1] in ("fig3-point", "fig4-doubleslit")
+        with OFF_FOCUS() if off_focus else nullcontext():
+            assert main(argv) == code
         assert "Traceback" not in capsys.readouterr().err
         assert (out / "manifest.txt").exists() == (code == 0)
 
@@ -428,12 +437,29 @@ class TestMainCommands:
         # also where the objects are built inside the scenario, after --out is made
         assert not (tmp_path / "o").exists()
 
-    def test_run_refuses_fewer_than_one_mc_worker(self, tmp_path, capsys):
+    @pytest.mark.parametrize("engine", ["analytic", "mc"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_run_refuses_fewer_than_one_mc_worker(self, tmp_path, capsys, engine, workers):
+        # refused under either engine, though only the MC engine runs threads
         out = tmp_path / "o"
         code = main(["run", "siegert-baseline", "--config", str(small_cfg(tmp_path)),
-                     "--out", str(out), "--engine", "mc", "--workers", "-3"])
+                     "--out", str(out), "--engine", engine, "--workers", workers])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: workers must be at least 1")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("engine", ["analytic", "mc"])
+    @pytest.mark.parametrize("scenario", ["fig3-point", "fig4-doubleslit"])
+    def test_run_whose_lens_phase_overflows_exits_2(self, tmp_path, capsys, scenario, engine):
+        # f = 1e-307 m: x^2/(lambda f) overflows in lens_phase, so every column
+        # of the lens arm's kernel is NaN and siegert_normalize refuses the map
+        cfg = small_cfg(tmp_path, **SMALL_GRID, f="1e-307m")
+        out = tmp_path / "o"
+        with OFF_FOCUS(), pytest.warns(RuntimeWarning):  # lens_phase overflows
+            code = main(["run", scenario, "--config", str(cfg), "--out", str(out),
+                         "--engine", engine, "--realizations", "256"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith("config error: ")
         assert not out.exists()
 
     def test_failed_run_keeps_an_out_it_did_not_make(self, tmp_path, capsys):

@@ -90,8 +90,11 @@ class TestMasks:
             make_pinhole(grid, 0.0, 0.0)
 
     def test_transmittance_bound(self, grid):
-        with pytest.raises(ValueError):
-            TransmissionMask(grid, np.full(grid.n, 1.5))
+        for bad in (1.5, np.nan, np.inf):  # NaN and inf fail the bound too
+            t = np.full(grid.n, 0.5)
+            t[grid.n // 2] = bad
+            with pytest.raises(ValueError, match="exceeds 1 or is not finite"):
+                TransmissionMask(grid, t)
 
     def test_mask_length_must_match_grid(self, grid):
         with pytest.raises(ValueError, match="does not match grid size"):

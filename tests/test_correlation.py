@@ -13,6 +13,7 @@ from ghostsim import (
     Grid1D,
     Lens,
     Mask,
+    ModeSet,
     Propagate,
     SetupGeometry,
     TransmissionMask,
@@ -211,6 +212,35 @@ def test_opaque_bucket_refused_before_any_kernel_or_draw(small_grid, geometry, e
         _correlate(config, arm1, sigma_arm(geometry), engine,
                    x2_indices=scan_indices(small_grid, 1e-3), workers=2)
     assert calls == []
+
+
+def test_both_engines_refuse_a_non_finite_map_alike(small_grid, geometry):
+    # a NaN focal length makes every arm-2 kernel column NaN: both engines
+    # return the raw map as computed, and siegert_normalize refuses it
+    config = make_config(small_grid, geometry, n_realizations=64, seed=3)
+    arm1, _ = build_arms(geometry, make_slit(small_grid, 0.0, 0.4e-3))
+    arm2 = ArmPath((Propagate(geometry.z_source_lens), Lens(float("nan")),
+                    Propagate(geometry.d_b_prime)))
+    x2 = scan_indices(small_grid, 1e-3)
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        assert np.isnan(accumulate_mc(config, arm1, arm2, x2_indices=x2).g2_raw).all()
+    messages = []
+    for engine in ("analytic", "mc"):
+        with pytest.warns(RuntimeWarning, match="invalid value"), \
+                pytest.raises(ValueError, match="g2 is not finite") as refused:
+            _correlate(config, arm1, arm2, engine, x2_indices=x2, workers=2)
+        messages.append(str(refused.value))
+    assert messages[0] == messages[1]
+
+
+def test_an_empty_scan_window_or_mode_set_is_refused(small_grid, geometry):
+    with pytest.raises(ValueError, match="scan window contains no grid samples"):
+        scan_indices(small_grid, -1e-3)
+    cols = np.arange(4)
+    empty = ModeSet(small_grid, np.arange(0), np.zeros((0, 4), complex), np.zeros((0, 4), complex),
+                    cols, cols)
+    with pytest.raises(ValueError, match="mode set is empty"):
+        g2_analytic(empty)
 
 
 @pytest.mark.parametrize("workers", [0, -3])
