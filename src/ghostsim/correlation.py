@@ -170,10 +170,10 @@ def accumulate_mc(
     A full map's block sums over its realizations are matrix products,
     I1^T I2 and (I1^2)^T (I2^2) (BLAS gemm); the bucket's and the
     diagonal's are elementwise, in place, with no block-sized temporary.
-    Memory stays bounded by the kernel build's working memory (a few
-    n-sample complex rows per row of mode_decomposition's default batch,
-    whose rows are modes or kept columns, whichever side it builds from;
-    block_size here counts realizations only), the kernel's
+    Memory stays bounded by the kernel build's working memory (one reused
+    batch of mode_decomposition's default 8 rows of n complex samples, plus
+    a few n-sample rows; its docstring gives the bytes; block_size here
+    counts realizations only), the kernel's
     m * (|arm-1 columns| + |x2|), and one block per worker: blocks are
     submitted through a window of `workers`, and their partial sums are
     merged in block-index order as they arrive, so at most `workers` blocks

@@ -54,8 +54,8 @@ class Lens:
     focal_length: float
 
     def __post_init__(self):
-        if self.focal_length == 0:
-            raise ValueError("focal length must be nonzero")
+        if self.focal_length == 0 or not np.isfinite(self.focal_length):
+            raise ValueError(f"focal length must be finite and nonzero, got {self.focal_length}")
 
 
 @dataclass(frozen=True)
@@ -107,21 +107,40 @@ def _transfer_function(n: int, dx: float, wavelength: float, distance: float) ->
 
 
 def propagate_block(
-    amplitudes: np.ndarray, grid: Grid1D, wavelength: float, distance: float
+    amplitudes: np.ndarray, grid: Grid1D, wavelength: float, distance: float, *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Fresnel-propagate a (..., n) stack of amplitudes along the last axis;
-    a hop that validate_sampling refuses raises SamplingError."""
+    a hop that validate_sampling refuses raises SamplingError.  The result
+    goes to a new array, or into out (complex, amplitudes' shape; it may be
+    amplitudes itself), which is returned."""
     report = validate_sampling(grid, wavelength, distance)
     if not report.ok:
         raise SamplingError("; ".join(report.messages))
     H = _transfer_function(grid.n, grid.dx, wavelength, distance)
-    return np.fft.ifft(np.fft.fft(amplitudes, axis=-1) * H, axis=-1)
+    out = np.fft.fft(amplitudes, axis=-1, out=out)
+    out *= H
+    return np.fft.ifft(out, axis=-1, out=out)
 
 
 def lens_phase(grid: Grid1D, wavelength: float, focal_length: float) -> np.ndarray:
-    """Thin-lens transmittance exp(-i pi x^2 / (lambda f)) on the grid."""
+    """Thin-lens transmittance exp(-i pi x^2 / (lambda f)) on the grid,
+    cached and read-only.  Refused (ValueError) where it is not finite: an f
+    so short that x^2 / (lambda f) overflows on the grid."""
+    return _lens_phase(grid, wavelength, focal_length)
+
+
+@lru_cache(maxsize=32)
+def _lens_phase(grid: Grid1D, wavelength: float, focal_length: float) -> np.ndarray:
     x = grid.coords()
-    return np.exp(-1j * np.pi * x**2 / (wavelength * focal_length))
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.exp(-1j * np.pi * x**2 / (wavelength * focal_length))
+    if not np.all(np.isfinite(phase)):
+        raise ValueError(
+            f"lens phase is not finite: focal length {focal_length} m is too short for the grid"
+        )
+    phase.setflags(write=False)
+    return phase
 
 
 def apply_path_block(
@@ -129,22 +148,33 @@ def apply_path_block(
     grid: Grid1D,
     wavelength: float,
     path: ArmPath,
+    *,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Run a (..., n) stack of amplitudes through an arm path.
 
-    Refuses (SamplingError) a propagation hop that validate_sampling refuses,
-    as propagate_block checks it, and (ValueError) a mask on another grid.
+    amplitudes is written only when it is also passed as out, handed over.
+    The result goes to a new array, or into out (complex, amplitudes'
+    shape), which is returned; every element after the first runs in place
+    on the result.  Refuses (SamplingError) a propagation hop that
+    validate_sampling refuses, as propagate_block checks it, and
+    (ValueError) a mask on another grid.
     """
-    out = amplitudes
+    result = amplitudes
     for el in path:
         if isinstance(el, Propagate):
             if el.distance == 0:
                 continue
-            out = propagate_block(out, grid, wavelength, el.distance)
+            result = propagate_block(result, grid, wavelength, el.distance, out=out)
         elif isinstance(el, Lens):
-            out = out * lens_phase(grid, wavelength, el.focal_length)
+            result = np.multiply(result, lens_phase(grid, wavelength, el.focal_length), out=out)
         else:
             if el.mask.grid != grid:
                 raise ValueError("mask grid does not match field grid")
-            out = out * el.mask.t
+            result = np.multiply(result, el.mask.t, out=out)
+        if np.iscomplexobj(result):
+            out = result  # ours from here on; a real one cannot take a complex factor in place
+    if out is None or result is out:
+        return result
+    out[...] = result  # no element ran
     return out

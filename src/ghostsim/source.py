@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import Generator, Philox, SeedSequence
 
 from .core import Grid1D, SetupGeometry, interval_indices
-from .optics import ArmPath, Propagate, apply_path_block
+from .optics import ArmPath, Lens, Propagate, apply_path_block, lens_phase
 
 __all__ = ["EnsembleConfig", "ModeSet", "sample_source_block", "mode_decomposition"]
 
@@ -132,23 +132,29 @@ def _arm_kernel(
     Leading Propagate hops commute with grid shifts (the band-limited transfer
     function is circulant), so one centred impulse runs through them and each
     row is that response rolled to its sample.  The elements from there to the
-    last hop run on whole rows, block_size at a time.  Lenses and masks after
-    the last hop act pointwise, so they are applied to the kept columns alone.
+    last hop run on whole rows, block_size at a time, in place on one reused
+    (block_size, n) buffer.  Lenses and masks after the last hop act
+    pointwise, so they are applied to the kept columns alone.
     """
     lead, last = _split(arm)
     impulse = np.zeros(grid.n, dtype=np.complex128)
     impulse[grid.n // 2] = 1.0
     h = apply_path_block(impulse, grid, wavelength, ArmPath(arm.elements[:lead]))
-    windows = sliding_window_view(np.concatenate([h, h]), grid.n)
-    shifts = (grid.n // 2 - rows) % grid.n  # windows[shifts[j]]: a response rolled to rows[j]
+    hh = np.concatenate([h, h])
+    shifts = (grid.n // 2 - rows) % grid.n  # hh[shifts[j]:][:n]: the response rolled to rows[j]
     middle = ArmPath(arm.elements[lead:last])
-    g = np.empty((len(rows), len(cols)), dtype=np.complex128)
-    for b0 in range(0, len(rows), block_size):
-        s = shifts[b0 : b0 + block_size]
-        if len(middle):
-            g[b0 : b0 + len(s)] = apply_path_block(windows[s], grid, wavelength, middle)[:, cols]
-        else:
-            g[b0 : b0 + len(s)] = windows[s[:, None], cols]
+    if not len(middle):
+        g = sliding_window_view(hh, grid.n)[shifts[:, None], cols]
+    else:
+        g = np.empty((len(rows), len(cols)), dtype=np.complex128)
+        buf = np.empty((min(block_size, len(rows)), grid.n), dtype=np.complex128)
+        for b0 in range(0, len(rows), block_size):
+            s = shifts[b0 : b0 + block_size]
+            batch = buf[: len(s)]
+            for row, shift in zip(batch, s):
+                row[:] = hh[shift : shift + grid.n]
+            apply_path_block(batch, grid, wavelength, middle, out=batch)
+            g[b0 : b0 + len(batch)] = batch[:, cols]
     g *= apply_path_block(np.ones(grid.n), grid, wavelength, ArmPath(arm.elements[last:]))[cols]
     return g
 
@@ -157,7 +163,7 @@ def mode_decomposition(
     config: EnsembleConfig,
     arm1: ArmPath,
     arm2: ArmPath,
-    block_size: int = 512,
+    block_size: int = 8,
     *,
     columns1: np.ndarray | None = None,
     columns2: np.ndarray | None = None,
@@ -175,12 +181,22 @@ def mode_decomposition(
     band-limited transfer function is even in frequency, so its circulant
     kernel is; lenses and masks are pointwise), so an arm's kernel
     transposed is the kernel of its reversed path (Klyshko's advanced wave).
-    block_size counts the rows of one whole-row batch: modes forward, kept
-    columns reversed.  Working memory is a few block_size * n complex values
-    on top of the kept m * (|columns1| + |columns2|).
+    block_size counts the rows of one whole-row batch (modes forward, kept
+    columns reversed); 8 rows of n = 16384 complex samples are 2 MiB, about
+    one core's L2 cache.  Each arm reuses one (block_size, n) buffer, in
+    place, for every batch.  Working memory is at most
+    16 * m * (|columns1| + |columns2|) bytes for the kept kernel plus
+    16 * n * (2 * block_size + 16) bytes: the batch buffer and the gather of
+    its kept columns, and the impulse response (twice), the trailing factor
+    and the cached transfer functions and lens phases with their
+    temporaries.  Every lens phase is computed, and refused if it is not
+    finite, before any propagation.
     """
     idx = aperture_indices(config)
     grid, wl = config.grid, config.geometry.wavelength
+    for el in (*arm1, *arm2):
+        if isinstance(el, Lens):
+            lens_phase(grid, wl, el.focal_length)
     kept = []
     for arm, cols in ((arm1, columns1), (arm2, columns2)):
         cols = np.arange(grid.n) if cols is None else np.asarray(cols)

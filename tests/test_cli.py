@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from contextlib import nullcontext
 from functools import partial
 from pathlib import Path
@@ -451,15 +452,17 @@ class TestMainCommands:
     @pytest.mark.parametrize("engine", ["analytic", "mc"])
     @pytest.mark.parametrize("scenario", ["fig3-point", "fig4-doubleslit"])
     def test_run_whose_lens_phase_overflows_exits_2(self, tmp_path, capsys, scenario, engine):
-        # f = 1e-307 m: x^2/(lambda f) overflows in lens_phase, so every column
-        # of the lens arm's kernel is NaN and siegert_normalize refuses the map
+        # f = 1e-307 m: x^2/(lambda f) overflows, so lens_phase refuses the
+        # lens before any propagation, with no overflow RuntimeWarning
         cfg = small_cfg(tmp_path, **SMALL_GRID, f="1e-307m")
         out = tmp_path / "o"
-        with OFF_FOCUS(), pytest.warns(RuntimeWarning):  # lens_phase overflows
+        with OFF_FOCUS(), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             code = main(["run", scenario, "--config", str(cfg), "--out", str(out),
                          "--engine", engine, "--realizations", "256"])
         assert code == 2
-        assert capsys.readouterr().err.splitlines()[-1].startswith("config error: ")
+        assert capsys.readouterr().err.splitlines()[-1].startswith(
+            "config error: lens phase is not finite")
         assert not out.exists()
 
     def test_failed_run_keeps_an_out_it_did_not_make(self, tmp_path, capsys):

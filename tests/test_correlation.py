@@ -27,7 +27,7 @@ from ghostsim import (
     mode_decomposition,
     siegert_normalize,
 )
-from ghostsim import correlation
+from ghostsim import correlation, optics
 from ghostsim.experiment import (
     _correlate,
     build_arms,
@@ -214,23 +214,41 @@ def test_opaque_bucket_refused_before_any_kernel_or_draw(small_grid, geometry, e
     assert calls == []
 
 
-def test_both_engines_refuse_a_non_finite_map_alike(small_grid, geometry):
-    # a NaN focal length makes every arm-2 kernel column NaN: both engines
-    # return the raw map as computed, and siegert_normalize refuses it
+def test_both_engines_refuse_a_non_finite_map_alike(small_grid, geometry, monkeypatch):
+    # a kernel with one NaN arm-2 column: both engines return the raw map as
+    # computed, and siegert_normalize refuses it
+    def nan_column(*args, **kwargs):
+        modes = mode_decomposition(*args, **kwargs)
+        modes.g2[:, 0] = np.nan
+        return modes
+
+    monkeypatch.setattr(correlation, "mode_decomposition", nan_column)
     config = make_config(small_grid, geometry, n_realizations=64, seed=3)
-    arm1, _ = build_arms(geometry, make_slit(small_grid, 0.0, 0.4e-3))
-    arm2 = ArmPath((Propagate(geometry.z_source_lens), Lens(float("nan")),
-                    Propagate(geometry.d_b_prime)))
+    arm1, arm2 = build_arms(geometry, make_slit(small_grid, 0.0, 0.4e-3))
     x2 = scan_indices(small_grid, 1e-3)
-    with pytest.warns(RuntimeWarning, match="invalid value"):
-        assert np.isnan(accumulate_mc(config, arm1, arm2, x2_indices=x2).g2_raw).all()
+    g2_raw = accumulate_mc(config, arm1, arm2, x2_indices=x2).g2_raw
+    assert np.isnan(g2_raw[0]) and np.isfinite(g2_raw[1:]).all()
     messages = []
     for engine in ("analytic", "mc"):
-        with pytest.warns(RuntimeWarning, match="invalid value"), \
-                pytest.raises(ValueError, match="g2 is not finite") as refused:
+        with pytest.raises(ValueError, match="g2 is not finite") as refused:
             _correlate(config, arm1, arm2, engine, x2_indices=x2, workers=2)
         messages.append(str(refused.value))
     assert messages[0] == messages[1]
+
+
+def test_lens_whose_phase_is_not_finite_is_refused(small_grid, geometry, monkeypatch):
+    for f in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(ValueError, match="focal length must be finite and nonzero"):
+            Lens(f)
+    # finite, but x^2 / (lambda f) overflows on the grid: refused before any hop runs
+    hops = []
+    monkeypatch.setattr(optics, "propagate_block", lambda *a, **k: hops.append(a))
+    arm2 = ArmPath((Propagate(geometry.z_source_lens), Lens(1e-307),
+                    Propagate(geometry.d_b_prime)))
+    config = make_config(small_grid, geometry, n_realizations=8)
+    with pytest.raises(ValueError, match="lens phase is not finite"):
+        detector_kernel(config, IDENTITY, arm2, bucket=False)
+    assert hops == []
 
 
 def test_an_empty_scan_window_or_mode_set_is_refused(small_grid, geometry):

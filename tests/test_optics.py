@@ -260,6 +260,50 @@ class TestRunArm:
             assert np.linalg.norm(out - single) / np.linalg.norm(single) < 1e-12
 
 
+class TestCallersArray:
+    """apply_path_block never writes an array its caller passed in, unless
+    the caller hands it over as out; every result equals the out-of-place
+    form bit for bit."""
+
+    @staticmethod
+    def _out_of_place(a, path):
+        for el in path:
+            if isinstance(el, Propagate):
+                if el.distance:
+                    H = _transfer_function(SMALL_GRID.n, SMALL_GRID.dx, WL, el.distance)
+                    a = np.fft.ifft(np.fft.fft(a, axis=-1) * H, axis=-1)
+            elif isinstance(el, Lens):
+                a = a * lens_phase(SMALL_GRID, WL, el.focal_length)
+            else:
+                a = a * el.mask.t
+        return a
+
+    @settings(max_examples=60, deadline=None)
+    @given(path=PATHS, real=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @example(ArmPath(()), False, 0)
+    @example(ArmPath(()), True, 0)
+    @example(ArmPath((one_slit(900, 200), Lens(0.1), Propagate(0.3))), True, 1)
+    @example(ArmPath((Propagate(0.0), Lens(-0.2))), True, 2)
+    def test_path_leaves_the_callers_array_alone(self, path, real, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((3, SMALL_GRID.n))
+        if not real:
+            a = a + 1j * rng.standard_normal((3, SMALL_GRID.n))
+        before = a.copy()
+        expected = self._out_of_place(before, path)
+        got = apply_path_block(a, SMALL_GRID, WL, path)
+        assert np.array_equal(a, before) and a.dtype == before.dtype
+        assert np.array_equal(got, expected)
+        handed = before.astype(complex)  # handed over: the result is written into it
+        assert apply_path_block(handed, SMALL_GRID, WL, path, out=handed) is handed
+        assert np.array_equal(handed, expected)
+
+    def test_lens_phase_is_cached_and_read_only(self, g4096):
+        phase = lens_phase(g4096, WL, 85e-3)
+        assert lens_phase(g4096, WL, 85e-3) is phase
+        assert not phase.flags.writeable
+
+
 class TestReciprocity:
     """Every element is symmetric (the band-limited transfer function is even
     in frequency, lenses and masks are pointwise), so a path transposed is

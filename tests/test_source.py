@@ -1,3 +1,7 @@
+import inspect
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,8 +14,10 @@ from ghostsim import (
     Lens,
     Propagate,
     SetupGeometry,
+    make_double_slit,
     mode_decomposition,
 )
+from ghostsim.experiment import build_arms, scan_indices
 from ghostsim.optics import apply_path_block
 from ghostsim.source import aperture_indices, sample_source_block
 
@@ -209,3 +215,27 @@ def test_kernel_equals_paths_run_on_the_unit_basis(small_grid, arm1, arm2, colum
             scale = np.abs(expected).max()
             np.testing.assert_allclose(g, expected, rtol=1e-12, atol=1e-12 * scale)
 
+
+
+@pytest.mark.parametrize("block_size", [None, 64], ids=["default", "64"])
+def test_kernel_build_memory_within_the_documented_bound(small_grid, geometry, block_size):
+    # mode_decomposition's docstring: the kept kernel plus
+    # 16 * n * (2 * block_size + 16) bytes, from either side; with 75 kept
+    # columns arm 2 is built reversed, with 751 forward (m = 375 modes)
+    if block_size is None:
+        block_size = inspect.signature(mode_decomposition).parameters["block_size"].default
+    geometry = replace(geometry, source_diameter=3e-3)
+    config = make_config(small_grid, geometry, n_realizations=1)
+    obj = make_double_slit(small_grid, 1e-3, 0.2e-3)
+    arms = build_arms(geometry, obj)
+    assert len(aperture_indices(config)) == 375
+    for x2 in (scan_indices(small_grid, 0.3e-3), scan_indices(small_grid, 3e-3)):
+        tracemalloc.start()
+        try:
+            modes = mode_decomposition(config, *arms, block_size,
+                                       columns1=obj.support_indices(), columns2=x2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = 16 * len(modes) * (len(modes.columns1) + len(modes.columns2))
+        assert peak <= kept + 16 * small_grid.n * (2 * block_size + 16), len(x2)
