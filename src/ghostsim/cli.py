@@ -186,12 +186,10 @@ def _write_lines(path: str | Path, lines) -> None:
 
 def export_trace(trace: ImageTrace, path: str | Path) -> None:
     """CSV trace: header + one row per scan point, 17 significant digits, LF."""
+    columns = (trace.positions, trace.coincidence, trace.singles1, trace.singles2)
     lines = ["x2_m,coincidence,singles1,singles2"]
-    for i in range(len(trace.positions)):
-        lines.append(
-            f"{trace.positions[i]:.17g},{trace.coincidence[i]:.17g},"
-            f"{trace.singles1[i]:.17g},{trace.singles2[i]:.17g}"
-        )
+    lines += [f"{x:.17g},{c:.17g},{s1:.17g},{s2:.17g}"
+              for x, c, s1, s2 in zip(*(col.tolist() for col in columns))]
     _write_lines(path, lines)
 
 

@@ -86,14 +86,13 @@ class ArmPath:
         return len(self.elements)
 
 
-@lru_cache(maxsize=128)
 def _transfer_function(n: int, dx: float, wavelength: float, distance: float) -> np.ndarray:
     nu = np.fft.fftfreq(n, dx)
     H = np.exp(2j * np.pi * distance / wavelength) * np.exp(
         -1j * np.pi * wavelength * distance * nu**2
     )
     if distance != 0:
-        # propagate_block's checks keep 1/L < nu_lim <= Nyquist (validate_sampling)
+        # _hop's check keeps 1/L < nu_lim <= Nyquist (validate_sampling)
         nu_lim = (n * dx) / (2 * wavelength * abs(distance))
         anu = np.abs(nu)
         window = np.ones(n)
@@ -106,6 +105,17 @@ def _transfer_function(n: int, dx: float, wavelength: float, distance: float) ->
     return H
 
 
+@lru_cache(maxsize=128)
+def _hop(grid: Grid1D, wavelength: float, distance: float) -> np.ndarray:
+    """The transfer function of a hop that validate_sampling passes, checked
+    once per distinct hop; a refused hop raises SamplingError on every call,
+    since lru_cache keeps no exception."""
+    report = validate_sampling(grid, wavelength, distance)
+    if not report.ok:
+        raise SamplingError("; ".join(report.messages))
+    return _transfer_function(grid.n, grid.dx, wavelength, distance)
+
+
 def propagate_block(
     amplitudes: np.ndarray, grid: Grid1D, wavelength: float, distance: float, *,
     out: np.ndarray | None = None,
@@ -114,10 +124,7 @@ def propagate_block(
     a hop that validate_sampling refuses raises SamplingError.  The result
     goes to a new array, or into out (complex, amplitudes' shape; it may be
     amplitudes itself), which is returned."""
-    report = validate_sampling(grid, wavelength, distance)
-    if not report.ok:
-        raise SamplingError("; ".join(report.messages))
-    H = _transfer_function(grid.n, grid.dx, wavelength, distance)
+    H = _hop(grid, wavelength, distance)
     out = np.fft.fft(amplitudes, axis=-1, out=out)
     out *= H
     return np.fft.ifft(out, axis=-1, out=out)

@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import Generator, Philox, SeedSequence
 
 from .core import Grid1D, SetupGeometry, interval_indices
-from .optics import ArmPath, Lens, Propagate, apply_path_block, lens_phase
+from .optics import ArmPath, Lens, Mask, Propagate, apply_path_block, lens_phase
 
 __all__ = ["EnsembleConfig", "ModeSet", "sample_source_block", "mode_decomposition"]
 
@@ -115,11 +115,24 @@ def _split(arm: ArmPath) -> tuple[int, int]:
     return lead, last
 
 
-def _fft_rows(arm: ArmPath, rows: np.ndarray) -> int:
-    """How many of rows _arm_kernel runs through arm's whole-row segment:
-    all of them, or none if that segment is empty."""
+def _run_as(n: int, segment: tuple, rows: np.ndarray) -> np.ndarray:
+    """The row each of rows runs as through the whole-row segment: its own,
+    or, when every element there is even under x -> -x (grid sample k ->
+    (n - k) % n), the smaller of r and its mirror (n - r) % n.  Hops and
+    lenses are always even (the coordinates are (k - n/2) dx, and fftfreq
+    negates exactly, so H(nu) is exactly even); a mask is when
+    t[1:] == t[:0:-1]."""
+    even = all(not isinstance(el, Mask) or np.array_equal(el.mask.t[1:], el.mask.t[:0:-1])
+               for el in segment)
+    return np.minimum(rows, (n - rows) % n) if even else rows
+
+
+def _fft_rows(n: int, arm: ArmPath, rows: np.ndarray) -> int:
+    """How many rows _arm_kernel runs through arm's whole-row segment to
+    build rows: one per distinct _run_as row, or none if that segment is
+    empty."""
     lead, last = _split(arm)
-    return len(rows) if lead < last else 0
+    return len(set(_run_as(n, arm.elements[lead:last], rows).tolist())) if lead < last else 0
 
 
 def _arm_kernel(
@@ -133,29 +146,38 @@ def _arm_kernel(
     function is circulant), so one centred impulse runs through them and each
     row is that response rolled to its sample.  The elements from there to the
     last hop run on whole rows, block_size at a time, in place on one reused
-    (block_size, n) buffer.  Lenses and masks after the last hop act
-    pointwise, so they are applied to the kept columns alone.
+    (block_size, n) buffer, once per distinct _run_as row: when that segment
+    is even under x -> -x, so is the centred response, and row (n - r) % n
+    is row r mirrored, read at the mirrored columns (n - cols) % n.  Only
+    FFT rounding tells the two apart.  Lenses and masks after the last hop
+    act pointwise, so they are applied to the kept columns alone.
     """
+    n = grid.n
     lead, last = _split(arm)
-    impulse = np.zeros(grid.n, dtype=np.complex128)
-    impulse[grid.n // 2] = 1.0
+    impulse = np.zeros(n, dtype=np.complex128)
+    impulse[n // 2] = 1.0
     h = apply_path_block(impulse, grid, wavelength, ArmPath(arm.elements[:lead]))
-    hh = np.concatenate([h, h])
-    shifts = (grid.n // 2 - rows) % grid.n  # hh[shifts[j]:][:n]: the response rolled to rows[j]
+    hh = np.concatenate([h, h])  # hh[(n // 2 - r) % n:][:n]: the response rolled to sample r
     middle = ArmPath(arm.elements[lead:last])
     if not len(middle):
-        g = sliding_window_view(hh, grid.n)[shifts[:, None], cols]
+        g = sliding_window_view(hh, n)[((n // 2 - rows) % n)[:, None], cols]
     else:
+        keys = _run_as(n, middle.elements, rows)
+        run, inv = np.unique(keys, return_inverse=True)  # rows[j] runs as run[inv[j]]
+        mirrored, mcols = rows != keys, (n - cols) % n
+        order = np.argsort(inv, kind="stable")  # the rows, grouped by the batch that runs them
+        ends = np.searchsorted(inv, np.arange(block_size, len(run) + block_size, block_size),
+                               sorter=order)
         g = np.empty((len(rows), len(cols)), dtype=np.complex128)
-        buf = np.empty((min(block_size, len(rows)), grid.n), dtype=np.complex128)
-        for b0 in range(0, len(rows), block_size):
-            s = shifts[b0 : b0 + block_size]
-            batch = buf[: len(s)]
-            for row, shift in zip(batch, s):
-                row[:] = hh[shift : shift + grid.n]
+        buf = np.empty((min(block_size, len(run)), n), dtype=np.complex128)
+        for b0, j0, j1 in zip(range(0, len(run), block_size), (0, *ends), ends):
+            batch = buf[: len(run[b0 : b0 + block_size])]
+            for row, shift in zip(batch, (n // 2 - run[b0 : b0 + block_size]) % n):
+                row[:] = hh[shift : shift + n]
             apply_path_block(batch, grid, wavelength, middle, out=batch)
-            g[b0 : b0 + len(batch)] = batch[:, cols]
-    g *= apply_path_block(np.ones(grid.n), grid, wavelength, ArmPath(arm.elements[last:]))[cols]
+            for j in order[j0:j1]:
+                g[j] = batch[inv[j] - b0, mcols if mirrored[j] else cols]
+    g *= apply_path_block(np.ones(n), grid, wavelength, ArmPath(arm.elements[last:]))[cols]
     return g
 
 
@@ -172,18 +194,24 @@ def mode_decomposition(
     through both arms.  One entry per sample inside the source aperture.
 
     columns1/columns2 keep only those grid columns of arm 1/arm 2 (None keeps
-    all n).  Each arm is built from whichever side sends fewer rows through
-    FFTs: forward, one row per source mode, or from the detector side, one
-    row per kept column run through the reversed path, then transposed; ties
-    go forward.  A side whose hops all precede its first lens or mask sends
-    none (its rows are gathered from one propagated impulse).  The detector
-    side is exact, not a truncation: every element is symmetric (the
-    band-limited transfer function is even in frequency, so its circulant
-    kernel is; lenses and masks are pointwise), so an arm's kernel
-    transposed is the kernel of its reversed path (Klyshko's advanced wave).
+    all n).  Each arm is built from whichever side runs fewer rows through
+    FFTs, counted as they are run (_fft_rows): forward, one row per source
+    mode, or from the detector side, one row per kept column run through the
+    reversed path, then transposed; ties go forward.  A side whose hops all
+    precede its first lens or mask runs none (its rows are gathered from one
+    propagated impulse).  Mirror rule: when every mask in a side's whole-row
+    segment is even under x -> -x (t[1:] == t[:0:-1]; hops and lenses always
+    are), rows r and (n - r) % n share one FFT row, the partner read at the
+    mirrored columns, so rows set symmetrically about the axis run about
+    half of them; a duplicated row runs once.  The detector side is exact,
+    not a truncation: every element is symmetric (the band-limited transfer
+    function is even in frequency, so its circulant kernel is; lenses and
+    masks are pointwise), so an arm's kernel transposed is the kernel of its
+    reversed path (Klyshko's advanced wave).
     block_size counts the rows of one whole-row batch (modes forward, kept
-    columns reversed); 8 rows of n = 16384 complex samples are 2 MiB, about
-    one core's L2 cache.  Each arm reuses one (block_size, n) buffer, in
+    columns reversed); the batch holds 16 * n * block_size bytes, which for
+    the default 8 rows is 2 MiB (about one core's L2 cache) at n = 16384
+    only, and scales with n.  Each arm reuses one (block_size, n) buffer, in
     place, for every batch.  Working memory is at most
     16 * m * (|columns1| + |columns2|) bytes for the kept kernel plus
     16 * n * (2 * block_size + 16) bytes: the batch buffer and the gather of
@@ -201,7 +229,7 @@ def mode_decomposition(
     for arm, cols in ((arm1, columns1), (arm2, columns2)):
         cols = np.arange(grid.n) if cols is None else np.asarray(cols)
         reverse = ArmPath(arm.elements[::-1])
-        if _fft_rows(reverse, cols) < _fft_rows(arm, idx):
+        if _fft_rows(grid.n, reverse, cols) < _fft_rows(grid.n, arm, idx):
             g = _arm_kernel(grid, wl, reverse, cols, idx, block_size).T
         else:
             g = _arm_kernel(grid, wl, arm, idx, cols, block_size)

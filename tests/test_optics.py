@@ -15,6 +15,7 @@ from ghostsim import (
     make_slit,
     validate_sampling,
 )
+from ghostsim import optics
 from ghostsim.experiment import build_arms
 from ghostsim.optics import _transfer_function, apply_path_block, lens_phase, propagate_block
 
@@ -104,6 +105,24 @@ class TestFresnelPropagate:
         grid = Grid1D(n=64, dx=0.25e-3)
         with pytest.raises(SamplingError):
             propagate(np.ones(grid.n, complex), grid, 337e-3)
+
+    def test_each_distinct_hop_is_checked_once_and_a_refused_one_every_time(self, monkeypatch):
+        checks = []
+
+        def counting(*args):
+            checks.append(args[2])
+            return validate_sampling(*args)
+
+        monkeypatch.setattr(optics, "validate_sampling", counting)
+        z = 0.2718281828  # a hop no other test runs, so the cache starts without it
+        for _ in range(3):
+            propagate(np.ones(SMALL_GRID.n, complex), SMALL_GRID, z)
+        assert checks == [z]
+        grid = Grid1D(n=64, dx=0.25e-3)  # 337 mm is below its chirp bound
+        for _ in range(2):
+            with pytest.raises(SamplingError, match="chirp bound"):
+                propagate(np.ones(grid.n, complex), grid, 337e-3)
+        assert checks == [z, 337e-3, 337e-3]
 
     def test_refuses_hop_whose_band_limit_keeps_only_dc(self):
         z2 = SMALL_GRID.span**2 / (2 * WL)  # window Fresnel number L^2/(lambda z) = 2

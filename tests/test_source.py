@@ -15,11 +15,13 @@ from ghostsim import (
     Propagate,
     SetupGeometry,
     make_double_slit,
+    make_pinhole,
     mode_decomposition,
 )
 from ghostsim.experiment import build_arms, scan_indices
-from ghostsim.optics import apply_path_block
-from ghostsim.source import aperture_indices, sample_source_block
+from ghostsim import optics
+from ghostsim.optics import apply_path_block, propagate_block
+from ghostsim.source import _fft_rows, aperture_indices, sample_source_block
 
 from conftest import PATHS, SMALL_GRID, make_config, one_slit
 
@@ -199,6 +201,16 @@ def _unit_basis_oracle(config, path, columns):
 @example(ArmPath((Propagate(0.25), Lens(-0.1), Propagate(0.3))),
          ArmPath((Propagate(0.25), Lens(-0.1), Propagate(0.3))),
          list(range(990, 1030)), [1010, 1024, 1030], 2)
+# mirror pairs, rows r and 2048 - r on one FFT row: kept columns symmetric about
+# the axis (11 rows, fewer than the 13 of the 25 modes, run from the reversed
+# side); a symmetric slit in the whole-row segment (forward); an off-centre one,
+# which must not pair; duplicate kept columns, run once
+@example(ArmPath((Propagate(0.25), Lens(0.1), Propagate(0.3))),
+         ArmPath((Propagate(0.21), one_slit(1000, 49), Lens(0.1), Propagate(0.3))),
+         list(range(1014, 1035)), list(range(990, 1060)), 3)
+@example(ArmPath((Propagate(0.21), one_slit(1000, 48), Lens(0.1), Propagate(0.3))),
+         ArmPath((Propagate(0.3), Lens(-0.2), Propagate(0.25))),
+         list(range(990, 1060)), [1010, 1038, 1010, 1024, 1038, 2047, 1], 2)
 def test_kernel_equals_paths_run_on_the_unit_basis(small_grid, arm1, arm2, columns1, columns2,
                                                    block_size):
     # the oracle propagates every mode; the kernel propagates one impulse
@@ -215,6 +227,28 @@ def test_kernel_equals_paths_run_on_the_unit_basis(small_grid, arm1, arm2, colum
             scale = np.abs(expected).max()
             np.testing.assert_allclose(g, expected, rtol=1e-12, atol=1e-12 * scale)
 
+
+def test_a_scan_window_centred_on_the_axis_runs_half_its_rows(small_grid, geometry, monkeypatch):
+    # a defocused plane: arm 2 is built from its detector side, and the kept
+    # columns pair off as x <-> -x, so ceil(|X| / 2) rows reach
+    # propagate_block, plus one impulse per arm through its leading hop;
+    # _fft_rows, which picks the side, counts the same rows
+    geometry = replace(geometry, source_diameter=3e-3, d_b_prime=geometry.d_b_prime + 0.02)
+    config = make_config(small_grid, geometry, n_realizations=1)
+    obj = make_pinhole(small_grid, 0.0, 60e-6)
+    arm1, arm2 = build_arms(geometry, obj)
+    x2 = scan_indices(small_grid, 0.3e-3)
+    rows = []
+
+    def counting(amplitudes, *args, **kwargs):
+        rows.append(amplitudes.size // small_grid.n)
+        return propagate_block(amplitudes, *args, **kwargs)
+
+    monkeypatch.setattr(optics, "propagate_block", counting)
+    mode_decomposition(config, arm1, arm2, columns1=obj.support_indices(), columns2=x2)
+    half = -(-len(x2) // 2)
+    assert len(x2) == 75 and sum(rows) == half + 2
+    assert _fft_rows(small_grid.n, ArmPath(arm2.elements[::-1]), x2) == half
 
 
 @pytest.mark.parametrize("block_size", [None, 64], ids=["default", "64"])
