@@ -98,16 +98,20 @@ def detector_kernel(
     x2_indices (None: every column); arm 1 over its final Mask's support
     (else every column) for the bucket, refused if that support is empty, at
     x2_indices for the diagonal, and at x1_indices (default x2_indices) for a
-    full map, refused above 2^24.  Both refusals come before any propagation.
+    full map, refused above 2^24.  x1_indices is refused for a bucket or a
+    diagonal map, which set arm 1's columns themselves.  Every refusal comes
+    before any propagation.
     """
     kind = _kind(bucket, diagonal)
+    if kind != "full" and x1_indices is not None:
+        raise ValueError(f"x1_indices is read by a full map only, not by a {kind} one")
     x2_idx = np.arange(config.grid.n) if x2_indices is None else np.asarray(x2_indices)
     if kind == "bucket":
         end = arm1.elements[-1] if len(arm1) else None
         x1_idx = end.mask.support_indices() if isinstance(end, Mask) else np.arange(config.grid.n)
         if len(x1_idx) == 0:
             raise ValueError("bucket arm's mask is fully opaque")
-    elif kind == "diagonal" or x1_indices is None:
+    elif x1_indices is None:
         x1_idx = x2_idx
     else:
         x1_idx = np.asarray(x1_indices)
@@ -161,8 +165,9 @@ def accumulate_mc(
     """Monte Carlo <I1 I2> over config.n_realizations speckle realizations.
 
     bucket=True integrates I1 over arm 1's detection plane (bucket detector).
-    Otherwise I1 stays position-resolved at x1_indices (diagonal=True pairs
-    each x2 sample with the same x1 sample).
+    Otherwise I1 stays position-resolved, at x1_indices for a full map
+    (diagonal=True pairs each x2 sample with the same x1 sample, and refuses
+    x1_indices, as the bucket does; detector_kernel).
     Deterministic for fixed (seed, n_realizations) for any worker count.
 
     The arms are propagated once, as the kernel of detector_kernel; each

@@ -160,28 +160,25 @@ def apply_path_block(
 ) -> np.ndarray:
     """Run a (..., n) stack of amplitudes through an arm path.
 
-    amplitudes is written only when it is also passed as out, handed over.
-    The result goes to a new array, or into out (complex, amplitudes'
-    shape), which is returned; every element after the first runs in place
-    on the result.  Refuses (SamplingError) a propagation hop that
+    Every element runs in place on out (complex, amplitudes' shape; it may
+    be amplitudes itself, handed over), which is returned, or, when no out
+    is given, on a fresh complex copy of amplitudes; amplitudes is written
+    only when it is out.  Refuses (SamplingError) a propagation hop that
     validate_sampling refuses, as propagate_block checks it, and
     (ValueError) a mask on another grid.
     """
-    result = amplitudes
+    if out is None:
+        out = np.array(amplitudes, dtype=np.complex128)
+    elif out is not amplitudes:
+        out[...] = amplitudes
     for el in path:
         if isinstance(el, Propagate):
-            if el.distance == 0:
-                continue
-            result = propagate_block(result, grid, wavelength, el.distance, out=out)
+            if el.distance:
+                propagate_block(out, grid, wavelength, el.distance, out=out)
         elif isinstance(el, Lens):
-            result = np.multiply(result, lens_phase(grid, wavelength, el.focal_length), out=out)
+            out *= lens_phase(grid, wavelength, el.focal_length)
         else:
             if el.mask.grid != grid:
                 raise ValueError("mask grid does not match field grid")
-            result = np.multiply(result, el.mask.t, out=out)
-        if np.iscomplexobj(result):
-            out = result  # ours from here on; a real one cannot take a complex factor in place
-    if out is None or result is out:
-        return result
-    out[...] = result  # no element ran
+            out *= el.mask.t
     return out

@@ -106,76 +106,66 @@ class ModeSet:
         return len(self.indices)
 
 
-def _split(arm: ArmPath) -> tuple[int, int]:
-    """(lead, last): arm.elements[:lead] are its leading hops, [lead:last] the
-    segment that runs on whole rows, [last:] its trailing lenses and masks."""
+def _plan(n: int, arm: ArmPath, rows: np.ndarray) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """How _arm_kernel builds rows through arm: (lead, last, run, inv).
+
+    arm.elements[:lead] are its leading hops, [lead:last] the segment that
+    runs on whole rows, [last:] its trailing lenses and masks.  The segment
+    runs the distinct rows run (empty when the segment is), and rows[j] is
+    read from run[inv[j]].  Mirror rule: when every element of the segment
+    is even under x -> -x (grid sample k -> (n - k) % n), row r runs as the
+    smaller of r and its mirror (n - r) % n, so the pair shares one FFT row;
+    hops and lenses always are, a mask when t[1:] == t[:0:-1].  A duplicated
+    row runs once.
+    """
     hops = [isinstance(el, Propagate) for el in arm]
     lead = hops.index(False) if False in hops else len(hops)
     last = max((k + 1 for k, hop in enumerate(hops) if hop), default=0)
-    return lead, last
-
-
-def _run_as(n: int, segment: tuple, rows: np.ndarray) -> np.ndarray:
-    """The row each of rows runs as through the whole-row segment: its own,
-    or, when every element there is even under x -> -x (grid sample k ->
-    (n - k) % n), the smaller of r and its mirror (n - r) % n.  Hops and
-    lenses are always even (the coordinates are (k - n/2) dx, and fftfreq
-    negates exactly, so H(nu) is exactly even); a mask is when
-    t[1:] == t[:0:-1]."""
+    if lead == last:
+        return lead, last, rows[:0], rows[:0]
     even = all(not isinstance(el, Mask) or np.array_equal(el.mask.t[1:], el.mask.t[:0:-1])
-               for el in segment)
-    return np.minimum(rows, (n - rows) % n) if even else rows
-
-
-def _fft_rows(n: int, arm: ArmPath, rows: np.ndarray) -> int:
-    """How many rows _arm_kernel runs through arm's whole-row segment to
-    build rows: one per distinct _run_as row, or none if that segment is
-    empty."""
-    lead, last = _split(arm)
-    return len(set(_run_as(n, arm.elements[lead:last], rows).tolist())) if lead < last else 0
+               for el in arm.elements[lead:last])
+    run, inv = np.unique(np.minimum(rows, (n - rows) % n) if even else rows, return_inverse=True)
+    return lead, last, run, inv
 
 
 def _arm_kernel(
-    grid: Grid1D, wavelength: float, arm: ArmPath, rows: np.ndarray, cols: np.ndarray,
-    block_size: int,
+    grid: Grid1D, wavelength: float, arm: ArmPath, plan: tuple, rows: np.ndarray,
+    cols: np.ndarray, block_size: int,
 ) -> np.ndarray:
     """G[rows, cols]: the field at grid columns cols behind arm from a unit
-    amplitude at each grid sample in rows.
+    amplitude at each grid sample in rows; plan is _plan(grid.n, arm, rows).
 
     Leading Propagate hops commute with grid shifts (the band-limited transfer
     function is circulant), so one centred impulse runs through them and each
     row is that response rolled to its sample.  The elements from there to the
-    last hop run on whole rows, block_size at a time, in place on one reused
-    (block_size, n) buffer, once per distinct _run_as row: when that segment
-    is even under x -> -x, so is the centred response, and row (n - r) % n
-    is row r mirrored, read at the mirrored columns (n - cols) % n.  Only
+    last hop run on the plan's rows, block_size at a time, in place on one
+    reused (block_size, n) buffer.  The mirror rule holds because the centred
+    response is even when that segment is (the coordinates are (k - n/2) dx,
+    and fftfreq negates exactly, so H(nu) is exactly even): row (n - r) % n
+    is row r mirrored, read at the mirrored columns (n - cols) % n, and only
     FFT rounding tells the two apart.  Lenses and masks after the last hop
     act pointwise, so they are applied to the kept columns alone.
     """
     n = grid.n
-    lead, last = _split(arm)
+    lead, last, run, inv = plan
     impulse = np.zeros(n, dtype=np.complex128)
     impulse[n // 2] = 1.0
     h = apply_path_block(impulse, grid, wavelength, ArmPath(arm.elements[:lead]))
     hh = np.concatenate([h, h])  # hh[(n // 2 - r) % n:][:n]: the response rolled to sample r
-    middle = ArmPath(arm.elements[lead:last])
-    if not len(middle):
+    if lead == last:
         g = sliding_window_view(hh, n)[((n // 2 - rows) % n)[:, None], cols]
     else:
-        keys = _run_as(n, middle.elements, rows)
-        run, inv = np.unique(keys, return_inverse=True)  # rows[j] runs as run[inv[j]]
-        mirrored, mcols = rows != keys, (n - cols) % n
-        order = np.argsort(inv, kind="stable")  # the rows, grouped by the batch that runs them
-        ends = np.searchsorted(inv, np.arange(block_size, len(run) + block_size, block_size),
-                               sorter=order)
+        middle = ArmPath(arm.elements[lead:last])
+        mirrored, mcols = rows != run[inv], (n - cols) % n
         g = np.empty((len(rows), len(cols)), dtype=np.complex128)
         buf = np.empty((min(block_size, len(run)), n), dtype=np.complex128)
-        for b0, j0, j1 in zip(range(0, len(run), block_size), (0, *ends), ends):
+        for b0 in range(0, len(run), block_size):
             batch = buf[: len(run[b0 : b0 + block_size])]
             for row, shift in zip(batch, (n // 2 - run[b0 : b0 + block_size]) % n):
                 row[:] = hh[shift : shift + n]
             apply_path_block(batch, grid, wavelength, middle, out=batch)
-            for j in order[j0:j1]:
+            for j in np.flatnonzero((inv >= b0) & (inv < b0 + len(batch))):
                 g[j] = batch[inv[j] - b0, mcols if mirrored[j] else cols]
     g *= apply_path_block(np.ones(n), grid, wavelength, ArmPath(arm.elements[last:]))[cols]
     return g
@@ -195,15 +185,13 @@ def mode_decomposition(
 
     columns1/columns2 keep only those grid columns of arm 1/arm 2 (None keeps
     all n).  Each arm is built from whichever side runs fewer rows through
-    FFTs, counted as they are run (_fft_rows): forward, one row per source
-    mode, or from the detector side, one row per kept column run through the
-    reversed path, then transposed; ties go forward.  A side whose hops all
-    precede its first lens or mask runs none (its rows are gathered from one
-    propagated impulse).  Mirror rule: when every mask in a side's whole-row
-    segment is even under x -> -x (t[1:] == t[:0:-1]; hops and lenses always
-    are), rows r and (n - r) % n share one FFT row, the partner read at the
-    mirrored columns, so rows set symmetrically about the axis run about
-    half of them; a duplicated row runs once.  The detector side is exact,
+    FFTs, as its row plan (_plan, computed once per side) runs them:
+    forward, one row per source mode, or from the detector side, one row per
+    kept column run through the reversed path, then transposed; ties go
+    forward.  A side whose hops all precede its first lens or mask runs none
+    (its rows are gathered from one propagated impulse).  Rows mirrored
+    about the axis share one FFT row under _plan's mirror rule, so rows set
+    symmetrically about it run about half of them.  The detector side is exact,
     not a truncation: every element is symmetric (the band-limited transfer
     function is even in frequency, so its circulant kernel is; lenses and
     masks are pointwise), so an arm's kernel transposed is the kernel of its
@@ -229,10 +217,11 @@ def mode_decomposition(
     for arm, cols in ((arm1, columns1), (arm2, columns2)):
         cols = np.arange(grid.n) if cols is None else np.asarray(cols)
         reverse = ArmPath(arm.elements[::-1])
-        if _fft_rows(grid.n, reverse, cols) < _fft_rows(grid.n, arm, idx):
-            g = _arm_kernel(grid, wl, reverse, cols, idx, block_size).T
+        back, fore = _plan(grid.n, reverse, cols), _plan(grid.n, arm, idx)
+        if len(back[2]) < len(fore[2]):
+            g = _arm_kernel(grid, wl, reverse, back, cols, idx, block_size).T
         else:
-            g = _arm_kernel(grid, wl, arm, idx, cols, block_size)
+            g = _arm_kernel(grid, wl, arm, fore, idx, cols, block_size)
         kept.append((g, cols))
     (g1, cols1), (g2, cols2) = kept
     return ModeSet(grid, idx, g1, g2, cols1, cols2)

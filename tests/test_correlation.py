@@ -214,6 +214,25 @@ def test_opaque_bucket_refused_before_any_kernel_or_draw(small_grid, geometry, e
     assert calls == []
 
 
+@pytest.mark.parametrize("kind", ["bucket", "diagonal"])
+def test_x1_indices_refused_for_a_bucket_or_diagonal_map_before_any_build(small_grid, geometry,
+                                                                          kind, monkeypatch):
+    # the bucket reads its mask's support and the diagonal x2 itself: an
+    # x1_indices there was dropped without a word, so [3, 4] with a bucket
+    # still read all 50 slit columns
+    calls = []
+    monkeypatch.setattr(correlation, "mode_decomposition", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(correlation, "sample_source_block", lambda *a, **k: calls.append(a))
+    config = make_config(small_grid, geometry, n_realizations=64, seed=3)
+    arms = build_arms(geometry, make_double_slit(small_grid, 1e-3, 0.2e-3))
+    options = dict(bucket=kind == "bucket", diagonal=kind == "diagonal",
+                   x1_indices=np.array([3, 4]), x2_indices=scan_indices(small_grid, 1e-3))
+    for call in (detector_kernel, accumulate_mc):
+        with pytest.raises(ValueError, match="x1_indices is read by a full map only"):
+            call(config, *arms, **options)
+    assert calls == []
+
+
 def test_both_engines_refuse_a_non_finite_map_alike(small_grid, geometry, monkeypatch):
     # a kernel with one NaN arm-2 column: both engines return the raw map as
     # computed, and siegert_normalize refuses it
@@ -356,7 +375,7 @@ def test_mc_memory_within_the_documented_bound(small_grid, geometry, kind, worke
     arms = build_arms(geometry, make_double_slit(small_grid, 1e-3, 0.2e-3))
     x2 = scan_indices(small_grid, 3e-3)
     options = dict(bucket=kind == "bucket", diagonal=kind == "diagonal",
-                   x1_indices=x2, x2_indices=x2)
+                   x1_indices=x2 if kind == "full" else None, x2_indices=x2)
     kernel_peak = _traced_peak(lambda: detector_kernel(config, *arms, **options))
     mc_peak = _traced_peak(lambda: accumulate_mc(config, *arms, workers=workers, **options))
     kernel = detector_kernel(config, *arms, **options)
@@ -374,7 +393,8 @@ def test_block_sums_equal_the_einsum_and_broadcast_forms(small_grid, geometry, k
     obj = make_double_slit(small_grid, 1e-3, 0.2e-3)
     kernel = detector_kernel(
         config, *build_arms(geometry, obj), bucket=kind == "bucket", diagonal=kind == "diagonal",
-        x1_indices=obj.support_indices(), x2_indices=scan_indices(small_grid, 2e-3),
+        x1_indices=obj.support_indices() if kind == "full" else None,
+        x2_indices=scan_indices(small_grid, 2e-3),
     )
     for k0, k1 in ((0, 256), (256, 257)):
         c = sample_source_block(config, k0, k1)
@@ -531,7 +551,8 @@ def test_restricted_kernel_mode_sum_equals_all_columns_oracle(small_grid, geomet
         X, x1 = np.flatnonzero((x >= -3e-3) & (x <= -0.8e-3)), obj.support_indices()
     bucket, diagonal = kind == "bucket", kind == "diagonal"
     kernel = detector_kernel(
-        config, arm1, arm2, bucket, diagonal=diagonal, x1_indices=x1, x2_indices=X
+        config, arm1, arm2, bucket, diagonal=diagonal,
+        x1_indices=x1 if kind == "full" else None, x2_indices=X,
     )
     cmap = g2_analytic(kernel, bucket, diagonal=diagonal)
     assert cmap.kind == kind and np.array_equal(cmap.x2, small_grid.coords()[X])
@@ -587,7 +608,8 @@ def test_analytic_g2_between_one_and_two_on_random_slits(small_grid, slits, benc
     X = scan_indices(small_grid, 3e-3)
     for bucket in (True, False):
         kernel = detector_kernel(
-            config, arm1, arm2, bucket, x1_indices=obj.support_indices(), x2_indices=X
+            config, arm1, arm2, bucket, x1_indices=None if bucket else obj.support_indices(),
+            x2_indices=X,
         )
         g2 = siegert_normalize(g2_analytic(kernel, bucket)).g2
         assert g2.min() >= 1.0 - 1e-12

@@ -1,6 +1,7 @@
-"""Module boundaries: no ghostsim module reaches another's private names, one
-function alone selects the correlation engine, and one alone maps failures to
-exit codes."""
+"""Module boundaries: no ghostsim module reaches another's private names, every
+private name a module defines is read somewhere in the package, one function
+alone selects the correlation engine, and one alone maps failures to exit
+codes."""
 
 import ast
 from pathlib import Path
@@ -58,6 +59,66 @@ def test_check_sees_private_imports_and_attributes():
     assert _private_uses(ast.parse(code)) == [
         "core._readonly", "optics._transfer_function", "src._philox_key"
     ]
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """Private functions and constants a module defines at its top level."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if _private(name)]
+
+
+def _unread_private_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """module.name for each private definition no module reads, as a name or
+    as an attribute."""
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in read
+    ]
+
+
+def test_every_private_definition_is_read_in_the_package():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert len(trees) >= 7
+    assert _unread_private_definitions(trees) == []
+
+
+def test_check_sees_unread_private_definitions():
+    trees = {
+        "a": ast.parse(
+            "_LIMIT = 3\n"
+            "_UNUSED: int = 4\n"
+            "__all__ = []\n"
+            "def _helper():\n"
+            "    return _LIMIT\n"
+            "def _dead():\n"
+            "    _local = _helper\n"
+            "def public():\n"
+            "    return _helper()\n"
+        ),
+        "b": ast.parse(
+            "from . import a\n"
+            "_CACHE = {}\n"
+            "def _stale(x=_CACHE):\n"
+            "    a._fresh = x\n"
+            "def _fresh():\n"
+            "    pass\n"
+        ),
+    }
+    assert _unread_private_definitions(trees) == ["a._UNUSED", "a._dead", "b._stale", "b._fresh"]
 
 
 def _is_string(node: ast.AST) -> bool:

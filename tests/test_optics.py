@@ -313,6 +313,9 @@ class TestCallersArray:
         got = apply_path_block(a, SMALL_GRID, WL, path)
         assert np.array_equal(a, before) and a.dtype == before.dtype
         assert np.array_equal(got, expected)
+        other = np.empty(a.shape, dtype=complex)  # a separate out: a is copied into it first
+        assert apply_path_block(a, SMALL_GRID, WL, path, out=other) is other
+        assert np.array_equal(other, expected) and np.array_equal(a, before)
         handed = before.astype(complex)  # handed over: the result is written into it
         assert apply_path_block(handed, SMALL_GRID, WL, path, out=handed) is handed
         assert np.array_equal(handed, expected)

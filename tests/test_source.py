@@ -21,7 +21,7 @@ from ghostsim import (
 from ghostsim.experiment import build_arms, scan_indices
 from ghostsim import optics
 from ghostsim.optics import apply_path_block, propagate_block
-from ghostsim.source import _fft_rows, aperture_indices, sample_source_block
+from ghostsim.source import _plan, aperture_indices, sample_source_block
 
 from conftest import PATHS, SMALL_GRID, make_config, one_slit
 
@@ -228,16 +228,24 @@ def test_kernel_equals_paths_run_on_the_unit_basis(small_grid, arm1, arm2, colum
             np.testing.assert_allclose(g, expected, rtol=1e-12, atol=1e-12 * scale)
 
 
-def test_a_scan_window_centred_on_the_axis_runs_half_its_rows(small_grid, geometry, monkeypatch):
-    # a defocused plane: arm 2 is built from its detector side, and the kept
-    # columns pair off as x <-> -x, so ceil(|X| / 2) rows reach
-    # propagate_block, plus one impulse per arm through its leading hop;
-    # _fft_rows, which picks the side, counts the same rows
-    geometry = replace(geometry, source_diameter=3e-3, d_b_prime=geometry.d_b_prime + 0.02)
+@pytest.mark.parametrize("side, kept, half", [("reversed", 75, 38), ("forward", 100, 51)],
+                         ids=["reversed", "forward"])
+def test_a_scan_window_centred_on_the_axis_runs_half_its_rows(small_grid, geometry, side, kept,
+                                                              half, monkeypatch):
+    # arm 2's rows pair off as x <-> -x, so half of them reach propagate_block,
+    # plus one impulse per arm through its leading hop; _plan, which picks the
+    # side, counts the same rows.  Reversed: a defocused plane's 75 kept
+    # columns, 37 pairs and the axis, fewer than its 375 modes.  Forward:
+    # fig4's lens arm from 100 modes at -50..49 pitches, 49 pairs, the axis
+    # and -50 alone, fewer than the 376 rows of a 751-column window.
+    if side == "reversed":
+        geometry = replace(geometry, source_diameter=3e-3, d_b_prime=geometry.d_b_prime + 0.02)
+        obj, x2 = make_pinhole(small_grid, 0.0, 60e-6), scan_indices(small_grid, 0.3e-3)
+    else:
+        geometry = replace(geometry, source_diameter=0.8e-3)
+        obj, x2 = make_double_slit(small_grid, 1e-3, 0.2e-3), scan_indices(small_grid, 3e-3)
     config = make_config(small_grid, geometry, n_realizations=1)
-    obj = make_pinhole(small_grid, 0.0, 60e-6)
     arm1, arm2 = build_arms(geometry, obj)
-    x2 = scan_indices(small_grid, 0.3e-3)
     rows = []
 
     def counting(amplitudes, *args, **kwargs):
@@ -246,9 +254,12 @@ def test_a_scan_window_centred_on_the_axis_runs_half_its_rows(small_grid, geomet
 
     monkeypatch.setattr(optics, "propagate_block", counting)
     mode_decomposition(config, arm1, arm2, columns1=obj.support_indices(), columns2=x2)
-    half = -(-len(x2) // 2)
-    assert len(x2) == 75 and sum(rows) == half + 2
-    assert _fft_rows(small_grid.n, ArmPath(arm2.elements[::-1]), x2) == half
+    if side == "reversed":
+        arm2, built = ArmPath(arm2.elements[::-1]), x2
+    else:
+        built = aperture_indices(config)
+    assert len(built) == kept and sum(rows) == half + 2
+    assert len(_plan(small_grid.n, arm2, built)[2]) == half
 
 
 @pytest.mark.parametrize("block_size", [None, 64], ids=["default", "64"])
