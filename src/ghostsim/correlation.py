@@ -2,9 +2,9 @@
 
 Two interchangeable engines compute <I1 I2>:
 
-* accumulate_mc    - ensemble average over speckle realizations, accumulated
-                     in fixed-size blocks merged in index order, so results
-                     are bit-identical for any worker count;
+* accumulate_mc    - ensemble average over speckle realizations, drawn by
+                     threads in blocks that the calling thread reduces in
+                     index order: bit-identical for any worker count;
 * g2_analytic      - Gaussian-moment (mode-sum) evaluation, exact in the
                      discrete model, exposing the interference term separately.
 
@@ -120,15 +120,15 @@ def detector_kernel(
     return mode_decomposition(config, arm1, arm2, columns1=x1_idx, columns2=x2_idx)
 
 
-def _mc_block(config, kernel, kind, k0, k1):
-    """(sum I1 I2, sum (I1 I2)^2, sum I1, sum I2) over realizations k0..k1-1."""
-    c = sample_source_block(config, k0, k1)
+def _block_sums(kernel, kind, c, dx):
+    """(sum I1 I2, sum (I1 I2)^2, sum I1, sum I2) over the realizations whose
+    source amplitudes are the rows of c; dx weighs the bucket's sum over x1."""
     I1 = np.abs(c @ kernel.g1) ** 2
     I2 = np.abs(c @ kernel.g2) ** 2
     if kind == "full":
         return I1.T @ I2, (I1 * I1).T @ (I2 * I2), I1.sum(axis=0), I2.sum(axis=0)
     if kind == "bucket":
-        I1 = I1.sum(axis=1) * config.grid.dx
+        I1 = I1.sum(axis=1) * dx
     s1, s2 = I1.sum(axis=0), I2.sum(axis=0)
     # P = I1 I2, then P^2, in I2's buffer: the broadcast form's bits with no
     # temporary (a gemv here ran fig4's 2-worker bucket about 10 % slower)
@@ -138,12 +138,12 @@ def _mc_block(config, kernel, kind, k0, k1):
     return p, I2.sum(axis=0), s1, s2
 
 
-def _in_order(pool, job, items, window):
-    """job(item) for each item, yielded in order, with at most window jobs
-    submitted and not yet yielded: a slow job holds back the ones after it."""
+def _in_order(pool, fn, items, window):
+    """fn(*args) for each args in items, yielded in order, with at most window
+    calls submitted and not yet yielded: a slow call holds back the ones after it."""
     pending = deque()
-    for item in items:
-        pending.append(pool.submit(job, item))
+    for args in items:
+        pending.append(pool.submit(fn, *args))
         if len(pending) == window:
             yield pending.popleft().result()
     while pending:
@@ -172,55 +172,52 @@ def accumulate_mc(
 
     The arms are propagated once, as the kernel of detector_kernel; each
     realization's fields are then its m source amplitudes times that kernel.
-    A full map's block sums over its realizations are matrix products,
-    I1^T I2 and (I1^2)^T (I2^2) (BLAS gemm); the bucket's and the
-    diagonal's are elementwise, in place, with no block-sized temporary.
+    Pool threads only draw the amplitudes of each block of block_size
+    realizations (sample_source_block); the calling thread reduces every
+    draw, in block-index order, into the first block's sums.  A full map's
+    block sums are matrix products, I1^T I2 and (I1^2)^T (I2^2) (BLAS gemm);
+    the bucket's and the diagonal's are elementwise, in place, with no
+    block-sized temporary.
     Memory stays bounded by the kernel build's working memory (one reused
     batch of mode_decomposition's default 8 rows of n complex samples, plus
-    a few n-sample rows; its docstring gives the bytes; block_size here
-    counts realizations only), the kernel's
-    m * (|arm-1 columns| + |x2|), and one block per worker: blocks are
-    submitted through a window of `workers`, and their partial sums are
-    merged in block-index order as they arrive, so at most `workers` blocks
-    are running or finished and unmerged at once (a slow block holds back
-    the submission of later ones).  With B = block_size, m modes, n1 arm-1
-    columns, n2 = |x2| and S map entries (n1 * n2 for a full map, else n2),
-    one block's working memory is at most 8*B*(4*m + 3*(n1 + n2)) + 16*S
-    bytes: the draw's normals and complex amplitudes (32*B*m), both arms'
-    fields and intensities (24*B*(n1 + n2)) and its sums (16*S).  The
-    running sums (the first block's) and the final ratios with their
+    a few n-sample rows; its docstring gives the bytes), the kernel's
+    m * (|arm-1 columns| + |x2|), one block on the calling thread and at
+    most `workers` draws: draws are submitted through a window of `workers`,
+    so at most `workers` are running or unreduced at once, the one being
+    reduced included (a slow draw holds back the submission of later ones).
+    With B = block_size, m modes, n1 arm-1 columns, n2 = |x2| and S map
+    entries (n1 * n2 for a full map, else n2), a draw takes at most 32*B*m
+    bytes (its normals and complex amplitudes) and the block at most
+    24*B*(n1 + n2) + 16*S (both arms' fields and intensities, and its sums).
+    The running sums (the first block's) and the final ratios with their
     temporaries add at most 56*(S + n1 + n2) bytes; a later block is dropped
-    once merged.  workers < 1 is refused (ValueError); at most
-    os.cpu_count() workers run: more hold more blocks, no faster.  The map
-    is returned as computed; siegert_normalize refuses it where g2 is not finite.
+    once merged.  workers < 1 and block_size < 1 are refused (ValueError)
+    before any build or draw; at most os.cpu_count() workers run: more hold
+    more draws, no faster.  The map is returned as computed;
+    siegert_normalize refuses it where g2 is not finite.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    if block_size < 1:
+        raise ValueError(f"block_size must be at least 1, got {block_size}")
     kind = _kind(bucket, diagonal)
     kernel = detector_kernel(
         config, arm1, arm2, bucket, diagonal=diagonal, x1_indices=x1_indices, x2_indices=x2_indices
     )
 
-    n = config.n_realizations
-    bounds = [(k0, min(k0 + block_size, n)) for k0 in range(0, n, block_size)]
-
-    def job(b):
-        return _mc_block(config, kernel, kind, b[0], b[1])
-
+    n, dx = config.n_realizations, config.grid.dx
+    blocks = [(config, k0, min(k0 + block_size, n)) for k0 in range(0, n, block_size)]
     workers = min(workers, os.cpu_count() or 1)
-    # one worker runs here: a pool thread allocates from its own glibc malloc
-    # arena, and fig4's 512-draw full map peaked at 170.3 MB RSS there against
-    # 141.0 MB here (140.7 MB there with MALLOC_ARENA_MAX=1)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        partials = _in_order(pool, job, bounds, workers) if workers > 1 else map(job, bounds)
-        # merge into block 0's fresh sums in block-index order: bit-identical for any worker count
-        s_p, s_p2, s_i1, s_i2 = next(partials)
-        for p, p2, i1, i2 in partials:
+        draws = _in_order(pool, sample_source_block, blocks, workers)
+        s_p, s_p2, s_i1, s_i2 = _block_sums(kernel, kind, next(draws), dx)
+        for c in draws:
+            p, p2, i1, i2 = _block_sums(kernel, kind, c, dx)
             s_p += p
             s_p2 += p2
             s_i1 += i1
             s_i2 += i2
-            del p, p2, i1, i2  # not held while the next block runs
+            del c, p, p2, i1, i2  # not held while the next draw is awaited
 
     g2_raw = s_p / n
     i1_mean = s_i1 / n

@@ -205,9 +205,11 @@ def mode_decomposition(
     16 * n * (2 * block_size + 16) bytes: the batch buffer and the gather of
     its kept columns, and the impulse response (twice), the trailing factor
     and the cached transfer functions and lens phases with their
-    temporaries.  Every lens phase is computed, and refused if it is not
-    finite, before any propagation.
+    temporaries.  block_size < 1 is refused, and every lens phase computed
+    and refused if it is not finite, before any propagation.
     """
+    if block_size < 1:
+        raise ValueError(f"block_size must be at least 1, got {block_size}")
     idx = aperture_indices(config)
     grid, wl = config.grid, config.geometry.wavelength
     for el in (*arm1, *arm2):

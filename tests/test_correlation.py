@@ -287,6 +287,22 @@ def test_mc_refuses_fewer_than_one_worker(small_grid, geometry, workers):
         accumulate_mc(config, IDENTITY, IDENTITY, workers=workers)
 
 
+@pytest.mark.parametrize("block_size", [0, -1])
+@pytest.mark.parametrize("call", [accumulate_mc, mode_decomposition], ids=["mc", "modes"])
+def test_block_size_below_one_is_refused_before_any_build_or_draw(small_grid, geometry, call,
+                                                                 block_size, monkeypatch):
+    # was a bare StopIteration, a range() error or "negative dimensions"
+    calls = []
+    for module, name in ((optics, "propagate_block"), (correlation, "mode_decomposition"),
+                         (correlation, "sample_source_block")):
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a))
+    config = make_config(small_grid, geometry, n_realizations=8)
+    arms = build_arms(geometry, make_slit(small_grid, 0.0, 0.4e-3))
+    with pytest.raises(ValueError, match="block_size must be at least 1"):
+        call(config, *arms, block_size=block_size)
+    assert calls == []
+
+
 @pytest.mark.parametrize("call", ["kernel", "mc", "analytic"])
 def test_bucket_and_diagonal_are_exclusive(small_grid, geometry, call):
     config = make_config(small_grid, geometry, n_realizations=8)
@@ -308,28 +324,37 @@ def test_mc_threads_capped_at_cpu_count(small_grid, geometry, monkeypatch):
                    block_size=8)
     ref = accumulate_mc(config, IDENTITY, IDENTITY, workers=1, **options)
 
-    lock, running, peak = threading.Lock(), [0], [0]
-    block = correlation._mc_block
+    lock, running, peak, drawers, reducers = threading.Lock(), [0], [0], set(), set()
+    draw, block_sums = correlation.sample_source_block, correlation._block_sums
 
     def counted(*args):
         with lock:
             running[0] += 1
             peak[0] = max(peak[0], running[0])
+            drawers.add(threading.get_ident())
         try:
-            time.sleep(0.05)  # long enough for every started thread to pick up a block
-            return block(*args)
+            time.sleep(0.05)  # long enough for every started thread to pick up a draw
+            return draw(*args)
         finally:
             with lock:
                 running[0] -= 1
 
-    monkeypatch.setattr(correlation, "_mc_block", counted)
+    def reduced(*args):
+        reducers.add(threading.get_ident())
+        return block_sums(*args)
+
+    monkeypatch.setattr(correlation, "sample_source_block", counted)
+    monkeypatch.setattr(correlation, "_block_sums", reduced)
     out = accumulate_mc(config, IDENTITY, IDENTITY, workers=workers, **options)
     assert 1 <= peak[0] <= cpus
     for name in ("g2_raw", "i1_mean", "i2_mean", "eps"):
         assert np.array_equal(getattr(out, name), getattr(ref, name)), name
+    # the pool only draws, and every block is reduced on the calling thread
+    assert reducers == {threading.get_ident()} and threading.get_ident() not in drawers
 
 
 def test_mc_holds_at_most_workers_blocks_unmerged(small_grid, geometry, monkeypatch):
+    # held: drawn or drawing, and not yet reduced on the calling thread
     workers = os.cpu_count() or 1
     config = make_config(small_grid, geometry, n_realizations=8 * (4 * workers + 3), seed=7)
     options = dict(bucket=False, diagonal=True, x2_indices=aperture_indices(config),
@@ -337,19 +362,19 @@ def test_mc_holds_at_most_workers_blocks_unmerged(small_grid, geometry, monkeypa
     ref = accumulate_mc(config, IDENTITY, IDENTITY, workers=1, **options)
 
     lock, started, held = threading.Lock(), [], []
-    block = correlation._mc_block
+    draw = correlation.sample_source_block
 
-    def stalled(config, kernel, kind, k0, k1):
+    def stalled(config, k0, k1):
         with lock:
             started.append(k0)
         if k0 == 0:
-            # long enough for every other block to run, had it been submitted
+            # long enough for every other draw to run, had it been submitted
             time.sleep(0.3)
             with lock:
-                held.append(len(started))  # nothing is merged before block 0
-        return block(config, kernel, kind, k0, k1)
+                held.append(len(started))  # nothing is reduced before block 0
+        return draw(config, k0, k1)
 
-    monkeypatch.setattr(correlation, "_mc_block", stalled)
+    monkeypatch.setattr(correlation, "sample_source_block", stalled)
     out = accumulate_mc(config, IDENTITY, IDENTITY, workers=workers, **options)
     assert 1 <= held[0] <= workers
     assert sorted(started) == list(range(0, config.n_realizations, 8))
@@ -369,8 +394,9 @@ def _traced_peak(call):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kind", ["full", "bucket", "diagonal"])
 def test_mc_memory_within_the_documented_bound(small_grid, geometry, kind, workers):
-    # accumulate_mc's docstring: beyond the kernel build, `workers` blocks of
-    # 8*B*(4m + 3(n1 + n2)) + 16*S bytes and a tail of 56*(S + n1 + n2)
+    # accumulate_mc's docstring: beyond the kernel build, one block of
+    # 24*B*(n1 + n2) + 16*S bytes on the calling thread, `workers` draws of
+    # 32*B*m bytes and a tail of 56*(S + n1 + n2)
     config = make_config(small_grid, geometry, n_realizations=2048, seed=13)
     arms = build_arms(geometry, make_double_slit(small_grid, 1e-3, 0.2e-3))
     x2 = scan_indices(small_grid, 3e-3)
@@ -381,9 +407,10 @@ def test_mc_memory_within_the_documented_bound(small_grid, geometry, kind, worke
     kernel = detector_kernel(config, *arms, **options)
     m, n1, n2 = len(kernel), len(kernel.columns1), len(kernel.columns2)
     S = n1 * n2 if kind == "full" else n2
-    block = 8 * 256 * (4 * m + 3 * (n1 + n2)) + 16 * S
+    block = 24 * 256 * (n1 + n2) + 16 * S
+    draw = 32 * 256 * m
     slack = 64 * 1024  # Python objects: futures, tuples, the pool
-    assert mc_peak <= kernel_peak + workers * block + 56 * (S + n1 + n2) + slack
+    assert mc_peak <= kernel_peak + block + workers * draw + 56 * (S + n1 + n2) + slack
 
 
 @pytest.mark.parametrize("kind", ["full", "bucket", "diagonal"])
@@ -408,7 +435,7 @@ def test_block_sums_equal_the_einsum_and_broadcast_forms(small_grid, geometry, k
             P = I1[:, None] * I2 if kind == "bucket" else I1 * I2
             want = [P.sum(axis=0), (P**2).sum(axis=0)]
         want += [I1.sum(axis=0), I2.sum(axis=0)]
-        got = correlation._mc_block(config, kernel, kind, k0, k1)
+        got = correlation._block_sums(kernel, kind, c, small_grid.dx)
         for name, g, w in zip(("P", "P2", "I1", "I2"), got, want):
             if kind == "full" and name in ("P", "P2"):
                 # GEMM sums non-negative terms in another order: k1 - k0 ulps at most

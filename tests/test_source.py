@@ -176,12 +176,12 @@ class TestModeDecomposition:
 COLUMNS = st.lists(st.integers(0, SMALL_GRID.n - 1), min_size=1, max_size=64, unique=True)
 
 
-def _unit_basis_oracle(config, path, columns):
-    """The arm run on the explicit unit field of every aperture sample."""
+def _unit_basis_oracle(config, path):
+    """The arm run on the explicit unit field of every aperture sample: whole rows."""
     idx = aperture_indices(config)
     basis = np.zeros((len(idx), config.grid.n), dtype=np.complex128)
     basis[np.arange(len(idx)), idx] = 1.0
-    return apply_path_block(basis, config.grid, config.geometry.wavelength, path)[:, columns]
+    return apply_path_block(basis, config.grid, config.geometry.wavelength, path)
 
 
 @settings(max_examples=60, deadline=None)
@@ -211,6 +211,10 @@ def _unit_basis_oracle(config, path, columns):
 @example(ArmPath((Propagate(0.21), one_slit(1000, 48), Lens(0.1), Propagate(0.3))),
          ArmPath((Propagate(0.3), Lens(-0.2), Propagate(0.25))),
          list(range(990, 1060)), [1010, 1038, 1010, 1024, 1038, 2047, 1], 2)
+# a kept column far below the field's peak (|G| 6e-6 at column 0 against a peak
+# of 0.017): oracle and kernel differ there by 1.1e-17, 5.8e-12 of |G| but 6.6e-16
+# of the peak, the FFT rounding of whole rows, so atol scales with their peak
+@example(ArmPath(()), ArmPath((Propagate(0.25), Lens(0.109375), Propagate(0.5))), [0], [0], 1)
 def test_kernel_equals_paths_run_on_the_unit_basis(small_grid, arm1, arm2, columns1, columns2,
                                                    block_size):
     # the oracle propagates every mode; the kernel propagates one impulse
@@ -220,11 +224,12 @@ def test_kernel_equals_paths_run_on_the_unit_basis(small_grid, arm1, arm2, colum
     modes = mode_decomposition(config, arm1, arm2, block_size,
                                columns1=np.array(columns1), columns2=np.array(columns2))
     for path, columns, g in ((arm1, columns1, modes.g1), (arm2, columns2, modes.g2)):
-        expected = _unit_basis_oracle(config, path, columns)
+        rows = _unit_basis_oracle(config, path)
+        expected = rows[:, columns]
         if len(path) == 0:
             assert np.array_equal(g, expected)
         else:
-            scale = np.abs(expected).max()
+            scale = np.abs(rows).max()
             np.testing.assert_allclose(g, expected, rtol=1e-12, atol=1e-12 * scale)
 
 
