@@ -25,6 +25,7 @@ from __future__ import annotations
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -138,12 +139,13 @@ def _block_sums(kernel, kind, c, dx):
     return p, I2.sum(axis=0), s1, s2
 
 
-def _in_order(pool, fn, items, window):
-    """fn(*args) for each args in items, yielded in order, with at most window
-    calls submitted and not yet yielded: a slow call holds back the ones after it."""
+def _in_order(pools, fn, items, window):
+    """fn(*args) for the j-th args in items on pools[j % len(pools)], yielded
+    in order, with at most window calls submitted and not yet yielded: a slow
+    call holds back the ones after it."""
     pending = deque()
-    for args in items:
-        pending.append(pool.submit(fn, *args))
+    for j, args in enumerate(items):
+        pending.append(pools[j % len(pools)].submit(fn, *args))
         if len(pending) == window:
             yield pending.popleft().result()
     while pending:
@@ -172,12 +174,13 @@ def accumulate_mc(
 
     The arms are propagated once, as the kernel of detector_kernel; each
     realization's fields are then its m source amplitudes times that kernel.
-    Pool threads only draw the amplitudes of each block of block_size
-    realizations (sample_source_block); the calling thread reduces every
-    draw, in block-index order, into the first block's sums.  A full map's
-    block sums are matrix products, I1^T I2 and (I1^2)^T (I2^2) (BLAS gemm);
-    the bucket's and the diagonal's are elementwise, in place, with no
-    block-sized temporary.
+    Draw threads only draw the amplitudes of each block of block_size
+    realizations (sample_source_block), block j on thread j mod workers (one
+    single-thread executor each, so a fast thread cannot take every block);
+    the calling thread reduces every draw, in block-index order, into the
+    first block's sums.  A full map's block sums are matrix products,
+    I1^T I2 and (I1^2)^T (I2^2) (BLAS gemm); the bucket's and the
+    diagonal's are elementwise, in place, with no block-sized temporary.
     Memory stays bounded by the kernel build's working memory (one reused
     batch of mode_decomposition's default 8 rows of n complex samples, plus
     a few n-sample rows; its docstring gives the bytes), the kernel's
@@ -186,9 +189,11 @@ def accumulate_mc(
     so at most `workers` are running or unreduced at once, the one being
     reduced included (a slow draw holds back the submission of later ones).
     With B = block_size, m modes, n1 arm-1 columns, n2 = |x2| and S map
-    entries (n1 * n2 for a full map, else n2), a draw takes at most 32*B*m
-    bytes (its normals and complex amplitudes) and the block at most
-    24*B*(n1 + n2) + 16*S (both arms' fields and intensities, and its sums).
+    entries (n1 * n2 for a full map, else n2), a draw takes at most 16*m*B'
+    bytes, B' being B rounded out to whole 64-realization chunks (at most
+    B + 126; the normals are drawn into the complex amplitudes themselves),
+    and the block at most 24*B*(n1 + n2) + 16*S (both arms' fields and
+    intensities, and its sums).
     The running sums (the first block's) and the final ratios with their
     temporaries add at most 56*(S + n1 + n2) bytes; a later block is dropped
     once merged.  workers < 1 and block_size < 1 are refused (ValueError)
@@ -208,8 +213,10 @@ def accumulate_mc(
     n, dx = config.n_realizations, config.grid.dx
     blocks = [(config, k0, min(k0 + block_size, n)) for k0 in range(0, n, block_size)]
     workers = min(workers, os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        draws = _in_order(pool, sample_source_block, blocks, workers)
+    with ExitStack() as stack:
+        # one thread per executor, so block j is drawn on thread j mod workers
+        pools = [stack.enter_context(ThreadPoolExecutor(max_workers=1)) for _ in range(workers)]
+        draws = _in_order(pools, sample_source_block, blocks, workers)
         s_p, s_p2, s_i1, s_i2 = _block_sums(kernel, kind, next(draws), dx)
         for c in draws:
             p, p2, i1, i2 = _block_sums(kernel, kind, c, dx)

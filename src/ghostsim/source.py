@@ -7,9 +7,11 @@ grid sample inside the aperture, zero outside.  A draw therefore holds only
 the m aperture amplitudes; every field behind an arm is that (m,) vector
 times the arm's Green's functions (mode_decomposition).
 
-Randomness is counter-based (Philox): the values of realization k are a pure
+Randomness is counter-based (Philox): realizations come in chunks of
+_CHUNK = 64, and chunk c is one standard_normal call on a Philox rewound to
+counter (0, 0, 0, c).  The values of realization k are therefore a pure
 function of (seed, k, sample index), so realizations can be generated in any
-order, by any number of workers, with bit-identical results.
+order, in any blocks, by any number of workers, with bit-identical results.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from .core import Grid1D, SetupGeometry, interval_indices
 from .optics import ArmPath, Lens, Mask, Propagate, apply_path_block, lens_phase
 
 __all__ = ["EnsembleConfig", "ModeSet", "sample_source_block", "mode_decomposition"]
+
+_CHUNK = 64  # realizations per Philox counter: part of the stream's definition
 
 
 @dataclass(frozen=True)
@@ -58,32 +62,35 @@ def sample_source_block(config: EnsembleConfig, k0: int, k1: int) -> np.ndarray:
     """Aperture amplitudes for realizations k0..k1-1 as a (k1-k0, m) array.
 
     Column j belongs to grid sample aperture_indices(config)[j]; the field is
-    zero everywhere else on the grid.  Realization k is
-    z = Generator(Philox(key, counter=[0, 0, 0, k])).standard_normal(2 m)
-    taken as (z[:m] + i z[m:]) / sqrt(2), with
-    key = SeedSequence(seed).generate_state(2, uint64); one Philox is
-    rewound to that counter for each row, and the complex block is built
-    once from the (k1-k0, 2 m) normals.
+    zero everywhere else on the grid.  Realization k is row k % _CHUNK of
+    chunk c = k // _CHUNK, which is
+    z = Generator(Philox(key, counter=[0, 0, 0, c])).standard_normal((_CHUNK, 2 m))
+    taken as (z[:, 0::2] + i z[:, 1::2]) / sqrt(2), with
+    key = SeedSequence(seed).generate_state(2, uint64): interleaved (re, im)
+    pairs.  One Philox is rewound to each chunk's counter and draws straight
+    into the float view of one complex array, which is then scaled in place.
+    An unaligned range draws the whole chunks that cover it, at most
+    2 * (_CHUNK - 1) rows more, and returns a view of the rows asked for.
     """
     if not 0 <= k0 <= k1 <= config.n_realizations:
         raise ValueError(
             f"realization range [{k0}, {k1}) outside [0, {config.n_realizations})"
         )
     m = len(aperture_indices(config))
+    c0, c1 = k0 // _CHUNK, -(-k1 // _CHUNK)
+    out = np.empty(((c1 - c0) * _CHUNK, m), dtype=np.complex128)
+    chunks = out.view(np.float64).reshape(c1 - c0, _CHUNK, 2 * m)  # rows of (re, im) pairs
     bitgen = Philox(key=_philox_key(config.seed))
     rng = Generator(bitgen)
     state = bitgen.state  # as constructed: empty buffer, so a draw starts at the counter
-    z = np.empty((k1 - k0, 2 * m))
-    for row, k in enumerate(range(k0, k1)):
-        # realization index in the high counter word: disjoint counter blocks
-        state["state"]["counter"][:] = (0, 0, 0, k)
+    for c, chunk in zip(range(c0, c1), chunks):
+        # chunk index in the high counter word: disjoint counter blocks
+        state["state"]["counter"][:] = (0, 0, 0, c)
         bitgen.state = state
-        rng.standard_normal(out=z[row])
-    # (z[:, :m] + 1j z[:, m:]) / sqrt(2) with one complex array: the same bits, less peak memory
-    out = z[:, m:] * 1j
-    out += z[:, :m]
-    out /= np.sqrt(2.0)
-    return out
+        rng.standard_normal(out=chunk)
+    # the bits of complex division by sqrt(2), in one real pass
+    chunks *= 1.0 / np.sqrt(2.0)
+    return out[k0 - c0 * _CHUNK : k1 - c0 * _CHUNK]
 
 
 @dataclass(frozen=True)

@@ -353,6 +353,30 @@ def test_mc_threads_capped_at_cpu_count(small_grid, geometry, monkeypatch):
     assert reducers == {threading.get_ident()} and threading.get_ident() not in drawers
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_mc_block_j_is_drawn_on_thread_j_mod_workers(small_grid, geometry, workers, monkeypatch):
+    # an instantaneous draw: with one shared pool a single thread could take
+    # every block; striped, each block has its thread whatever the timing
+    workers = min(workers, os.cpu_count() or 1)
+    config = make_config(small_grid, geometry, n_realizations=4 * 8, seed=8)
+    m = len(aperture_indices(config))
+    lock, thread_of = threading.Lock(), {}
+
+    def instant(config, k0, k1):
+        with lock:
+            thread_of[k0 // 8] = threading.get_ident()
+        return np.zeros((k1 - k0, m), dtype=np.complex128)
+
+    monkeypatch.setattr(correlation, "sample_source_block", instant)
+    accumulate_mc(config, IDENTITY, IDENTITY, bucket=False, diagonal=True,
+                  x2_indices=aperture_indices(config), block_size=8, workers=workers)
+    assert sorted(thread_of) == [0, 1, 2, 3]
+    assert len(set(thread_of.values())) == workers
+    assert threading.get_ident() not in thread_of.values()
+    for j in range(4):
+        assert thread_of[j] == thread_of[j % workers], j
+
+
 def test_mc_holds_at_most_workers_blocks_unmerged(small_grid, geometry, monkeypatch):
     # held: drawn or drawing, and not yet reduced on the calling thread
     workers = os.cpu_count() or 1
@@ -396,7 +420,8 @@ def _traced_peak(call):
 def test_mc_memory_within_the_documented_bound(small_grid, geometry, kind, workers):
     # accumulate_mc's docstring: beyond the kernel build, one block of
     # 24*B*(n1 + n2) + 16*S bytes on the calling thread, `workers` draws of
-    # 32*B*m bytes and a tail of 56*(S + n1 + n2)
+    # 16*m*B' bytes (B = 256 is whole 64-realization chunks, so B' = B) and a
+    # tail of 56*(S + n1 + n2)
     config = make_config(small_grid, geometry, n_realizations=2048, seed=13)
     arms = build_arms(geometry, make_double_slit(small_grid, 1e-3, 0.2e-3))
     x2 = scan_indices(small_grid, 3e-3)
@@ -408,7 +433,7 @@ def test_mc_memory_within_the_documented_bound(small_grid, geometry, kind, worke
     m, n1, n2 = len(kernel), len(kernel.columns1), len(kernel.columns2)
     S = n1 * n2 if kind == "full" else n2
     block = 24 * 256 * (n1 + n2) + 16 * S
-    draw = 32 * 256 * m
+    draw = 16 * 256 * m
     slack = 64 * 1024  # Python objects: futures, tuples, the pool
     assert mc_peak <= kernel_peak + block + workers * draw + 56 * (S + n1 + n2) + slack
 

@@ -46,14 +46,28 @@ class TestDeterminism:
         b = sample_source_block(config, 17, 18)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("k0, k1", [(0, 3), (17, 20), (9997, 10000)])
+    @pytest.mark.parametrize("k0, k1", [(0, 3), (17, 20), (9997, 10000), (63, 65), (5, 200),
+                                        (9990, 10000)])
     def test_rows_follow_the_documented_philox_stream(self, config, k0, k1):
-        # realization k is its own Philox stream, counter [0, 0, 0, k]
+        # realization k is row k % 64 of chunk k // 64, one standard_normal
+        # call on Philox counter [0, 0, 0, c]; (re, im) pairs interleaved
         m = len(aperture_indices(config))
         key = SeedSequence(config.seed).generate_state(2, dtype=np.uint64)
-        for row, k in zip(sample_source_block(config, k0, k1), range(k0, k1)):
-            z = Generator(Philox(key=key, counter=[0, 0, 0, k])).standard_normal(2 * m)
-            assert np.array_equal(row, (z[:m] + 1j * z[m:]) / np.sqrt(2.0))
+        chunks = {}
+        for row, k in zip(sample_source_block(config, k0, k1), range(k0, k1), strict=True):
+            c = k // 64
+            if c not in chunks:
+                z = Generator(Philox(key=key, counter=[0, 0, 0, c])).standard_normal((64, 2 * m))
+                chunks[c] = (z[:, 0::2] + 1j * z[:, 1::2]) / np.sqrt(2.0)
+            assert np.array_equal(row, chunks[c][k % 64]), k
+
+    @pytest.mark.parametrize("split", [1, 64, 100, 256])
+    def test_rows_do_not_depend_on_the_block_split(self, config, split):
+        n = 1000
+        whole = sample_source_block(config, 0, n)
+        for k0 in range(0, n, split):
+            block = sample_source_block(config, k0, min(k0 + split, n))
+            assert np.array_equal(block, whole[k0 : k0 + split]), k0
 
     def test_block_matches_single_draws(self, config):
         block = sample_source_block(config, 5, 8)
