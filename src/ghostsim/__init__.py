@@ -18,7 +18,7 @@ from .core import (
     make_slit,
     validate_sampling,
 )
-from .optics import ArmPath, Lens, Mask, Propagate, SamplingError
+from .optics import ArmPath, Lens, Propagate, SamplingError
 from .source import EnsembleConfig, ModeSet, mode_decomposition
 from .correlation import (
     CorrelationMap,
@@ -56,7 +56,6 @@ __all__ = [
     "validate_sampling",
     "ArmPath",
     "Lens",
-    "Mask",
     "Propagate",
     "SamplingError",
     "EnsembleConfig",

@@ -30,7 +30,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .optics import ArmPath, Mask
+from .core import TransmissionMask
+from .optics import ArmPath
 from .source import EnsembleConfig, ModeSet, mode_decomposition, sample_source_block
 
 __all__ = [
@@ -96,12 +97,13 @@ def detector_kernel(
 ) -> ModeSet:
     """The arms' Green's functions (mode_decomposition) at the grid columns
     the detectors read: the one kernel both engines reduce.  Arm 2 is read at
-    x2_indices (None: every column); arm 1 over its final Mask's support
-    (else every column) for the bucket, refused if that support is empty, at
-    x2_indices for the diagonal, and at x1_indices (default x2_indices) for a
-    full map, refused above 2^24.  x1_indices is refused for a bucket or a
-    diagonal map, which set arm 1's columns themselves.  Every refusal comes
-    before any propagation.
+    x2_indices (None: every column); arm 1 over its last element's support
+    if that is a TransmissionMask (else every column) for the bucket, refused
+    if that support is empty, at x2_indices for the diagonal, and at
+    x1_indices (default x2_indices) for a full map, refused above 2^24.
+    x1_indices is refused for a bucket or a diagonal map, which set arm 1's
+    columns themselves.  Every refusal comes before any propagation, and so
+    does mode_decomposition's of a column off the grid.
     """
     kind = _kind(bucket, diagonal)
     if kind != "full" and x1_indices is not None:
@@ -109,7 +111,8 @@ def detector_kernel(
     x2_idx = np.arange(config.grid.n) if x2_indices is None else np.asarray(x2_indices)
     if kind == "bucket":
         end = arm1.elements[-1] if len(arm1) else None
-        x1_idx = end.mask.support_indices() if isinstance(end, Mask) else np.arange(config.grid.n)
+        x1_idx = (end.support_indices() if isinstance(end, TransmissionMask)
+                  else np.arange(config.grid.n))
         if len(x1_idx) == 0:
             raise ValueError("bucket arm's mask is fully opaque")
     elif x1_indices is None:
@@ -211,7 +214,7 @@ def accumulate_mc(
     )
 
     n, dx = config.n_realizations, config.grid.dx
-    blocks = [(config, k0, min(k0 + block_size, n)) for k0 in range(0, n, block_size)]
+    blocks = ((config, k0, min(k0 + block_size, n)) for k0 in range(0, n, block_size))
     workers = min(workers, os.cpu_count() or 1)
     with ExitStack() as stack:
         # one thread per executor, so block j is drawn on thread j mod workers

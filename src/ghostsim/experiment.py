@@ -30,7 +30,7 @@ from .correlation import (
     g2_analytic,
     siegert_normalize,
 )
-from .optics import ArmPath, Lens, Mask, Propagate
+from .optics import ArmPath, Lens, Propagate
 from .source import EnsembleConfig, aperture_indices
 
 __all__ = [
@@ -110,7 +110,7 @@ def speckle_size(geometry: SetupGeometry) -> float:
 
 def build_arms(geometry: SetupGeometry, obj: TransmissionMask) -> tuple[ArmPath, ArmPath]:
     """Arm 1: source -> object -> bucket; arm 2: source -> lens -> scan plane."""
-    arm1 = ArmPath((Propagate(geometry.z_source_object), Mask(obj)))
+    arm1 = ArmPath((Propagate(geometry.z_source_object), obj))
     arm2 = ArmPath(
         (
             Propagate(geometry.z_source_lens),

@@ -25,7 +25,6 @@ __all__ = [
     "SamplingError",
     "Propagate",
     "Lens",
-    "Mask",
     "ArmPath",
     "propagate_block",
     "lens_phase",
@@ -58,24 +57,20 @@ class Lens:
             raise ValueError(f"focal length must be finite and nonzero, got {self.focal_length}")
 
 
-@dataclass(frozen=True)
-class Mask:
-    mask: TransmissionMask
-
-
-Element = Union[Propagate, Lens, Mask]
+Element = Union[Propagate, Lens, TransmissionMask]
 
 
 @dataclass(frozen=True)
 class ArmPath:
-    """Ordered optical elements, evaluated source -> detector."""
+    """Ordered optical elements (Propagate, Lens or TransmissionMask),
+    evaluated source -> detector."""
 
     elements: tuple[Element, ...] = ()
 
     def __post_init__(self):
         elements = tuple(self.elements)
         for el in elements:
-            if not isinstance(el, (Propagate, Lens, Mask)):
+            if not isinstance(el, (Propagate, Lens, TransmissionMask)):
                 raise TypeError(f"unsupported path element {el!r}")
         object.__setattr__(self, "elements", elements)
 
@@ -130,15 +125,12 @@ def propagate_block(
     return np.fft.ifft(out, axis=-1, out=out)
 
 
+@lru_cache(maxsize=32)
 def lens_phase(grid: Grid1D, wavelength: float, focal_length: float) -> np.ndarray:
     """Thin-lens transmittance exp(-i pi x^2 / (lambda f)) on the grid,
     cached and read-only.  Refused (ValueError) where it is not finite: an f
-    so short that x^2 / (lambda f) overflows on the grid."""
-    return _lens_phase(grid, wavelength, focal_length)
-
-
-@lru_cache(maxsize=32)
-def _lens_phase(grid: Grid1D, wavelength: float, focal_length: float) -> np.ndarray:
+    so short that x^2 / (lambda f) overflows on the grid; a refusal raises on
+    every call, since lru_cache keeps no exception."""
     x = grid.coords()
     with np.errstate(over="ignore", invalid="ignore"):
         phase = np.exp(-1j * np.pi * x**2 / (wavelength * focal_length))
@@ -178,7 +170,7 @@ def apply_path_block(
         elif isinstance(el, Lens):
             out *= lens_phase(grid, wavelength, el.focal_length)
         else:
-            if el.mask.grid != grid:
+            if el.grid != grid:
                 raise ValueError("mask grid does not match field grid")
-            out *= el.mask.t
+            out *= el.t
     return out

@@ -22,8 +22,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.random import Generator, Philox, SeedSequence
 
-from .core import Grid1D, SetupGeometry, interval_indices
-from .optics import ArmPath, Lens, Mask, Propagate, apply_path_block, lens_phase
+from .core import Grid1D, SetupGeometry, TransmissionMask, interval_indices
+from .optics import ArmPath, Lens, Propagate, apply_path_block, lens_phase
 
 __all__ = ["EnsembleConfig", "ModeSet", "sample_source_block", "mode_decomposition"]
 
@@ -130,7 +130,7 @@ def _plan(n: int, arm: ArmPath, rows: np.ndarray) -> tuple[int, int, np.ndarray,
     last = max((k + 1 for k, hop in enumerate(hops) if hop), default=0)
     if lead == last:
         return lead, last, rows[:0], rows[:0]
-    even = all(not isinstance(el, Mask) or np.array_equal(el.mask.t[1:], el.mask.t[:0:-1])
+    even = all(not isinstance(el, TransmissionMask) or np.array_equal(el.t[1:], el.t[:0:-1])
                for el in arm.elements[lead:last])
     run, inv = np.unique(np.minimum(rows, (n - rows) % n) if even else rows, return_inverse=True)
     return lead, last, run, inv
@@ -191,8 +191,9 @@ def mode_decomposition(
     through both arms.  One entry per sample inside the source aperture.
 
     columns1/columns2 keep only those grid columns of arm 1/arm 2 (None keeps
-    all n).  Each arm is built from whichever side runs fewer rows through
-    FFTs, as its row plan (_plan, computed once per side) runs them:
+    all n); each must be a 1-D integer array inside [0, n), possibly empty.
+    Each arm is built from whichever side runs fewer rows through FFTs, as
+    its row plan (_plan, computed once per side) runs them:
     forward, one row per source mode, or from the detector side, one row per
     kept column run through the reversed path, then transposed; ties go
     forward.  A side whose hops all precede its first lens or mask runs none
@@ -212,8 +213,9 @@ def mode_decomposition(
     16 * n * (2 * block_size + 16) bytes: the batch buffer and the gather of
     its kept columns, and the impulse response (twice), the trailing factor
     and the cached transfer functions and lens phases with their
-    temporaries.  block_size < 1 is refused, and every lens phase computed
-    and refused if it is not finite, before any propagation.
+    temporaries.  block_size < 1 and any other columns are refused
+    (ValueError), and every lens phase computed and refused if it is not
+    finite, before any propagation.
     """
     if block_size < 1:
         raise ValueError(f"block_size must be at least 1, got {block_size}")
@@ -222,9 +224,12 @@ def mode_decomposition(
     for el in (*arm1, *arm2):
         if isinstance(el, Lens):
             lens_phase(grid, wl, el.focal_length)
+    columns = [np.arange(grid.n) if c is None else np.asarray(c) for c in (columns1, columns2)]
+    for cols in columns:
+        if cols.ndim != 1 or cols.dtype.kind not in "iu" or np.any((cols < 0) | (cols >= grid.n)):
+            raise ValueError(f"arm columns must be a 1-D integer array inside [0, {grid.n})")
     kept = []
-    for arm, cols in ((arm1, columns1), (arm2, columns2)):
-        cols = np.arange(grid.n) if cols is None else np.asarray(cols)
+    for arm, cols in zip((arm1, arm2), columns):
         reverse = ArmPath(arm.elements[::-1])
         back, fore = _plan(grid.n, reverse, cols), _plan(grid.n, arm, idx)
         if len(back[2]) < len(fore[2]):

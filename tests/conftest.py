@@ -7,7 +7,6 @@ from ghostsim import (
     EnsembleConfig,
     Grid1D,
     Lens,
-    Mask,
     Propagate,
     SetupGeometry,
     TransmissionMask,
@@ -18,10 +17,10 @@ from ghostsim import (
 SMALL_GRID = Grid1D(n=2048, dx=8e-6)
 
 
-def one_slit(start: int, width: int) -> Mask:
+def one_slit(start: int, width: int) -> TransmissionMask:
     t = np.zeros(SMALL_GRID.n)
     t[start : start + width] = 1.0
-    return Mask(TransmissionMask(SMALL_GRID, t))
+    return TransmissionMask(SMALL_GRID, t)
 
 
 ELEMENTS = st.one_of(

@@ -12,7 +12,6 @@ from ghostsim import (
     ArmPath,
     Grid1D,
     Lens,
-    Mask,
     ModeSet,
     Propagate,
     SetupGeometry,
@@ -68,8 +67,8 @@ def test_disjoint_source_regions_factorize(grid, geometry):
     right = TransmissionMask(grid, np.isin(np.arange(grid.n), idx[50:]).astype(float))
     cmap = accumulate_mc(
         config,
-        ArmPath((Mask(left),)),
-        ArmPath((Mask(right),)),
+        ArmPath((left,)),
+        ArmPath((right,)),
         bucket=False,
         x1_indices=idx[:50],
         x2_indices=idx[50:],
@@ -98,7 +97,7 @@ def test_orthogonal_arms_analytic_g2_is_one(grid, geometry):
     left = TransmissionMask(grid, np.isin(np.arange(grid.n), idx[:50]).astype(float))
     right = TransmissionMask(grid, np.isin(np.arange(grid.n), idx[50:]).astype(float))
     modes = mode_decomposition(
-        config, ArmPath((Mask(left),)), ArmPath((Mask(right),)),
+        config, ArmPath((left,)), ArmPath((right,)),
         columns1=idx[:50], columns2=idx[50:],
     )
     cmap = g2_analytic(modes, bucket=False)
@@ -110,7 +109,7 @@ def test_orthogonal_arms_analytic_g2_is_one(grid, geometry):
 def test_bench_pinhole_mc_matches_mode_sum(grid, geometry):
     config = make_config(grid, geometry, n_realizations=3000, seed=31)
     obj = make_pinhole(grid, 1e-3, 60e-6)
-    arm1 = ArmPath((Propagate(geometry.z_source_object), Mask(obj)))
+    arm1 = ArmPath((Propagate(geometry.z_source_object), obj))
     arm2 = ArmPath(
         (Propagate(geometry.z_source_lens), Lens(geometry.f), Propagate(geometry.d_b_prime))
     )
@@ -126,7 +125,7 @@ def test_bench_pinhole_mc_matches_mode_sum(grid, geometry):
 def test_analytic_bounds_one_to_two(grid, geometry):
     config = make_config(grid, geometry, n_realizations=2)
     obj = make_slit(grid, 0.0, 0.4e-3)
-    arm1 = ArmPath((Propagate(geometry.z_source_object), Mask(obj)))
+    arm1 = ArmPath((Propagate(geometry.z_source_object), obj))
     arm2 = ArmPath(
         (Propagate(geometry.z_source_lens), Lens(geometry.f), Propagate(geometry.d_b_prime))
     )
@@ -151,7 +150,7 @@ def test_symmetry_identical_arms(grid, geometry):
 def test_worker_count_does_not_change_bits(grid, geometry):
     config = make_config(grid, geometry, n_realizations=600, seed=5)
     obj = make_pinhole(grid, 0.0, 60e-6)
-    arm1 = ArmPath((Propagate(geometry.z_source_object), Mask(obj)))
+    arm1 = ArmPath((Propagate(geometry.z_source_object), obj))
     arm2 = ArmPath(
         (Propagate(geometry.z_source_lens), Lens(geometry.f), Propagate(geometry.d_b_prime))
     )
@@ -170,7 +169,7 @@ def test_degenerate_all_blocking_mask(grid, geometry):
     t = np.ones(grid.n)
     t[aperture_indices(config)] = 0.0
     cmap = accumulate_mc(
-        config, ArmPath((Mask(TransmissionMask(grid, t)),)), IDENTITY, bucket=True,
+        config, ArmPath((TransmissionMask(grid, t),)), IDENTITY, bucket=True,
         x2_indices=np.arange(0, grid.n, 64),
     )
     assert cmap.i1_mean == 0.0
@@ -183,7 +182,7 @@ def test_normalize_refuses_a_map_where_some_marginal_is_zero(small_grid, geometr
     # where rho1 = 0: the rows on the support alone normalize
     config = make_config(small_grid, geometry, n_realizations=1)
     slit = make_slit(small_grid, 0.0, 0.4e-3)
-    arm1 = ArmPath((Propagate(geometry.z_source_object), Mask(slit)))
+    arm1 = ArmPath((Propagate(geometry.z_source_object), slit))
     S = slit.support_indices()
     off = np.array([0, S[0] - 1, S[-1] + 1, small_grid.n - 1])
     columns1 = np.concatenate([S[::5], off])
@@ -207,7 +206,7 @@ def test_opaque_bucket_refused_before_any_kernel_or_draw(small_grid, geometry, e
     monkeypatch.setattr(correlation, "sample_source_block", lambda *a, **k: calls.append(a))
     config = make_config(small_grid, geometry, n_realizations=64, seed=3)
     opaque = TransmissionMask(small_grid, np.zeros(small_grid.n))
-    arm1 = ArmPath((Propagate(geometry.z_source_object), Mask(opaque)))
+    arm1 = ArmPath((Propagate(geometry.z_source_object), opaque))
     with pytest.raises(ValueError, match="fully opaque"):
         _correlate(config, arm1, sigma_arm(geometry), engine,
                    x2_indices=scan_indices(small_grid, 1e-3), workers=2)
@@ -268,6 +267,27 @@ def test_lens_whose_phase_is_not_finite_is_refused(small_grid, geometry, monkeyp
     with pytest.raises(ValueError, match="lens phase is not finite"):
         detector_kernel(config, IDENTITY, arm2, bucket=False)
     assert hops == []
+
+
+@pytest.mark.parametrize("x2", [[2048], [3000], [-1], [0.5], [[0, 1]]],
+                         ids=["n", "beyond-n", "negative", "float", "2-D"])
+def test_kernel_columns_off_the_grid_are_refused_before_any_hop(small_grid, geometry,
+                                                                 monkeypatch, x2):
+    # unchecked, the mirror rule's (n - r) % n reads column 2048 as column 0
+    # and 3000 as 952, and -1 reaches the engines' coordinate lookup
+    hops = []
+    monkeypatch.setattr(optics, "propagate_block", lambda *a, **k: hops.append(a))
+    config = make_config(small_grid, geometry, n_realizations=8)
+    arms = build_arms(geometry, make_slit(small_grid, 0.0, 0.4e-3))
+    with pytest.raises(ValueError, match="1-D integer array inside"):
+        detector_kernel(config, *arms, x2_indices=x2)
+    assert hops == []
+
+
+def test_an_empty_column_array_gives_an_empty_kernel(small_grid, geometry):
+    config = make_config(small_grid, geometry, n_realizations=8)
+    kernel = detector_kernel(config, IDENTITY, IDENTITY, bucket=False, x2_indices=np.arange(0))
+    assert kernel.g1.shape == kernel.g2.shape == (len(kernel), 0)
 
 
 def test_an_empty_scan_window_or_mode_set_is_refused(small_grid, geometry):
@@ -438,6 +458,26 @@ def test_mc_memory_within_the_documented_bound(small_grid, geometry, kind, worke
     assert mc_peak <= kernel_peak + block + workers * draw + 56 * (S + n1 + n2) + slack
 
 
+def test_mc_block_bounds_are_not_listed_before_the_first_draw(small_grid, geometry,
+                                                               monkeypatch):
+    # 10^8 realizations are 390625 blocks: a list of their bounds alone traced 51 MB
+    class FirstDraw(Exception):
+        pass
+
+    def first_draw(*args):
+        raise FirstDraw
+
+    monkeypatch.setattr(correlation, "sample_source_block", first_draw)
+    config = make_config(small_grid, geometry, n_realizations=10**8)
+    arms = build_arms(geometry, make_slit(small_grid, 0.0, 0.4e-3))
+
+    def until_the_first_draw():
+        with pytest.raises(FirstDraw):
+            accumulate_mc(config, *arms, x2_indices=scan_indices(small_grid, 1e-3))
+
+    assert _traced_peak(until_the_first_draw) < 20e6
+
+
 @pytest.mark.parametrize("kind", ["full", "bucket", "diagonal"])
 def test_block_sums_equal_the_einsum_and_broadcast_forms(small_grid, geometry, kind):
     # 257 realizations in blocks of 256: the last block holds a single row
@@ -472,7 +512,7 @@ def test_block_sums_equal_the_einsum_and_broadcast_forms(small_grid, geometry, k
 def test_fluctuation_equals_interference_term(grid, geometry):
     config = make_config(grid, geometry, n_realizations=2)
     obj = make_pinhole(grid, 0.0, 60e-6)
-    arm1 = ArmPath((Propagate(geometry.z_source_object), Mask(obj)))
+    arm1 = ArmPath((Propagate(geometry.z_source_object), obj))
     arm2 = ArmPath(
         (Propagate(geometry.z_source_lens), Lens(geometry.f), Propagate(geometry.d_b_prime))
     )
@@ -490,8 +530,8 @@ def test_fluctuation_of_independent_arms_vanishes(grid, geometry):
     right = TransmissionMask(grid, np.isin(np.arange(grid.n), idx[50:]).astype(float))
     cmap = accumulate_mc(
         config,
-        ArmPath((Mask(left),)),
-        ArmPath((Mask(right),)),
+        ArmPath((left,)),
+        ArmPath((right,)),
         bucket=False,
         x1_indices=idx[:50],
         x2_indices=idx[50:],

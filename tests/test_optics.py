@@ -6,7 +6,6 @@ from ghostsim import (
     ArmPath,
     Grid1D,
     Lens,
-    Mask,
     Propagate,
     SamplingError,
     SetupGeometry,
@@ -192,7 +191,7 @@ class TestMaskAndSplitter:
     def test_all_ones_identity(self, g4096):
         f = gaussian_field(g4096)
         m = make_slit(g4096, 0.0, g4096.span)
-        out = apply_path_block(f, g4096, WL, ArmPath((Mask(m),)))
+        out = apply_path_block(f, g4096, WL, ArmPath((m,)))
         assert np.array_equal(out, f)
 
     def test_all_zeros(self, g4096):
@@ -200,13 +199,13 @@ class TestMaskAndSplitter:
 
         f = gaussian_field(g4096)
         m = TransmissionMask(g4096, np.zeros(g4096.n))
-        assert power(apply_path_block(f, g4096, WL, ArmPath((Mask(m),))), g4096) == 0.0
+        assert power(apply_path_block(f, g4096, WL, ArmPath((m,))), g4096) == 0.0
 
     def test_slit_power_ratio_is_open_fraction(self, g4096):
         f = np.ones(g4096.n, complex)
         m = make_slit(g4096, 0.0, 0.2e-3)
         open_fraction = np.abs(m.t).sum().real / g4096.n
-        out = apply_path_block(f, g4096, WL, ArmPath((Mask(m),)))
+        out = apply_path_block(f, g4096, WL, ArmPath((m,)))
         assert power(out, g4096) / power(f, g4096) == pytest.approx(open_fraction, rel=1e-12)
 
     def test_mask_twice_equals_t_squared_once(self, g4096):
@@ -216,13 +215,13 @@ class TestMaskAndSplitter:
         t = np.linspace(0, 1, g4096.n)
         m = TransmissionMask(g4096, t)
         m2 = TransmissionMask(g4096, t**2)
-        twice = apply_path_block(f, g4096, WL, ArmPath((Mask(m), Mask(m))))
-        once = apply_path_block(f, g4096, WL, ArmPath((Mask(m2),)))
+        twice = apply_path_block(f, g4096, WL, ArmPath((m, m)))
+        once = apply_path_block(f, g4096, WL, ArmPath((m2,)))
         assert np.abs(twice - once).max() < 1e-15
 
     def test_grid_mismatch_rejected(self, g4096):
         other = Grid1D(n=2048, dx=2e-6)
-        path = ArmPath((Mask(make_slit(other, 0.0, 0.2e-3)),))
+        path = ArmPath((make_slit(other, 0.0, 0.2e-3),))
         with pytest.raises(ValueError):
             apply_path_block(gaussian_field(g4096), g4096, WL, path)
 
@@ -254,7 +253,7 @@ class TestRunArm:
 
     def test_bench_arm_orders(self, g4096, geometry):
         obj = make_slit(g4096, 0.0, 0.2e-3)
-        arm1 = ArmPath((Propagate(geometry.z_source_object), Mask(obj)))
+        arm1 = ArmPath((Propagate(geometry.z_source_object), obj))
         f = gaussian_field(g4096, w0=150e-6)
         out = apply_path_block(f, g4096, WL, arm1)
         assert power(out, g4096) < power(f, g4096)
@@ -294,7 +293,7 @@ class TestCallersArray:
             elif isinstance(el, Lens):
                 a = a * lens_phase(SMALL_GRID, WL, el.focal_length)
             else:
-                a = a * el.mask.t
+                a = a * el.t
         return a
 
     @settings(max_examples=60, deadline=None)
@@ -324,6 +323,11 @@ class TestCallersArray:
         phase = lens_phase(g4096, WL, 85e-3)
         assert lens_phase(g4096, WL, 85e-3) is phase
         assert not phase.flags.writeable
+        # lru_cache keeps no exception: a refused focal length raises on every call
+        for _ in range(2):
+            with pytest.raises(ValueError, match="lens phase is not finite"):
+                lens_phase(g4096, WL, 1e-307)
+        assert lens_phase(g4096, WL, 85e-3) is phase
 
 
 class TestReciprocity:
@@ -356,12 +360,12 @@ def _adjoint(path, y):
         elif isinstance(el, Lens):
             y = apply_path_block(y, SMALL_GRID, WL, ArmPath((Lens(-el.focal_length),)))
         else:
-            y = y * el.mask.t.conj()
+            y = y * el.t.conj()
     return y
 
 
 _CHIRP = np.exp(1j * np.linspace(0, 40, SMALL_GRID.n) ** 1.5)
-_PHASE_MASK = Mask(TransmissionMask(SMALL_GRID, 0.9 * _CHIRP * one_slit(600, 800).mask.t))
+_PHASE_MASK = TransmissionMask(SMALL_GRID, 0.9 * _CHIRP * one_slit(600, 800).t)
 _BENCH = SetupGeometry.default()
 
 
