@@ -12,8 +12,12 @@ Both engines read one kernel (detector_kernel): the two arms' source-mode
 Green's functions at the grid columns the detectors read, from which thermal
 light gives G2 = <I1><I2> + |sum_q h1* h2|^2 (Gatti, Brambilla, Bache &
 Lugiato, PRL 93, 093602, 2004).  An arm's kernel may be built from its
-detector side, by reciprocity (mode_decomposition).  The MC result converges
-to the analytic one as 1/sqrt(n).
+detector side, by reciprocity (mode_decomposition).  G2 depends on the source
+only through the kernel's cross-spectral density G^H G, so the MC engine
+draws in an orthonormal basis of the kernel's range, a few dozen modes
+instead of m, to a fixed tolerance (_range_factor); the analytic engine sums
+the unfactored kernel.  The MC result converges to the analytic one as
+1/sqrt(n).
 
 The observable's rules live here alone: the bucket's columns, refused when
 its mask is opaque (detector_kernel), and normalization, refused where g2 is
@@ -27,11 +31,13 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .core import TransmissionMask
-from .optics import ArmPath
+from .optics import ArmPath, Propagate
 from .source import EnsembleConfig, ModeSet, mode_decomposition, sample_source_block
 
 __all__ = [
@@ -45,6 +51,9 @@ __all__ = [
 
 _FULL_MAP_LIMIT = 1 << 24  # refuse full x1-by-x2 maps above this many entries
 _ANALYTIC_CHUNK = 256  # arm-1 columns per bucket term2 product in g2_analytic
+_FACTOR_TOL = 1e-12  # the range factor's bound on ||G^H G - F^H F||_F / ||G||_F^2
+_FACTOR_WIDTH = 32  # the range finder's first basis width, doubled until the bound holds
+_SKETCH_KEY = 0  # Philox key of the range finder's test matrix: fixed, so (seed, config) fix bits
 
 
 def _kind(bucket: bool, diagonal: bool) -> str:
@@ -124,6 +133,38 @@ def detector_kernel(
     return mode_decomposition(config, arm1, arm2, columns1=x1_idx, columns2=x2_idx)
 
 
+def _range_factor(kernel: ModeSet) -> tuple[ModeSet, np.ndarray | None]:
+    """(kernel with (g1, g2) replaced by (f1, f2) = Q^H (g1, g2), Q^H), or
+    (kernel, None) where no basis narrower than m holds it.
+
+    Q (m x l) is an orthonormal basis of the range of G = [g1 | g2], from a
+    randomized range finder (Halko, Martinsson & Tropp, SIAM Rev. 53, 217,
+    2011): Q from the QR of the sketch G G^H Omega, Omega an m x l complex
+    Gaussian from a fixed-key Philox, with l = _FACTOR_WIDTH doubled until
+    ||G||_F^2 - ||F||_F^2 <= _FACTOR_TOL ||G||_F^2.  By Pythagoras that is
+    ||(I - Q Q^H) G||_F^2, which bounds ||G^H G - F^H F||_F.  Where l would
+    reach m, the kernel is kept.  The factor's rows are basis modes, not
+    source samples: row j is the kernel of the source amplitudes Q[:, j].
+    No second m x N array is formed: the sketch is g (Omega^H g)^H, one arm
+    at a time.
+    """
+    g1, g2 = kernel.g1, kernel.g2
+    m = len(kernel)
+    total = np.linalg.norm(g1) ** 2 + np.linalg.norm(g2) ** 2
+    width = _FACTOR_WIDTH
+    while width < m:
+        z = Generator(Philox(key=_SKETCH_KEY)).standard_normal((m, 2 * width))
+        omega_h = z.view(np.complex128).T.conj()
+        sketch = g1 @ (omega_h @ g1).T.conj()
+        sketch += g2 @ (omega_h @ g2).T.conj()
+        q_h = np.linalg.qr(sketch)[0].T.conj()
+        f1, f2 = q_h @ g1, q_h @ g2
+        if total - np.linalg.norm(f1) ** 2 - np.linalg.norm(f2) ** 2 <= _FACTOR_TOL * total:
+            return replace(kernel, g1=f1, g2=f2), q_h
+        width *= 2
+    return kernel, None
+
+
 def _block_sums(kernel, kind, c, dx):
     """(sum I1 I2, sum (I1 I2)^2, sum I1, sum I2) over the realizations whose
     source amplitudes are the rows of c; dx weighs the bucket's sum over x1."""
@@ -175,28 +216,47 @@ def accumulate_mc(
     x1_indices, as the bucket does; detector_kernel).
     Deterministic for fixed (seed, n_realizations) for any worker count.
 
-    The arms are propagated once, as the kernel of detector_kernel; each
-    realization's fields are then its m source amplitudes times that kernel.
-    Draw threads only draw the amplitudes of each block of block_size
-    realizations (sample_source_block), block j on thread j mod workers (one
-    single-thread executor each, so a fast thread cannot take every block);
-    the calling thread reduces every draw, in block-index order, into the
-    first block's sums.  A full map's block sums are matrix products,
-    I1^T I2 and (I1^2)^T (I2^2) (BLAS gemm); the bucket's and the
+    The arms are propagated once, as the kernel G = [g1 | g2] of
+    detector_kernel (m modes by n1 + n2 columns).  Thermal G2 depends on the
+    source only through G^H G (Gatti et al., PRL 93, 093602, 2004), so when
+    both arms hold a Propagate hop, G is replaced by its range factor
+    F = Q^H G (_range_factor: Q an m x l orthonormal basis,
+    ||G^H G - F^H F||_F <= 1e-12 ||G||_F^2) and dropped, and a realization
+    draws l CN(0, 1) coefficients (32 or 64 on the bench's kernels) instead
+    of m amplitudes.  An arm with no hop is pointwise, its kernel a scaled
+    selection of the samples it reads, which no narrower basis holds, so
+    such a kernel (Siegert's) is drawn m wide, as is one whose basis would
+    reach m.  The analytic engine reads G itself.  The basis comes from a
+    fixed-key sketch, so the bits depend on (seed, config) alone; but each
+    call draws in its own basis, so two calls with one seed (two defocus
+    planes, say) no longer share source fields.
+    Draw threads only draw the w = l (or m) amplitudes of each block of
+    block_size realizations (sample_source_block), block j on thread
+    j mod workers (one single-thread executor each, so a fast thread cannot
+    take every block); the calling thread reduces every draw, in block-index
+    order, into the first block's sums.  A full map's block sums are matrix
+    products, I1^T I2 and (I1^2)^T (I2^2) (BLAS gemm); the bucket's and the
     diagonal's are elementwise, in place, with no block-sized temporary.
     Memory stays bounded by the kernel build's working memory (one reused
     batch of mode_decomposition's default 8 rows of n complex samples, plus
-    a few n-sample rows; its docstring gives the bytes), the kernel's
-    m * (|arm-1 columns| + |x2|), one block on the calling thread and at
-    most `workers` draws: draws are submitted through a window of `workers`,
-    so at most `workers` are running or unreduced at once, the one being
-    reduced included (a slow draw holds back the submission of later ones).
+    a few n-sample rows; its docstring gives the bytes) and the kernel's
+    16 * m * (n1 + n2) bytes, then by the range factor's working memory
+    before the first draw, then by the factored kernel, one block on the
+    calling thread and at most `workers` draws: draws are submitted through
+    a window of `workers`, so at most `workers` are running or unreduced at
+    once, the one being reduced included (a slow draw holds back the
+    submission of later ones).
     With B = block_size, m modes, n1 arm-1 columns, n2 = |x2| and S map
-    entries (n1 * n2 for a full map, else n2), a draw takes at most 16*m*B'
-    bytes, B' being B rounded out to whole 64-realization chunks (at most
-    B + 126; the normals are drawn into the complex amplitudes themselves),
-    and the block at most 24*B*(n1 + n2) + 16*S (both arms' fields and
-    intensities, and its sums).
+    entries (n1 * n2 for a full map, else n2), the range factor takes at
+    most 16*l*(6*m + 3*(n1 + n2)) bytes beside G, l being the widest basis
+    it tries: m x l arrays (the test matrix, the sketch G G^H Omega, QR's
+    work and Q^H), l x (n1 + n2) ones (F, and Omega^H g, formed one arm at a
+    time, so there is no second m x (n1 + n2) array) and the previous try's
+    Q^H and F.  A draw takes
+    at most 16*w*B' bytes, B' being B rounded out to whole 64-realization
+    chunks (at most B + 126; the normals are drawn into the complex
+    amplitudes themselves), and the block at most 24*B*(n1 + n2) + 16*S
+    (both arms' fields and intensities, and its sums).
     The running sums (the first block's) and the final ratios with their
     temporaries add at most 56*(S + n1 + n2) bytes; a later block is dropped
     once merged.  workers < 1 and block_size < 1 are refused (ValueError)
@@ -212,6 +272,9 @@ def accumulate_mc(
     kernel = detector_kernel(
         config, arm1, arm2, bucket, diagonal=diagonal, x1_indices=x1_indices, x2_indices=x2_indices
     )
+    if all(any(isinstance(el, Propagate) for el in arm) for arm in (arm1, arm2)):
+        kernel = _range_factor(kernel)[0]  # the unfactored kernel is dropped here
+    draw = partial(sample_source_block, width=len(kernel.g1))
 
     n, dx = config.n_realizations, config.grid.dx
     blocks = ((config, k0, min(k0 + block_size, n)) for k0 in range(0, n, block_size))
@@ -219,7 +282,7 @@ def accumulate_mc(
     with ExitStack() as stack:
         # one thread per executor, so block j is drawn on thread j mod workers
         pools = [stack.enter_context(ThreadPoolExecutor(max_workers=1)) for _ in range(workers)]
-        draws = _in_order(pools, sample_source_block, blocks, workers)
+        draws = _in_order(pools, draw, blocks, workers)
         s_p, s_p2, s_i1, s_i2 = _block_sums(kernel, kind, next(draws), dx)
         for c in draws:
             p, p2, i1, i2 = _block_sums(kernel, kind, c, dx)

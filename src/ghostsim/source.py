@@ -5,13 +5,19 @@ Gaussian field on the source aperture (the standard fully-developed-speckle
 idealization of a rotating ground glass): one independent complex normal per
 grid sample inside the aperture, zero outside.  A draw therefore holds only
 the m aperture amplitudes; every field behind an arm is that (m,) vector
-times the arm's Green's functions (mode_decomposition).
+times the arm's Green's functions (mode_decomposition).  The amplitudes are
+CN(0, I_m), and their coefficients on any l orthonormal vectors are
+CN(0, I_l), so a draw may instead hold l < m coefficients on a basis of the
+Green's functions' range (sample_source_block's width;
+correlation.accumulate_mc's range factor).
 
 Randomness is counter-based (Philox): realizations come in chunks of
 _CHUNK = 64, and chunk c is one standard_normal call on a Philox rewound to
 counter (0, 0, 0, c).  The values of realization k are therefore a pure
-function of (seed, k, sample index), so realizations can be generated in any
-order, in any blocks, by any number of workers, with bit-identical results.
+function of (seed, width, k, column), so realizations can be generated in any
+order, in any blocks, by any number of workers, with bit-identical results;
+a draw of width w reads 2 w normals per realization, so a narrower draw is a
+different stream from the same key.
 """
 
 from __future__ import annotations
@@ -58,13 +64,18 @@ def _philox_key(seed: int) -> np.ndarray:
     return SeedSequence(int(seed)).generate_state(2, dtype=np.uint64)
 
 
-def sample_source_block(config: EnsembleConfig, k0: int, k1: int) -> np.ndarray:
-    """Aperture amplitudes for realizations k0..k1-1 as a (k1-k0, m) array.
+def sample_source_block(
+    config: EnsembleConfig, k0: int, k1: int, *, width: int | None = None
+) -> np.ndarray:
+    """Aperture amplitudes for realizations k0..k1-1 as a (k1-k0, width) array
+    of independent CN(0, 1) normals; width defaults to m, the aperture size.
 
-    Column j belongs to grid sample aperture_indices(config)[j]; the field is
-    zero everywhere else on the grid.  Realization k is row k % _CHUNK of
-    chunk c = k // _CHUNK, which is
-    z = Generator(Philox(key, counter=[0, 0, 0, c])).standard_normal((_CHUNK, 2 m))
+    At width m, column j belongs to grid sample aperture_indices(config)[j];
+    the field is zero everywhere else on the grid.  At a smaller width the
+    columns are coefficients in an orthonormal basis of the aperture's
+    amplitudes (accumulate_mc's range factor).  Realization k is row
+    k % _CHUNK of chunk c = k // _CHUNK, which is
+    z = Generator(Philox(key, counter=[0, 0, 0, c])).standard_normal((_CHUNK, 2 width))
     taken as (z[:, 0::2] + i z[:, 1::2]) / sqrt(2), with
     key = SeedSequence(seed).generate_state(2, uint64): interleaved (re, im)
     pairs.  One Philox is rewound to each chunk's counter and draws straight
@@ -76,10 +87,10 @@ def sample_source_block(config: EnsembleConfig, k0: int, k1: int) -> np.ndarray:
         raise ValueError(
             f"realization range [{k0}, {k1}) outside [0, {config.n_realizations})"
         )
-    m = len(aperture_indices(config))
+    width = len(aperture_indices(config)) if width is None else width
     c0, c1 = k0 // _CHUNK, -(-k1 // _CHUNK)
-    out = np.empty(((c1 - c0) * _CHUNK, m), dtype=np.complex128)
-    chunks = out.view(np.float64).reshape(c1 - c0, _CHUNK, 2 * m)  # rows of (re, im) pairs
+    out = np.empty(((c1 - c0) * _CHUNK, width), dtype=np.complex128)
+    chunks = out.view(np.float64).reshape(c1 - c0, _CHUNK, 2 * width)  # rows of (re, im) pairs
     bitgen = Philox(key=_philox_key(config.seed))
     rng = Generator(bitgen)
     state = bitgen.state  # as constructed: empty buffer, so a draw starts at the counter

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ghostsim.cli import (
+    SCENARIOS,
     ConfigError,
     export_image,
     export_trace,
@@ -528,13 +529,16 @@ class TestScenarios:
         assert "config.seed = 7" in manifest
         assert "config.n_realizations = 256" in manifest
 
-    def test_determinism_across_worker_counts(self, tmp_path):
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_determinism_across_worker_counts(self, tmp_path, scenario):
+        # every MC kernel but Siegert's is range-factored: the basis must not
+        # depend on the worker count either
         cfg = small_cfg(tmp_path)
         digests = []
         for workers, sub in ((1, "w1"), (3, "w3")):
             out = tmp_path / sub
             code = main(
-                ["run", "fig4-doubleslit", "--config", str(cfg), "--out", str(out),
+                ["run", scenario, "--config", str(cfg), "--out", str(out),
                  "--engine", "mc", "--realizations", "384", "--workers", str(workers)]
             )
             assert code == 0

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ghostsim import (
     ArmPath,
@@ -38,9 +38,12 @@ from ghostsim.experiment import (
 from ghostsim.optics import apply_path_block
 from ghostsim.source import aperture_indices, sample_source_block
 
-from conftest import make_config
+from conftest import PATHS, SMALL_GRID, make_config, one_slit
 
 IDENTITY = ArmPath(())
+# a 3 mm source on the small grid holds m = 375 modes, so the range factor
+# (accumulate_mc) can draw fewer than m normals per realization
+WIDE_SOURCE = SetupGeometry.default(source_diameter=3e-3)
 
 
 @pytest.fixture(scope="module")
@@ -347,14 +350,14 @@ def test_mc_threads_capped_at_cpu_count(small_grid, geometry, monkeypatch):
     lock, running, peak, drawers, reducers = threading.Lock(), [0], [0], set(), set()
     draw, block_sums = correlation.sample_source_block, correlation._block_sums
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         with lock:
             running[0] += 1
             peak[0] = max(peak[0], running[0])
             drawers.add(threading.get_ident())
         try:
             time.sleep(0.05)  # long enough for every started thread to pick up a draw
-            return draw(*args)
+            return draw(*args, **kwargs)
         finally:
             with lock:
                 running[0] -= 1
@@ -379,13 +382,12 @@ def test_mc_block_j_is_drawn_on_thread_j_mod_workers(small_grid, geometry, worke
     # every block; striped, each block has its thread whatever the timing
     workers = min(workers, os.cpu_count() or 1)
     config = make_config(small_grid, geometry, n_realizations=4 * 8, seed=8)
-    m = len(aperture_indices(config))
     lock, thread_of = threading.Lock(), {}
 
-    def instant(config, k0, k1):
+    def instant(config, k0, k1, *, width):
         with lock:
             thread_of[k0 // 8] = threading.get_ident()
-        return np.zeros((k1 - k0, m), dtype=np.complex128)
+        return np.zeros((k1 - k0, width), dtype=np.complex128)
 
     monkeypatch.setattr(correlation, "sample_source_block", instant)
     accumulate_mc(config, IDENTITY, IDENTITY, bucket=False, diagonal=True,
@@ -408,7 +410,7 @@ def test_mc_holds_at_most_workers_blocks_unmerged(small_grid, geometry, monkeypa
     lock, started, held = threading.Lock(), [], []
     draw = correlation.sample_source_block
 
-    def stalled(config, k0, k1):
+    def stalled(config, k0, k1, **kwargs):
         with lock:
             started.append(k0)
         if k0 == 0:
@@ -416,7 +418,7 @@ def test_mc_holds_at_most_workers_blocks_unmerged(small_grid, geometry, monkeypa
             time.sleep(0.3)
             with lock:
                 held.append(len(started))  # nothing is reduced before block 0
-        return draw(config, k0, k1)
+        return draw(config, k0, k1, **kwargs)
 
     monkeypatch.setattr(correlation, "sample_source_block", stalled)
     out = accumulate_mc(config, IDENTITY, IDENTITY, workers=workers, **options)
@@ -438,24 +440,34 @@ def _traced_peak(call):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kind", ["full", "bucket", "diagonal"])
 def test_mc_memory_within_the_documented_bound(small_grid, geometry, kind, workers):
-    # accumulate_mc's docstring: beyond the kernel build, one block of
-    # 24*B*(n1 + n2) + 16*S bytes on the calling thread, `workers` draws of
-    # 16*m*B' bytes (B = 256 is whole 64-realization chunks, so B' = B) and a
-    # tail of 56*(S + n1 + n2)
-    config = make_config(small_grid, geometry, n_realizations=2048, seed=13)
-    arms = build_arms(geometry, make_double_slit(small_grid, 1e-3, 0.2e-3))
-    x2 = scan_indices(small_grid, 3e-3)
-    options = dict(bucket=kind == "bucket", diagonal=kind == "diagonal",
-                   x1_indices=x2 if kind == "full" else None, x2_indices=x2)
-    kernel_peak = _traced_peak(lambda: detector_kernel(config, *arms, **options))
-    mc_peak = _traced_peak(lambda: accumulate_mc(config, *arms, workers=workers, **options))
-    kernel = detector_kernel(config, *arms, **options)
-    m, n1, n2 = len(kernel), len(kernel.columns1), len(kernel.columns2)
-    S = n1 * n2 if kind == "full" else n2
-    block = 24 * 256 * (n1 + n2) + 16 * S
-    draw = 16 * 256 * m
-    slack = 64 * 1024  # Python objects: futures, tuples, the pool
-    assert mc_peak <= kernel_peak + block + workers * draw + 56 * (S + n1 + n2) + slack
+    # accumulate_mc's docstring: beyond the kernel build, the range factor's
+    # 16*l*(6*m + 3*(n1 + n2)) bytes before the first draw (l its widest
+    # basis tried), then one block of 24*B*(n1 + n2) + 16*S bytes on the
+    # calling thread, `workers` draws of 16*w*B' bytes (w the draw's width;
+    # B = 256 is whole 64-realization chunks, so B' = B) and a tail of
+    # 56*(S + n1 + n2).  The bench's 200 um source (m = 25) is drawn m wide;
+    # the wide one (m = 375) is factored
+    for bench in (geometry, WIDE_SOURCE):
+        config = make_config(small_grid, bench, n_realizations=2048, seed=13)
+        arms = build_arms(bench, make_double_slit(small_grid, 1e-3, 0.2e-3))
+        x2 = scan_indices(small_grid, 3e-3)
+        options = dict(bucket=kind == "bucket", diagonal=kind == "diagonal",
+                       x1_indices=x2 if kind == "full" else None, x2_indices=x2)
+        kernel_peak = _traced_peak(lambda: detector_kernel(config, *arms, **options))
+        mc_peak = _traced_peak(lambda: accumulate_mc(config, *arms, workers=workers, **options))
+        kernel = detector_kernel(config, *arms, **options)
+        m, n1, n2 = len(kernel), len(kernel.columns1), len(kernel.columns2)
+        width = len(correlation._range_factor(kernel)[0].g1)
+        assert (width < m) == (bench is WIDE_SOURCE)
+        # the range finder tries l = 32, 64, ... below m, and stops at the width it keeps
+        tried = [32 << k for k in range(6) if 32 << k < m]
+        factor = 16 * (width if width < m else max(tried, default=0)) * (6 * m + 3 * (n1 + n2))
+        S = n1 * n2 if kind == "full" else n2
+        block = 24 * 256 * (n1 + n2) + 16 * S
+        draw = 16 * 256 * width
+        slack = 64 * 1024  # Python objects: futures, tuples, the pool
+        loop = block + workers * draw + 56 * (S + n1 + n2)
+        assert mc_peak <= kernel_peak + max(factor, loop) + slack, m
 
 
 def test_mc_block_bounds_are_not_listed_before_the_first_draw(small_grid, geometry,
@@ -464,7 +476,7 @@ def test_mc_block_bounds_are_not_listed_before_the_first_draw(small_grid, geomet
     class FirstDraw(Exception):
         pass
 
-    def first_draw(*args):
+    def first_draw(*args, **kwargs):
         raise FirstDraw
 
     monkeypatch.setattr(correlation, "sample_source_block", first_draw)
@@ -479,17 +491,20 @@ def test_mc_block_bounds_are_not_listed_before_the_first_draw(small_grid, geomet
 
 
 @pytest.mark.parametrize("kind", ["full", "bucket", "diagonal"])
-def test_block_sums_equal_the_einsum_and_broadcast_forms(small_grid, geometry, kind):
-    # 257 realizations in blocks of 256: the last block holds a single row
-    config = make_config(small_grid, geometry, n_realizations=257, seed=9)
+def test_block_sums_equal_the_einsum_and_broadcast_forms(small_grid, kind):
+    # 257 realizations in blocks of 256: the last block holds a single row,
+    # drawn l wide and run through the factored kernel, as accumulate_mc does
+    config = make_config(small_grid, WIDE_SOURCE, n_realizations=257, seed=9)
     obj = make_double_slit(small_grid, 1e-3, 0.2e-3)
-    kernel = detector_kernel(
-        config, *build_arms(geometry, obj), bucket=kind == "bucket", diagonal=kind == "diagonal",
-        x1_indices=obj.support_indices() if kind == "full" else None,
+    kernel, basis = correlation._range_factor(detector_kernel(
+        config, *build_arms(WIDE_SOURCE, obj), bucket=kind == "bucket",
+        diagonal=kind == "diagonal", x1_indices=obj.support_indices() if kind == "full" else None,
         x2_indices=scan_indices(small_grid, 2e-3),
-    )
+    ))
+    width = len(kernel.g1)
+    assert basis is not None and width < len(aperture_indices(config))
     for k0, k1 in ((0, 256), (256, 257)):
-        c = sample_source_block(config, k0, k1)
+        c = sample_source_block(config, k0, k1, width=width)
         I1 = np.abs(c @ kernel.g1) ** 2
         I2 = np.abs(c @ kernel.g2) ** 2
         if kind == "full":
@@ -507,6 +522,39 @@ def test_block_sums_equal_the_einsum_and_broadcast_forms(small_grid, geometry, k
                 np.testing.assert_allclose(g, w, rtol=1e-12, atol=0, err_msg=name)
             else:  # the same elementwise operations
                 assert np.array_equal(g, w), (k0, name)
+
+
+def _has_hop(arm):
+    return any(isinstance(el, Propagate) for el in arm)
+
+
+@settings(max_examples=25, deadline=None)
+@given(arm1=PATHS, arm2=PATHS)
+# both arms read the same 32 source samples: G has rank 32 exactly, so the
+# first basis (l = 32) holds it with no direction to spare
+@example(arm1=ArmPath((one_slit(1000, 32), Propagate(0.25))),
+         arm2=ArmPath((one_slit(1000, 32), Propagate(0.3), Lens(0.1), Propagate(0.25))))
+def test_range_factor_holds_the_cross_spectral_density(arm1, arm2):
+    # F^H F = G^H G on the kept columns to the factor's tolerance, with at most
+    # m rows; accumulate_mc draws that many normals when both arms hop, else m
+    config = make_config(SMALL_GRID, WIDE_SOURCE, n_realizations=2)
+    cols = np.arange(0, SMALL_GRID.n, 16)
+    options = dict(bucket=False, x1_indices=cols, x2_indices=cols)
+    kernel = detector_kernel(config, arm1, arm2, **options)
+    factor, basis = correlation._range_factor(kernel)
+    m, width = len(kernel), len(factor.g1)
+    assert width <= m and (basis is None) == (width == m)
+    G = np.hstack([kernel.g1, kernel.g2])
+    F = np.hstack([factor.g1, factor.g2])
+    err = np.linalg.norm(G.conj().T @ G - F.conj().T @ F)
+    assert err <= correlation._FACTOR_TOL * np.linalg.norm(G) ** 2
+
+    widths, draw = [], correlation.sample_source_block
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(correlation, "sample_source_block",
+                   lambda *args, width: widths.append(width) or draw(*args, width=width))
+        accumulate_mc(config, arm1, arm2, **options)
+    assert widths == [width if _has_hop(arm1) and _has_hop(arm2) else m]
 
 
 def test_fluctuation_equals_interference_term(grid, geometry):
@@ -666,16 +714,22 @@ SLITS = st.lists(st.tuples(st.integers(0, 1023), st.integers(1, 256)), min_size=
 
 @settings(max_examples=20, deadline=None)
 @given(slits=SLITS, seed=st.integers(0, 2**32 - 1))
-def test_bucket_i1_over_mask_support_equals_full_grid_sum(small_grid, geometry, slits, seed):
+def test_bucket_i1_over_mask_support_equals_full_grid_sum(small_grid, slits, seed):
+    # accumulate_mc factors the bucket's kernel; the full-grid kernel is run
+    # through the same basis, and the draw is as wide as the factor
     n = small_grid.n
     obj = _slit_mask(small_grid, slits)
-    arm1, arm2 = build_arms(geometry, obj)
-    config = make_config(small_grid, geometry, n_realizations=8, seed=seed)
-    cmap = accumulate_mc(config, arm1, arm2, bucket=True, x2_indices=np.arange(0, n, 64))
+    arm1, arm2 = build_arms(WIDE_SOURCE, obj)
+    config = make_config(small_grid, WIDE_SOURCE, n_realizations=8, seed=seed)
+    x2 = np.arange(0, n, 64)
+    cmap = accumulate_mc(config, arm1, arm2, bucket=True, x2_indices=x2)
 
-    modes = mode_decomposition(config, arm1, arm2)
-    c = sample_source_block(config, 0, config.n_realizations)
-    full_grid = (np.abs(c @ modes.g1) ** 2).sum(axis=1) * small_grid.dx
+    _, basis = correlation._range_factor(detector_kernel(config, arm1, arm2, x2_indices=x2))
+    g1 = mode_decomposition(config, arm1, arm2).g1
+    if basis is not None:
+        g1 = basis @ g1
+    c = sample_source_block(config, 0, config.n_realizations, width=len(g1))
+    full_grid = (np.abs(c @ g1) ** 2).sum(axis=1) * small_grid.dx
     assert cmap.i1_mean == pytest.approx(full_grid.mean(), rel=1e-12, abs=0)
 
 

@@ -50,16 +50,20 @@ class TestDeterminism:
                                         (9990, 10000)])
     def test_rows_follow_the_documented_philox_stream(self, config, k0, k1):
         # realization k is row k % 64 of chunk k // 64, one standard_normal
-        # call on Philox counter [0, 0, 0, c]; (re, im) pairs interleaved
-        m = len(aperture_indices(config))
+        # call on Philox counter [0, 0, 0, c]; (re, im) pairs interleaved;
+        # m wide by default, or as wide as asked (a range factor's draw)
         key = SeedSequence(config.seed).generate_state(2, dtype=np.uint64)
-        chunks = {}
-        for row, k in zip(sample_source_block(config, k0, k1), range(k0, k1), strict=True):
-            c = k // 64
-            if c not in chunks:
-                z = Generator(Philox(key=key, counter=[0, 0, 0, c])).standard_normal((64, 2 * m))
-                chunks[c] = (z[:, 0::2] + 1j * z[:, 1::2]) / np.sqrt(2.0)
-            assert np.array_equal(row, chunks[c][k % 64]), k
+        for width in (None, 32):
+            w = len(aperture_indices(config)) if width is None else width
+            chunks = {}
+            rows = sample_source_block(config, k0, k1, width=width)
+            for row, k in zip(rows, range(k0, k1), strict=True):
+                c = k // 64
+                if c not in chunks:
+                    bitgen = Philox(key=key, counter=[0, 0, 0, c])
+                    z = Generator(bitgen).standard_normal((64, 2 * w))
+                    chunks[c] = (z[:, 0::2] + 1j * z[:, 1::2]) / np.sqrt(2.0)
+                assert np.array_equal(row, chunks[c][k % 64]), (width, k)
 
     @pytest.mark.parametrize("split", [1, 64, 100, 256])
     def test_rows_do_not_depend_on_the_block_split(self, config, split):
