@@ -143,10 +143,9 @@ def _range_factor(kernel: ModeSet) -> tuple[ModeSet, np.ndarray | None]:
     Gaussian from a fixed-key Philox, with l = _FACTOR_WIDTH doubled until
     ||G||_F^2 - ||F||_F^2 <= _FACTOR_TOL ||G||_F^2.  By Pythagoras that is
     ||(I - Q Q^H) G||_F^2, which bounds ||G^H G - F^H F||_F.  Where l would
-    reach m, the kernel is kept.  The factor's rows are basis modes, not
-    source samples: row j is the kernel of the source amplitudes Q[:, j].
-    No second m x N array is formed: the sketch is g (Omega^H g)^H, one arm
-    at a time.
+    reach m, the kernel is kept.  Row j of the factor is source mode Q[:, j]
+    (ModeSet).  No second m x N array is formed: the sketch is
+    g (Omega^H g)^H, one arm at a time.
     """
     g1, g2 = kernel.g1, kernel.g2
     m = len(kernel)
@@ -183,14 +182,14 @@ def _block_sums(kernel, kind, c, dx):
     return p, I2.sum(axis=0), s1, s2
 
 
-def _in_order(pools, fn, items, window):
+def _in_order(pools, fn, items):
     """fn(*args) for the j-th args in items on pools[j % len(pools)], yielded
-    in order, with at most window calls submitted and not yet yielded: a slow
-    call holds back the ones after it."""
+    in order, with at most len(pools) calls submitted and not yet yielded, one
+    per pool: a slow call holds back the ones after it."""
     pending = deque()
     for j, args in enumerate(items):
         pending.append(pools[j % len(pools)].submit(fn, *args))
-        if len(pending) == window:
+        if len(pending) == len(pools):
             yield pending.popleft().result()
     while pending:
         yield pending.popleft().result()
@@ -223,14 +222,14 @@ def accumulate_mc(
     F = Q^H G (_range_factor: Q an m x l orthonormal basis,
     ||G^H G - F^H F||_F <= 1e-12 ||G||_F^2) and dropped, and a realization
     draws l CN(0, 1) coefficients (32 or 64 on the bench's kernels) instead
-    of m amplitudes.  An arm with no hop is pointwise, its kernel a scaled
-    selection of the samples it reads, which no narrower basis holds, so
-    such a kernel (Siegert's) is drawn m wide, as is one whose basis would
-    reach m.  The analytic engine reads G itself.  The basis comes from a
-    fixed-key sketch, so the bits depend on (seed, config) alone; but each
-    call draws in its own basis, so two calls with one seed (two defocus
-    planes, say) no longer share source fields.
-    Draw threads only draw the w = l (or m) amplitudes of each block of
+    of m amplitudes.  A kernel with a hop-free arm is drawn m wide, unfactored,
+    as is one whose basis would reach m: Siegert's identity arms fill every
+    basis the finder tries, and at m = 1500 those wasted tries took about 3 s
+    against 1 s for 2000 realizations (2-core host).  The analytic engine
+    reads G itself.  The basis comes from a fixed-key sketch, so the bits
+    depend on (seed, config) alone; but each call draws in its own basis, so
+    two calls with one seed (two defocus planes, say) share no source fields.
+    Draw threads only draw the w = len(kernel) coefficients of each block of
     block_size realizations (sample_source_block), block j on thread
     j mod workers (one single-thread executor each, so a fast thread cannot
     take every block); the calling thread reduces every draw, in block-index
@@ -274,7 +273,7 @@ def accumulate_mc(
     )
     if all(any(isinstance(el, Propagate) for el in arm) for arm in (arm1, arm2)):
         kernel = _range_factor(kernel)[0]  # the unfactored kernel is dropped here
-    draw = partial(sample_source_block, width=len(kernel.g1))
+    draw = partial(sample_source_block, width=len(kernel))
 
     n, dx = config.n_realizations, config.grid.dx
     blocks = ((config, k0, min(k0 + block_size, n)) for k0 in range(0, n, block_size))
@@ -282,7 +281,7 @@ def accumulate_mc(
     with ExitStack() as stack:
         # one thread per executor, so block j is drawn on thread j mod workers
         pools = [stack.enter_context(ThreadPoolExecutor(max_workers=1)) for _ in range(workers)]
-        draws = _in_order(pools, draw, blocks, workers)
+        draws = _in_order(pools, draw, blocks)
         s_p, s_p2, s_i1, s_i2 = _block_sums(kernel, kind, next(draws), dx)
         for c in draws:
             p, p2, i1, i2 = _block_sums(kernel, kind, c, dx)

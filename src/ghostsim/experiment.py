@@ -231,7 +231,6 @@ def ghost_image_scan(
 def pseudo_object_scan(
     obj: TransmissionMask,
     config: EnsembleConfig,
-    mode: str = "raw",
     engine: str = "analytic",
     *,
     scan_halfwidth: float = 6e-3,
@@ -245,7 +244,7 @@ def pseudo_object_scan(
     """
     geometry = config.geometry
     arm1, _ = build_arms(geometry, obj)
-    return _correlate(config, arm1, sigma_arm(geometry), engine, mode=mode,
+    return _correlate(config, arm1, sigma_arm(geometry), engine,
                       x2_indices=scan_indices(config.grid, scan_halfwidth), workers=workers)
 
 

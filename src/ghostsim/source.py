@@ -7,9 +7,9 @@ grid sample inside the aperture, zero outside.  A draw therefore holds only
 the m aperture amplitudes; every field behind an arm is that (m,) vector
 times the arm's Green's functions (mode_decomposition).  The amplitudes are
 CN(0, I_m), and their coefficients on any l orthonormal vectors are
-CN(0, I_l), so a draw may instead hold l < m coefficients on a basis of the
-Green's functions' range (sample_source_block's width;
-correlation.accumulate_mc's range factor).
+CN(0, I_l), so a draw holds one coefficient per kernel row (ModeSet): m on
+the aperture's samples, or l < m on a basis of the Green's functions' range
+(correlation.accumulate_mc's range factor).
 
 Randomness is counter-based (Philox): realizations come in chunks of
 _CHUNK = 64, and chunk c is one standard_normal call on a Philox rewound to
@@ -70,10 +70,9 @@ def sample_source_block(
     """Aperture amplitudes for realizations k0..k1-1 as a (k1-k0, width) array
     of independent CN(0, 1) normals; width defaults to m, the aperture size.
 
-    At width m, column j belongs to grid sample aperture_indices(config)[j];
-    the field is zero everywhere else on the grid.  At a smaller width the
-    columns are coefficients in an orthonormal basis of the aperture's
-    amplitudes (accumulate_mc's range factor).  Realization k is row
+    Column j is the amplitude of source mode j: row j of a kernel whose len()
+    is width (ModeSet), at width m the grid sample aperture_indices(config)[j]
+    (the field is zero elsewhere on the grid).  Realization k is row
     k % _CHUNK of chunk c = k // _CHUNK, which is
     z = Generator(Philox(key, counter=[0, 0, 0, c])).standard_normal((_CHUNK, 2 width))
     taken as (z[:, 0::2] + i z[:, 1::2]) / sqrt(2), with
@@ -109,19 +108,20 @@ class ModeSet:
     """Green's functions of every source mode through the two arms, kept only
     at the grid columns the detectors read: the one kernel both engines use.
 
-    g1[j, k] is the field at arm-1 grid column columns1[k] produced by a unit
-    amplitude at source grid sample indices[j]; g2 likewise for arm 2.
+    Row j is source mode j and len() counts rows: g1[j, k] is mode j's field
+    at arm-1 grid column columns1[k]; g2 likewise for arm 2.  Mode j is a unit
+    amplitude at grid sample aperture_indices(config)[j] as mode_decomposition
+    builds it, and the basis vector Q[:, j] after correlation's range factor.
     """
 
     grid: Grid1D
-    indices: np.ndarray    # (m,) source-sample grid indices
-    g1: np.ndarray         # (m, len(columns1)) complex
-    g2: np.ndarray         # (m, len(columns2)) complex
+    g1: np.ndarray         # (modes, len(columns1)) complex
+    g2: np.ndarray         # (modes, len(columns2)) complex
     columns1: np.ndarray   # arm-1 grid columns held by g1
     columns2: np.ndarray   # arm-2 grid columns held by g2
 
     def __len__(self) -> int:
-        return len(self.indices)
+        return len(self.g1)
 
 
 def _plan(n: int, arm: ArmPath, rows: np.ndarray) -> tuple[int, int, np.ndarray, np.ndarray]:
@@ -249,4 +249,4 @@ def mode_decomposition(
             g = _arm_kernel(grid, wl, arm, fore, idx, cols, block_size)
         kept.append((g, cols))
     (g1, cols1), (g2, cols2) = kept
-    return ModeSet(grid, idx, g1, g2, cols1, cols2)
+    return ModeSet(grid, g1, g2, cols1, cols2)

@@ -297,8 +297,7 @@ def test_an_empty_scan_window_or_mode_set_is_refused(small_grid, geometry):
     with pytest.raises(ValueError, match="scan window contains no grid samples"):
         scan_indices(small_grid, -1e-3)
     cols = np.arange(4)
-    empty = ModeSet(small_grid, np.arange(0), np.zeros((0, 4), complex), np.zeros((0, 4), complex),
-                    cols, cols)
+    empty = ModeSet(small_grid, np.zeros((0, 4), complex), np.zeros((0, 4), complex), cols, cols)
     with pytest.raises(ValueError, match="mode set is empty"):
         g2_analytic(empty)
 
@@ -501,7 +500,7 @@ def test_block_sums_equal_the_einsum_and_broadcast_forms(small_grid, kind):
         diagonal=kind == "diagonal", x1_indices=obj.support_indices() if kind == "full" else None,
         x2_indices=scan_indices(small_grid, 2e-3),
     ))
-    width = len(kernel.g1)
+    width = len(kernel)
     assert basis is not None and width < len(aperture_indices(config))
     for k0, k1 in ((0, 256), (256, 257)):
         c = sample_source_block(config, k0, k1, width=width)
@@ -534,15 +533,18 @@ def _has_hop(arm):
 # first basis (l = 32) holds it with no direction to spare
 @example(arm1=ArmPath((one_slit(1000, 32), Propagate(0.25))),
          arm2=ArmPath((one_slit(1000, 32), Propagate(0.3), Lens(0.1), Propagate(0.25))))
+# a hop-free arm is drawn m wide even where a narrower basis holds its kernel
+@example(arm1=ArmPath((one_slit(1000, 10),)),
+         arm2=ArmPath((Propagate(0.3), Lens(0.1), Propagate(0.25))))
 def test_range_factor_holds_the_cross_spectral_density(arm1, arm2):
     # F^H F = G^H G on the kept columns to the factor's tolerance, with at most
-    # m rows; accumulate_mc draws that many normals when both arms hop, else m
+    # m rows; accumulate_mc draws len(F) normals when both arms hop, else m
     config = make_config(SMALL_GRID, WIDE_SOURCE, n_realizations=2)
     cols = np.arange(0, SMALL_GRID.n, 16)
     options = dict(bucket=False, x1_indices=cols, x2_indices=cols)
     kernel = detector_kernel(config, arm1, arm2, **options)
     factor, basis = correlation._range_factor(kernel)
-    m, width = len(kernel), len(factor.g1)
+    m, width = len(kernel), factor.g1.shape[0]
     assert width <= m and (basis is None) == (width == m)
     G = np.hstack([kernel.g1, kernel.g2])
     F = np.hstack([factor.g1, factor.g2])
@@ -554,7 +556,10 @@ def test_range_factor_holds_the_cross_spectral_density(arm1, arm2):
         mp.setattr(correlation, "sample_source_block",
                    lambda *args, width: widths.append(width) or draw(*args, width=width))
         accumulate_mc(config, arm1, arm2, **options)
-    assert widths == [width if _has_hop(arm1) and _has_hop(arm2) else m]
+    if _has_hop(arm1) and _has_hop(arm2):
+        assert len(factor) == width and widths == [len(factor)]
+    else:
+        assert widths == [m]
 
 
 def test_fluctuation_equals_interference_term(grid, geometry):

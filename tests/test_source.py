@@ -163,7 +163,7 @@ class TestModeDecomposition:
         assert len(modes) == 100
         j = 11
         expected = np.zeros(grid.n, complex)
-        expected[modes.indices[j]] = 1.0
+        expected[aperture_indices(config)[j]] = 1.0
         assert np.array_equal(modes.g1[j], expected)
         assert np.array_equal(modes.g2[j], expected)
 
