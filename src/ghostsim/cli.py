@@ -475,9 +475,9 @@ def main(argv=None) -> int:
     p_run.add_argument("--engine", choices=["mc", "analytic"], default=None)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--realizations", type=int, default=None)
-    p_run.add_argument("--workers", type=int, default=1,
-                       help="MC draw threads; block j on thread j mod N, N at most the CPU "
-                            "count; < 1 refused by either engine")
+    p_run.add_argument("--workers", type=int, default=1, metavar="N",
+                       help="MC draw threads, N at most the CPU count; outputs are "
+                            "byte-identical for any N; < 1 refused by either engine")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="parse a config and check sampling")

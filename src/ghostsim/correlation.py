@@ -37,7 +37,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .core import TransmissionMask
-from .optics import ArmPath, Propagate
+from .optics import ArmPath
 from .source import EnsembleConfig, ModeSet, mode_decomposition, sample_source_block
 
 __all__ = [
@@ -140,17 +140,33 @@ def _range_factor(kernel: ModeSet) -> tuple[ModeSet, np.ndarray | None]:
     Q (m x l) is an orthonormal basis of the range of G = [g1 | g2], from a
     randomized range finder (Halko, Martinsson & Tropp, SIAM Rev. 53, 217,
     2011): Q from the QR of the sketch G G^H Omega, Omega an m x l complex
-    Gaussian from a fixed-key Philox, with l = _FACTOR_WIDTH doubled until
+    Gaussian from a fixed-key Philox, with l doubled from _FACTOR_WIDTH until
     ||G||_F^2 - ||F||_F^2 <= _FACTOR_TOL ||G||_F^2.  By Pythagoras that is
     ||(I - Q Q^H) G||_F^2, which bounds ||G^H G - F^H F||_F.  Where l would
     reach m, the kernel is kept.  Row j of the factor is source mode Q[:, j]
-    (ModeSet).  No second m x N array is formed: the sketch is
+    (ModeSet).  The doubling starts at a rank floor: a side with at most one
+    nonzero per column (an arm with no hop: masks and lenses act pointwise)
+    has orthogonal rows, so by Ky Fan each of its rows above twice the bound
+    (a smaller floor is always safe) is a direction every accepted basis
+    holds.  Each try draws its own Omega, so skipped widths change no bit;
+    Siegert's identity kernel forms no sketch.  No m x N array is formed:
+    the floor reads a side through its nonzeros, and the sketch is
     g (Omega^H g)^H, one arm at a time.
     """
     g1, g2 = kernel.g1, kernel.g2
     m = len(kernel)
     total = np.linalg.norm(g1) ** 2 + np.linalg.norm(g2) ** 2
     width = _FACTOR_WIDTH
+    for g in (g1, g2):
+        # a column with two nonzeros makes a side dense; column 0 shows it on the bench
+        if np.count_nonzero(g[:, :1]) > 1 or np.count_nonzero(g) > g.shape[1]:
+            continue
+        rows, cols = np.nonzero(g)
+        if np.all(np.bincount(cols) <= 1):
+            norms = np.bincount(rows, np.abs(g[rows, cols]) ** 2, m)
+            pinned = np.count_nonzero(norms > 2 * _FACTOR_TOL * total)
+            while width < pinned:
+                width *= 2
     while width < m:
         z = Generator(Philox(key=_SKETCH_KEY)).standard_normal((m, 2 * width))
         omega_h = z.view(np.complex128).T.conj()
@@ -217,18 +233,17 @@ def accumulate_mc(
 
     The arms are propagated once, as the kernel G = [g1 | g2] of
     detector_kernel (m modes by n1 + n2 columns).  Thermal G2 depends on the
-    source only through G^H G (Gatti et al., PRL 93, 093602, 2004), so when
-    both arms hold a Propagate hop, G is replaced by its range factor
-    F = Q^H G (_range_factor: Q an m x l orthonormal basis,
-    ||G^H G - F^H F||_F <= 1e-12 ||G||_F^2) and dropped, and a realization
-    draws l CN(0, 1) coefficients (32 or 64 on the bench's kernels) instead
-    of m amplitudes.  A kernel with a hop-free arm is drawn m wide, unfactored,
-    as is one whose basis would reach m: Siegert's identity arms fill every
-    basis the finder tries, and at m = 1500 those wasted tries took about 3 s
-    against 1 s for 2000 realizations (2-core host).  The analytic engine
-    reads G itself.  The basis comes from a fixed-key sketch, so the bits
-    depend on (seed, config) alone; but each call draws in its own basis, so
-    two calls with one seed (two defocus planes, say) share no source fields.
+    source only through G^H G (Gatti et al., PRL 93, 093602, 2004), so G is
+    replaced by its range factor F = Q^H G (_range_factor: Q an m x l
+    orthonormal basis, ||G^H G - F^H F||_F <= 1e-12 ||G||_F^2) and dropped,
+    and a realization draws l CN(0, 1) coefficients instead of m amplitudes.
+    l is read from the kernel alone: the narrowest doubling of 32 the finder
+    accepts (32 or 64 on the bench's kernels), else m, drawn unfactored;
+    Siegert's identity kernel pins all m rows (the finder's rank floor) and
+    forms no sketch.  The analytic engine reads G itself.  The basis comes
+    from a fixed-key sketch, so the bits depend on (seed, config) alone; but
+    each call draws in its own basis, so two calls with one seed (two
+    defocus planes, say) share no source fields.
     Draw threads only draw the w = len(kernel) coefficients of each block of
     block_size realizations (sample_source_block), block j on thread
     j mod workers (one single-thread executor each, so a fast thread cannot
@@ -251,8 +266,9 @@ def accumulate_mc(
     it tries: m x l arrays (the test matrix, the sketch G G^H Omega, QR's
     work and Q^H), l x (n1 + n2) ones (F, and Omega^H g, formed one arm at a
     time, so there is no second m x (n1 + n2) array) and the previous try's
-    Q^H and F.  A draw takes
-    at most 16*w*B' bytes, B' being B rounded out to whole 64-realization
+    Q^H and F; its rank floor, first, takes at most 40*max(n1, n2) + 8*m
+    (a hop-free side's nonzeros and its rows' norms).  A draw takes at most
+    16*w*B' bytes, B' being B rounded out to whole 64-realization
     chunks (at most B + 126; the normals are drawn into the complex
     amplitudes themselves), and the block at most 24*B*(n1 + n2) + 16*S
     (both arms' fields and intensities, and its sums).
@@ -271,11 +287,10 @@ def accumulate_mc(
     kernel = detector_kernel(
         config, arm1, arm2, bucket, diagonal=diagonal, x1_indices=x1_indices, x2_indices=x2_indices
     )
-    if all(any(isinstance(el, Propagate) for el in arm) for arm in (arm1, arm2)):
-        kernel = _range_factor(kernel)[0]  # the unfactored kernel is dropped here
+    kernel = _range_factor(kernel)[0]  # the unfactored kernel is dropped here
     draw = partial(sample_source_block, width=len(kernel))
 
-    n, dx = config.n_realizations, config.grid.dx
+    n, dx = config.n_realizations, kernel.grid.dx
     blocks = ((config, k0, min(k0 + block_size, n)) for k0 in range(0, n, block_size))
     workers = min(workers, os.cpu_count() or 1)
     with ExitStack() as stack:
@@ -301,7 +316,7 @@ def accumulate_mc(
 
     return CorrelationMap(
         kind=kind,
-        x2=config.grid.coords()[kernel.columns2],
+        x2=kernel.grid.coords()[kernel.columns2],
         g2_raw=g2_raw,
         i1_mean=i1_mean if kind != "bucket" else float(i1_mean),
         i2_mean=i2_mean,

@@ -307,8 +307,11 @@ def peak_position(trace: ImageTrace) -> float:
 
 
 def fwhm(positions: np.ndarray, values: np.ndarray) -> float:
-    """Full width at half maximum of the dominant peak, by linear crossing."""
+    """Full width at half maximum of the dominant peak, by linear crossing;
+    a flat trace (max equals min) has no peak and is refused (ValueError)."""
     v = np.asarray(values, dtype=float)
+    if v.max() == v.min():
+        raise ValueError("degenerate trace: max equals min, no peak to measure")
     i = int(np.argmax(v))
     half = (v[i] + v.min()) / 2.0
     left = i

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from hypothesis import example, given, settings, strategies as st
 
 from ghostsim import (
@@ -523,22 +524,40 @@ def test_block_sums_equal_the_einsum_and_broadcast_forms(small_grid, kind):
                 assert np.array_equal(g, w), (k0, name)
 
 
-def _has_hop(arm):
-    return any(isinstance(el, Propagate) for el in arm)
+def _all_tries_factor(kernel):
+    """_range_factor with no rank floor: every doubling of its first width
+    below m is tried, each on its own fixed-key test matrix."""
+    g1, g2 = kernel.g1, kernel.g2
+    m = len(kernel)
+    total = np.linalg.norm(g1) ** 2 + np.linalg.norm(g2) ** 2
+    width = correlation._FACTOR_WIDTH
+    while width < m:
+        z = Generator(Philox(key=correlation._SKETCH_KEY)).standard_normal((m, 2 * width))
+        omega_h = z.view(np.complex128).T.conj()
+        sketch = g1 @ (omega_h @ g1).T.conj() + g2 @ (omega_h @ g2).T.conj()
+        q_h = np.linalg.qr(sketch)[0].T.conj()
+        f1, f2 = q_h @ g1, q_h @ g2
+        residual = total - np.linalg.norm(f1) ** 2 - np.linalg.norm(f2) ** 2
+        if residual <= correlation._FACTOR_TOL * total:
+            return f1, f2, q_h
+        width *= 2
+    return g1, g2, None
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(arm1=PATHS, arm2=PATHS)
 # both arms read the same 32 source samples: G has rank 32 exactly, so the
 # first basis (l = 32) holds it with no direction to spare
 @example(arm1=ArmPath((one_slit(1000, 32), Propagate(0.25))),
          arm2=ArmPath((one_slit(1000, 32), Propagate(0.3), Lens(0.1), Propagate(0.25))))
-# a hop-free arm is drawn m wide even where a narrower basis holds its kernel
+# a hop-free arm: its rank floor (1 here) is below 32, and the kernel is
+# drawn at its factor's width, l = 128 of m = 375
 @example(arm1=ArmPath((one_slit(1000, 10),)),
          arm2=ArmPath((Propagate(0.3), Lens(0.1), Propagate(0.25))))
 def test_range_factor_holds_the_cross_spectral_density(arm1, arm2):
     # F^H F = G^H G on the kept columns to the factor's tolerance, with at most
-    # m rows; accumulate_mc draws len(F) normals when both arms hop, else m
+    # m rows, bit for bit the factor of a finder that tries every width; and
+    # accumulate_mc draws len(F) normals on every input
     config = make_config(SMALL_GRID, WIDE_SOURCE, n_realizations=2)
     cols = np.arange(0, SMALL_GRID.n, 16)
     options = dict(bucket=False, x1_indices=cols, x2_indices=cols)
@@ -551,15 +570,55 @@ def test_range_factor_holds_the_cross_spectral_density(arm1, arm2):
     err = np.linalg.norm(G.conj().T @ G - F.conj().T @ F)
     assert err <= correlation._FACTOR_TOL * np.linalg.norm(G) ** 2
 
+    f1, f2, q_h = _all_tries_factor(kernel)
+    assert np.array_equal(factor.g1, f1) and np.array_equal(factor.g2, f2)
+    assert (basis is None) == (q_h is None) and (q_h is None or np.array_equal(basis, q_h))
+
     widths, draw = [], correlation.sample_source_block
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(correlation, "sample_source_block",
                    lambda *args, width: widths.append(width) or draw(*args, width=width))
         accumulate_mc(config, arm1, arm2, **options)
-    if _has_hop(arm1) and _has_hop(arm2):
-        assert len(factor) == width and widths == [len(factor)]
-    else:
-        assert widths == [m]
+    assert len(factor) == width and widths == [len(factor)]
+
+
+@pytest.mark.parametrize("arm, x2, width, sketches", [
+    # Siegert's identity kernel pins all m = 375 rows: no basis is tried
+    (IDENTITY, None, 375, 0),
+    # a hop-free 32-sample slit pins 32 rows of a rank-32 kernel: one try, at 32
+    (ArmPath((one_slit(1000, 32),)), np.arange(1000, 1032), 32, 1),
+], ids=["siegert", "slit32"])
+def test_the_rank_floor_sets_the_first_try(small_grid, monkeypatch, arm, x2, width, sketches):
+    config = make_config(small_grid, WIDE_SOURCE, n_realizations=2)
+    x2 = aperture_indices(config) if x2 is None else x2
+    kernel = detector_kernel(config, arm, arm, bucket=False, diagonal=True, x2_indices=x2)
+    f1, f2, q_h = _all_tries_factor(kernel)
+    qr_calls, widths, draw, qr = [], [], correlation.sample_source_block, np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a: qr_calls.append(a.shape) or qr(a))
+    monkeypatch.setattr(correlation, "sample_source_block",
+                        lambda *args, width: widths.append(width) or draw(*args, width=width))
+    factor, basis = correlation._range_factor(kernel)
+    assert len(qr_calls) == sketches and len(factor) == width
+    assert np.array_equal(factor.g1, f1) and np.array_equal(factor.g2, f2)
+    assert (basis is None) == (q_h is None) and (q_h is None or np.array_equal(basis, q_h))
+    accumulate_mc(config, arm, arm, bucket=False, diagonal=True, x2_indices=x2)
+    assert widths == [width]
+
+
+# the hop's masked side is dense with its column 0 empty, so it is counted whole
+@pytest.mark.parametrize("arm1", [IDENTITY, ArmPath((one_slit(1000, 10),)),
+                                  ArmPath((Propagate(0.25), one_slit(1000, 512)))],
+                         ids=["identity", "mask", "hop"])
+def test_rank_floor_forms_no_kernel_sized_array(small_grid, arm1):
+    # an identity arm 2 pins all m = 375 rows, so no basis is tried and the
+    # trace holds the floor alone: accumulate_mc's docstring gives it at most
+    # 40*max(n1, n2) + 8*m bytes, far below the m x n kernel it reads
+    config = make_config(small_grid, WIDE_SOURCE, n_realizations=2)
+    kernel = detector_kernel(config, arm1, IDENTITY, bucket=False, diagonal=True)
+    m, n = len(kernel), len(kernel.columns2)
+    peak = _traced_peak(lambda: correlation._range_factor(kernel))
+    assert correlation._range_factor(kernel)[1] is None
+    assert peak <= 40 * n + 8 * m + 4096 < m * n
 
 
 def test_fluctuation_equals_interference_term(grid, geometry):

@@ -3,10 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ghostsim import (
     Grid1D,
     SetupGeometry,
+    TransmissionMask,
     default_image_window,
     defocus_sweep,
     ghost_image_scan,
@@ -284,6 +286,34 @@ def test_fwhm_of_a_peak_at_the_window_edge_spans_sample_to_sample():
     x = np.linspace(0, 1, 11)
     assert fwhm(x, 1 - x) == pytest.approx(0.5, rel=1e-12)
     assert fwhm(x, x) == pytest.approx(0.5, rel=1e-12)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_thermal_imaging_is_blind_to_the_object_phase(small_grid, seed):
+    # two-photon incoherent imaging: the bucket reads |T(x)|^2 column by
+    # column, so T e^{i phi} and |T| give one ghost-plane and one sigma-plane
+    # trace, to the rounding of the phase factor (measured: 2 ulps at most)
+    rng = np.random.default_rng(seed)
+    geo = replace(solve_image_plane(SetupGeometry.default()), source_diameter=1e-3)
+    config = make_config(small_grid, geo, n_realizations=2)
+    n = small_grid.n
+    amplitude = make_double_slit(small_grid, 1e-3, 0.2e-3).t.real * rng.uniform(0.1, 1, n)
+    phased = TransmissionMask(small_grid, amplitude * np.exp(1j * rng.uniform(-np.pi, np.pi, n)))
+    for scan in (ghost_image_scan, pseudo_object_scan):
+        want = scan(TransmissionMask(small_grid, amplitude), config, scan_halfwidth=3e-3)
+        got = scan(phased, config, scan_halfwidth=3e-3)
+        for name in ("coincidence", "singles1", "singles2"):
+            np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                       rtol=8 * np.finfo(float).eps, atol=0, err_msg=name)
+
+
+def test_fwhm_of_a_flat_trace_is_refused():
+    # argmax of a flat trace is index 0, and the crossing read v[-1] through right - 1
+    with pytest.raises(ValueError, match="max equals min"):
+        fwhm(np.linspace(-1, 1, 11), np.ones(11))
+    with pytest.raises(ValueError, match="max equals min"):
+        fwhm(np.linspace(-1, 1, 11), np.zeros(11))
 
 
 def test_all_zero_trace_has_no_visibility():
