@@ -51,6 +51,7 @@ __all__ = [
 
 _FULL_MAP_LIMIT = 1 << 24  # refuse full x1-by-x2 maps above this many entries
 _ANALYTIC_CHUNK = 256  # arm-1 columns per bucket term2 product in g2_analytic
+_CHUNK_COLS = 1024  # columns per field product in an MC block's reduction (_block_sums)
 _FACTOR_TOL = 1e-12  # the range factor's bound on ||G^H G - F^H F||_F / ||G||_F^2
 _FACTOR_WIDTH = 32  # the range finder's first basis width, doubled until the bound holds
 _SKETCH_KEY = 0  # Philox key of the range finder's test matrix: fixed, so (seed, config) fix bits
@@ -62,9 +63,9 @@ def _kind(bucket: bool, diagonal: bool) -> str:
     return "bucket" if bucket else ("diagonal" if diagonal else "full")
 
 
-def _product(kind: str, a, b) -> np.ndarray:
+def _product(kind: str, a, b, out=None) -> np.ndarray:
     """a * b in the shape of a map of this kind: the outer product if full."""
-    return np.multiply.outer(a, b) if kind == "full" else a * b
+    return (np.multiply.outer if kind == "full" else np.multiply)(a, b, out=out)
 
 
 @dataclass(frozen=True)
@@ -180,22 +181,45 @@ def _range_factor(kernel: ModeSet) -> tuple[ModeSet, np.ndarray | None]:
     return kernel, None
 
 
-def _block_sums(kernel, kind, c, dx):
-    """(sum I1 I2, sum (I1 I2)^2, sum I1, sum I2) over the realizations whose
-    source amplitudes are the rows of c; dx weighs the bucket's sum over x1."""
-    I1 = np.abs(c @ kernel.g1) ** 2
-    I2 = np.abs(c @ kernel.g2) ** 2
+def _block_sums(kernel, kind, c, dx, sums):
+    """Add (sum I1 I2, sum (I1 I2)^2, sum I1, sum I2) over the realizations
+    whose source amplitudes are the rows of c into sums, in place; dx weighs
+    the bucket's sum over x1.  Arm 2's columns are walked _CHUNK_COLS at a
+    time, and arm 1's with them (diagonal) or before them (bucket), so no
+    field or intensity is wider than B x _CHUNK_COLS but a full map's arm-1
+    intensities, which both its GEMMs read whole."""
+    s_p, s_p2, s_i1, s_i2 = sums
+    g1, g2 = kernel.g1, kernel.g2
     if kind == "full":
-        return I1.T @ I2, (I1 * I1).T @ (I2 * I2), I1.sum(axis=0), I2.sum(axis=0)
-    if kind == "bucket":
-        I1 = I1.sum(axis=1) * dx
-    s1, s2 = I1.sum(axis=0), I2.sum(axis=0)
-    # P = I1 I2, then P^2, in I2's buffer: the broadcast form's bits with no
-    # temporary (a gemv here ran fig4's 2-worker bucket about 10 % slower)
-    I2 *= I1[:, None] if kind == "bucket" else I1
-    p = I2.sum(axis=0)
-    I2 *= I2
-    return p, I2.sum(axis=0), s1, s2
+        I1 = np.abs(c @ g1) ** 2
+        s_i1 += I1.sum(axis=0)
+        I1_sq = I1 * I1
+    elif kind == "bucket":
+        I1 = np.zeros(len(c))
+        for c0 in range(0, g1.shape[1], _CHUNK_COLS):
+            I1 += (np.abs(c @ g1[:, c0 : c0 + _CHUNK_COLS]) ** 2).sum(axis=1)
+        I1 *= dx
+        s_i1 += I1.sum(axis=0)
+        I1 = I1[:, None]
+    for c0 in range(0, g2.shape[1], _CHUNK_COLS):
+        cols = slice(c0, c0 + _CHUNK_COLS)
+        if kind == "diagonal":
+            I1 = np.abs(c @ g1[:, cols]) ** 2
+            s_i1[cols] += I1.sum(axis=0)
+        I2 = np.abs(c @ g2[:, cols]) ** 2
+        s_i2[cols] += I2.sum(axis=0)
+        if kind == "full":
+            s_p[:, cols] += I1.T @ I2
+            I2 *= I2
+            s_p2[:, cols] += I1_sq.T @ I2
+        else:
+            # P = I1 I2, then P^2, in I2's buffer: the broadcast form's bits with no
+            # temporary (a gemv here ran fig4's 2-worker bucket about 10 % slower)
+            I2 *= I1
+            s_p[cols] += I2.sum(axis=0)
+            I2 *= I2
+            s_p2[cols] += I2.sum(axis=0)
+        del I2  # not held while the next chunk's fields form
 
 
 def _in_order(pools, fn, items):
@@ -248,21 +272,24 @@ def accumulate_mc(
     block_size realizations (sample_source_block), block j on thread
     j mod workers (one single-thread executor each, so a fast thread cannot
     take every block); the calling thread reduces every draw, in block-index
-    order, into the first block's sums.  A full map's block sums are matrix
-    products, I1^T I2 and (I1^2)^T (I2^2) (BLAS gemm); the bucket's and the
-    diagonal's are elementwise, in place, with no block-sized temporary.
+    order, into one set of zeroed running sums (_block_sums), 1024 columns
+    at a time (_CHUNK_COLS).  A full map's chunk sums are matrix products,
+    I1^T I2 and (I1^2)^T (I2^2) (BLAS gemm); the bucket's and the
+    diagonal's are elementwise, in place.
     Memory stays bounded by the kernel build's working memory (one reused
     batch of mode_decomposition's default 8 rows of n complex samples, plus
     a few n-sample rows; its docstring gives the bytes) and the kernel's
     16 * m * (n1 + n2) bytes, then by the range factor's working memory
-    before the first draw, then by the factored kernel, one block on the
-    calling thread and at most `workers` draws: draws are submitted through
-    a window of `workers`, so at most `workers` are running or unreduced at
-    once, the one being reduced included (a slow draw holds back the
-    submission of later ones).
-    With B = block_size, m modes, n1 arm-1 columns, n2 = |x2| and S map
-    entries (n1 * n2 for a full map, else n2), the range factor takes at
-    most 16*l*(6*m + 3*(n1 + n2)) bytes beside G, l being the widest basis
+    before the first draw, then by the factored kernel, the running sums,
+    one block on the calling thread and at most `workers` draws, and last by
+    the sums and the tail's eps: draws are submitted through a window of
+    `workers`, so at most `workers` are running or unreduced at once, the
+    one being reduced included (a slow draw holds back the submission of
+    later ones).
+    With B = block_size, m modes, n1 arm-1 columns, n2 = |x2|, S map
+    entries (n1 * n2 for a full map, else n2) and W = min(max(n1, n2), 1024)
+    columns in the widest chunk, the range factor takes at most
+    16*l*(6*m + 3*(n1 + n2)) bytes beside G, l being the widest basis
     it tries: m x l arrays (the test matrix, the sketch G G^H Omega, QR's
     work and Q^H), l x (n1 + n2) ones (F, and Omega^H g, formed one arm at a
     time, so there is no second m x (n1 + n2) array) and the previous try's
@@ -270,14 +297,16 @@ def accumulate_mc(
     (a hop-free side's nonzeros and its rows' norms).  A draw takes at most
     16*w*B' bytes, B' being B rounded out to whole 64-realization
     chunks (at most B + 126; the normals are drawn into the complex
-    amplitudes themselves), and the block at most 24*B*(n1 + n2) + 16*S
-    (both arms' fields and intensities, and its sums).
-    The running sums (the first block's) and the final ratios with their
-    temporaries add at most 56*(S + n1 + n2) bytes; a later block is dropped
-    once merged.  workers < 1 and block_size < 1 are refused (ValueError)
-    before any build or draw; at most os.cpu_count() workers run: more hold
-    more draws, no faster.  The map is returned as computed;
-    siegert_normalize refuses it where g2 is not finite.
+    amplitudes themselves), and the block at most 32*B*W + 16*(B + W) (one
+    chunk's field and intensities beside the diagonal's arm-1 intensities or
+    the bucket's B arm-1 sums), and for a full map also 24*B*n1 + 8*n1*W
+    (its whole arm-1 intensities and their squares, and one chunk's GEMM
+    product).  The running sums hold 16*S + 8*(n1 + n2) bytes from the
+    first draw on; the ratios are formed in their place, so the tail adds
+    only eps and its NaN mask, 9*S.  workers < 1 and block_size < 1 are
+    refused (ValueError) before any build or draw; at most os.cpu_count()
+    workers run: more hold more draws, no faster.  The map is returned as
+    computed; siegert_normalize refuses it where g2 is not finite.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -291,27 +320,30 @@ def accumulate_mc(
     draw = partial(sample_source_block, width=len(kernel))
 
     n, dx = config.n_realizations, kernel.grid.dx
+    n1, n2 = len(kernel.columns1), len(kernel.columns2)
+    shape = (n1, n2) if kind == "full" else (n2,)
+    sums = (np.zeros(shape), np.zeros(shape), np.zeros(() if kind == "bucket" else n1),
+            np.zeros(n2))
     blocks = ((config, k0, min(k0 + block_size, n)) for k0 in range(0, n, block_size))
     workers = min(workers, os.cpu_count() or 1)
     with ExitStack() as stack:
         # one thread per executor, so block j is drawn on thread j mod workers
         pools = [stack.enter_context(ThreadPoolExecutor(max_workers=1)) for _ in range(workers)]
-        draws = _in_order(pools, draw, blocks)
-        s_p, s_p2, s_i1, s_i2 = _block_sums(kernel, kind, next(draws), dx)
-        for c in draws:
-            p, p2, i1, i2 = _block_sums(kernel, kind, c, dx)
-            s_p += p
-            s_p2 += p2
-            s_i1 += i1
-            s_i2 += i2
-            del c, p, p2, i1, i2  # not held while the next draw is awaited
+        for c in _in_order(pools, draw, blocks):
+            _block_sums(kernel, kind, c, dx, sums)
+            del c  # not held while the next draw is awaited
 
-    g2_raw = s_p / n
-    i1_mean = s_i1 / n
-    i2_mean = s_i2 / n
-    var = np.maximum(s_p2 / n - g2_raw**2, 0.0)
+    # the ratios, in place of the sums: g2_raw, <(I1 I2)^2>, <I1> and <I2>
+    for s in sums:
+        s /= n
+    g2_raw, var, i1_mean, i2_mean = sums
+    eps = np.square(g2_raw)
+    np.subtract(var, eps, out=eps)
+    np.maximum(eps, 0.0, out=eps)
+    eps /= n
+    np.sqrt(eps, out=eps)
     with np.errstate(divide="ignore", invalid="ignore"):
-        eps = np.sqrt(var / n) / _product(kind, i1_mean, i2_mean)
+        eps /= _product(kind, i1_mean, i2_mean, out=var)  # var is spent: <I1><I2> in its place
     eps[np.isnan(eps)] = np.inf  # no bound where a marginal is 0 (0/0), as for x/0
 
     return CorrelationMap(

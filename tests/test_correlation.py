@@ -442,11 +442,12 @@ def _traced_peak(call):
 def test_mc_memory_within_the_documented_bound(small_grid, geometry, kind, workers):
     # accumulate_mc's docstring: beyond the kernel build, the range factor's
     # 16*l*(6*m + 3*(n1 + n2)) bytes before the first draw (l its widest
-    # basis tried), then one block of 24*B*(n1 + n2) + 16*S bytes on the
-    # calling thread, `workers` draws of 16*w*B' bytes (w the draw's width;
-    # B = 256 is whole 64-realization chunks, so B' = B) and a tail of
-    # 56*(S + n1 + n2).  The bench's 200 um source (m = 25) is drawn m wide;
-    # the wide one (m = 375) is factored
+    # basis tried), then the running sums' 16*S + 8*(n1 + n2) with either
+    # one block of 32*B*W + 16*(B + W) bytes on the calling thread (and a
+    # full map's 24*B*n1 + 8*n1*W), W the widest column chunk, and `workers`
+    # draws of 16*w*B' bytes (w the draw's width; B = 256 is whole
+    # 64-realization chunks, so B' = B), or the tail's 9*S.  The bench's
+    # 200 um source (m = 25) is drawn m wide; the wide one (m = 375) is factored
     for bench in (geometry, WIDE_SOURCE):
         config = make_config(small_grid, bench, n_realizations=2048, seed=13)
         arms = build_arms(bench, make_double_slit(small_grid, 1e-3, 0.2e-3))
@@ -463,11 +464,42 @@ def test_mc_memory_within_the_documented_bound(small_grid, geometry, kind, worke
         tried = [32 << k for k in range(6) if 32 << k < m]
         factor = 16 * (width if width < m else max(tried, default=0)) * (6 * m + 3 * (n1 + n2))
         S = n1 * n2 if kind == "full" else n2
-        block = 24 * 256 * (n1 + n2) + 16 * S
+        W = min(max(n1, n2), correlation._CHUNK_COLS)
+        block = 32 * 256 * W + 16 * (256 + W)
+        if kind == "full":
+            block += 24 * 256 * n1 + 8 * n1 * W
         draw = 16 * 256 * width
         slack = 64 * 1024  # Python objects: futures, tuples, the pool
-        loop = block + workers * draw + 56 * (S + n1 + n2)
+        loop = 16 * S + 8 * (n1 + n2) + max(block + workers * draw, 9 * S)
         assert mc_peak <= kernel_peak + max(factor, loop) + slack, m
+
+
+@pytest.mark.parametrize("kind", ["full", "bucket", "diagonal"])
+def test_mc_memory_grows_with_the_window_by_held_columns_only(small_grid, geometry, kind):
+    # past _CHUNK_COLS scan columns a block stops growing: one more column
+    # costs accumulate_mc, beyond the kernel build, only what it holds for the
+    # whole call, the kernel's column and its map entries' sums, eps and NaN
+    # mask, and not a block's 24*B bytes of fields and intensities
+    # (6144 per column, where the narrow bench's m = 25 holds at most 1658)
+    config = make_config(small_grid, geometry, n_realizations=512, seed=17)
+    obj = make_double_slit(small_grid, 1e-3, 0.2e-3)
+    arms = build_arms(geometry, obj)
+    grown, held = [], []
+    for halfwidth in (4.4e-3, 8e-3):
+        x2 = scan_indices(small_grid, halfwidth)
+        assert len(x2) > 1024  # so a block's chunk is 1024 columns at either width
+        options = dict(bucket=kind == "bucket", diagonal=kind == "diagonal",
+                       x1_indices=obj.support_indices() if kind == "full" else None,
+                       x2_indices=x2)
+        kernel = detector_kernel(config, *arms, **options)
+        n1, n2 = len(kernel.columns1), len(kernel.columns2)
+        S = n1 * n2 if kind == "full" else n2
+        held.append(kernel.g1.nbytes + kernel.g2.nbytes + 25 * S + 8 * (n1 + n2))
+        del kernel
+        kernel_peak = _traced_peak(lambda: detector_kernel(config, *arms, **options))
+        mc_peak = _traced_peak(lambda: accumulate_mc(config, *arms, **options))
+        grown.append(mc_peak - kernel_peak)
+    assert grown[1] - grown[0] <= held[1] - held[0] + 64 * 1024, (grown, held)
 
 
 def test_mc_block_bounds_are_not_listed_before_the_first_draw(small_grid, geometry,
@@ -491,9 +523,11 @@ def test_mc_block_bounds_are_not_listed_before_the_first_draw(small_grid, geomet
 
 
 @pytest.mark.parametrize("kind", ["full", "bucket", "diagonal"])
-def test_block_sums_equal_the_einsum_and_broadcast_forms(small_grid, kind):
+def test_block_sums_equal_the_einsum_and_broadcast_forms(small_grid, kind, monkeypatch):
     # 257 realizations in blocks of 256: the last block holds a single row,
-    # drawn l wide and run through the factored kernel, as accumulate_mc does
+    # drawn l wide and run through the factored kernel, as accumulate_mc does.
+    # At 16 columns a chunk, the 501-column window and the bucket's 50 arm-1
+    # columns each span several chunks, the last one ragged
     config = make_config(small_grid, WIDE_SOURCE, n_realizations=257, seed=9)
     obj = make_double_slit(small_grid, 1e-3, 0.2e-3)
     kernel, basis = correlation._range_factor(detector_kernel(
@@ -501,27 +535,43 @@ def test_block_sums_equal_the_einsum_and_broadcast_forms(small_grid, kind):
         diagonal=kind == "diagonal", x1_indices=obj.support_indices() if kind == "full" else None,
         x2_indices=scan_indices(small_grid, 2e-3),
     ))
-    width = len(kernel)
+    width, dx = len(kernel), small_grid.dx
     assert basis is not None and width < len(aperture_indices(config))
-    for k0, k1 in ((0, 256), (256, 257)):
-        c = sample_source_block(config, k0, k1, width=width)
-        I1 = np.abs(c @ kernel.g1) ** 2
-        I2 = np.abs(c @ kernel.g2) ** 2
-        if kind == "full":
-            want = [np.einsum("bi,bj->ij", I1, I2), np.einsum("bi,bj->ij", I1**2, I2**2)]
-        else:
-            if kind == "bucket":
-                I1 = I1.sum(axis=1) * small_grid.dx
-            P = I1[:, None] * I2 if kind == "bucket" else I1 * I2
-            want = [P.sum(axis=0), (P**2).sum(axis=0)]
-        want += [I1.sum(axis=0), I2.sum(axis=0)]
-        got = correlation._block_sums(kernel, kind, c, small_grid.dx)
-        for name, g, w in zip(("P", "P2", "I1", "I2"), got, want):
-            if kind == "full" and name in ("P", "P2"):
-                # GEMM sums non-negative terms in another order: k1 - k0 ulps at most
-                np.testing.assert_allclose(g, w, rtol=1e-12, atol=0, err_msg=name)
-            else:  # the same elementwise operations
-                assert np.array_equal(g, w), (k0, name)
+    n1 = len(kernel.columns1)
+    for chunk in (correlation._CHUNK_COLS, 16):
+        monkeypatch.setattr(correlation, "_CHUNK_COLS", chunk)
+        for k0, k1 in ((0, 256), (256, 257)):
+            c = sample_source_block(config, k0, k1, width=width)
+
+            def intensities(g):
+                # |c g|^2 from the column slices _block_sums multiplies: a
+                # slice's GEMM may round apart from the whole one's, by ulps
+                return np.hstack([np.abs(c @ g[:, c0 : c0 + chunk]) ** 2
+                                  for c0 in range(0, g.shape[1], chunk)])
+
+            for g in (kernel.g1, kernel.g2):
+                np.testing.assert_allclose(intensities(g), np.abs(c @ g) ** 2, rtol=1e-13, atol=0)
+            # a full map's arm-1 intensities are one GEMM, read whole
+            I1 = np.abs(c @ kernel.g1) ** 2 if kind == "full" else intensities(kernel.g1)
+            I2 = intensities(kernel.g2)
+            if kind == "full":
+                want = [np.einsum("bi,bj->ij", I1, I2), np.einsum("bi,bj->ij", I1**2, I2**2)]
+            else:
+                if kind == "bucket":
+                    rows = I1.sum(axis=1) * dx
+                    I1 = sum(I1[:, c0 : c0 + chunk].sum(axis=1) for c0 in range(0, n1, chunk)) * dx
+                    np.testing.assert_allclose(I1, rows, rtol=1e-13, atol=0)
+                P = I1[:, None] * I2 if kind == "bucket" else I1 * I2
+                want = [P.sum(axis=0), (P**2).sum(axis=0)]
+            want += [I1.sum(axis=0), I2.sum(axis=0)]
+            got = [np.zeros_like(w) for w in want]
+            correlation._block_sums(kernel, kind, c, dx, got)
+            for name, g, w in zip(("P", "P2", "I1", "I2"), got, want):
+                if kind == "full" and name in ("P", "P2"):
+                    # GEMM sums non-negative terms in another order: k1 - k0 ulps at most
+                    np.testing.assert_allclose(g, w, rtol=1e-12, atol=0, err_msg=name)
+                else:  # the same elementwise operations
+                    assert np.array_equal(g, w), (chunk, k0, name)
 
 
 def _all_tries_factor(kernel):
