@@ -134,6 +134,29 @@ def detector_kernel(
     return mode_decomposition(config, arm1, arm2, columns1=x1_idx, columns2=x2_idx)
 
 
+def _selection(g: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(rows, weights) of a kernel side with at most one nonzero per column
+    (an arm with no hop: masks and lenses act pointwise), else None.  Column
+    k reads source mode rows[k] with weight |g[rows[k], k]|^2, 0 for an
+    empty column, so |c g[:, k]|^2 is |c[:, rows[k]]|^2 weights[k].  No
+    m x N array is formed: at most 40 * N bytes beside the N-column side
+    (its nonzeros and their weights, then the two results)."""
+    n = g.shape[1]
+    # a column with two nonzeros makes a side dense; column 0 shows it on the bench
+    if np.count_nonzero(g[:, :1]) > 1 or np.count_nonzero(g) > n:
+        return None
+    nz_rows, nz_cols = np.nonzero(g)
+    if np.any(np.bincount(nz_cols) > 1):
+        return None
+    values = np.abs(g[nz_rows, nz_cols])
+    values *= values
+    rows = np.zeros(n, dtype=np.intp)
+    rows[nz_cols] = nz_rows
+    weights = np.zeros(n)
+    weights[nz_cols] = values
+    return rows, weights
+
+
 def _range_factor(kernel: ModeSet) -> tuple[ModeSet, np.ndarray | None]:
     """(kernel with (g1, g2) replaced by (f1, f2) = Q^H (g1, g2), Q^H), or
     (kernel, None) where no basis narrower than m holds it.
@@ -151,7 +174,8 @@ def _range_factor(kernel: ModeSet) -> tuple[ModeSet, np.ndarray | None]:
     (a smaller floor is always safe) is a direction every accepted basis
     holds.  Each try draws its own Omega, so skipped widths change no bit;
     Siegert's identity kernel forms no sketch.  No m x N array is formed:
-    the floor reads a side through its nonzeros, and the sketch is
+    the floor reads a side through its selection (_selection, the row norms
+    being the selection's weights summed by row), and the sketch is
     g (Omega^H g)^H, one arm at a time.
     """
     g1, g2 = kernel.g1, kernel.g2
@@ -159,12 +183,9 @@ def _range_factor(kernel: ModeSet) -> tuple[ModeSet, np.ndarray | None]:
     total = np.linalg.norm(g1) ** 2 + np.linalg.norm(g2) ** 2
     width = _FACTOR_WIDTH
     for g in (g1, g2):
-        # a column with two nonzeros makes a side dense; column 0 shows it on the bench
-        if np.count_nonzero(g[:, :1]) > 1 or np.count_nonzero(g) > g.shape[1]:
-            continue
-        rows, cols = np.nonzero(g)
-        if np.all(np.bincount(cols) <= 1):
-            norms = np.bincount(rows, np.abs(g[rows, cols]) ** 2, m)
+        selection = _selection(g)
+        if selection is not None:
+            norms = np.bincount(*selection, m)
             pinned = np.count_nonzero(norms > 2 * _FACTOR_TOL * total)
             while width < pinned:
                 width *= 2
@@ -181,32 +202,47 @@ def _range_factor(kernel: ModeSet) -> tuple[ModeSet, np.ndarray | None]:
     return kernel, None
 
 
-def _block_sums(kernel, kind, c, dx, sums):
+def _block_sums(kernel, kind, c, dx, sums, selections):
     """Add (sum I1 I2, sum (I1 I2)^2, sum I1, sum I2) over the realizations
     whose source amplitudes are the rows of c into sums, in place; dx weighs
     the bucket's sum over x1.  Arm 2's columns are walked _CHUNK_COLS at a
     time, and arm 1's with them (diagonal) or before them (bucket), so no
     field or intensity is wider than B x _CHUNK_COLS but a full map's arm-1
-    intensities, which both its GEMMs read whole."""
+    intensities, which both its GEMMs read whole.  A side whose selection
+    (_selection) is not None is gathered from |c|^2, formed once per block,
+    C-ordered (np.take) so that its sums run in the GEMM path's order."""
     s_p, s_p2, s_i1, s_i2 = sums
+    if any(s is not None for s in selections):
+        a = np.abs(c)
+        a *= a  # |c|^2, one array per block
+
+    def intensities(g, selection, cols=slice(None)):
+        if selection is None:
+            return np.abs(c @ g[:, cols]) ** 2
+        rows, weights = selection
+        i = np.take(a, rows[cols], axis=1)
+        i *= weights[cols]
+        return i
+
     g1, g2 = kernel.g1, kernel.g2
+    sel1, sel2 = selections
     if kind == "full":
-        I1 = np.abs(c @ g1) ** 2
+        I1 = intensities(g1, sel1)
         s_i1 += I1.sum(axis=0)
         I1_sq = I1 * I1
     elif kind == "bucket":
         I1 = np.zeros(len(c))
         for c0 in range(0, g1.shape[1], _CHUNK_COLS):
-            I1 += (np.abs(c @ g1[:, c0 : c0 + _CHUNK_COLS]) ** 2).sum(axis=1)
+            I1 += intensities(g1, sel1, slice(c0, c0 + _CHUNK_COLS)).sum(axis=1)
         I1 *= dx
         s_i1 += I1.sum(axis=0)
         I1 = I1[:, None]
     for c0 in range(0, g2.shape[1], _CHUNK_COLS):
         cols = slice(c0, c0 + _CHUNK_COLS)
         if kind == "diagonal":
-            I1 = np.abs(c @ g1[:, cols]) ** 2
+            I1 = intensities(g1, sel1, cols)
             s_i1[cols] += I1.sum(axis=0)
-        I2 = np.abs(c @ g2[:, cols]) ** 2
+        I2 = intensities(g2, sel2, cols)
         s_i2[cols] += I2.sum(axis=0)
         if kind == "full":
             s_p[:, cols] += I1.T @ I2
@@ -263,11 +299,12 @@ def accumulate_mc(
     and a realization draws l CN(0, 1) coefficients instead of m amplitudes.
     l is read from the kernel alone: the narrowest doubling of 32 the finder
     accepts (32 or 64 on the bench's kernels), else m, drawn unfactored;
-    Siegert's identity kernel pins all m rows (the finder's rank floor) and
-    forms no sketch.  The analytic engine reads G itself.  The basis comes
-    from a fixed-key sketch, so the bits depend on (seed, config) alone; but
-    each call draws in its own basis, so two calls with one seed (two
-    defocus planes, say) share no source fields.
+    Siegert's identity kernel pins all m rows (the finder's rank floor),
+    forms no sketch and is gathered, not multiplied (below).  The analytic
+    engine reads G itself.  The basis comes from a fixed-key sketch, so the
+    bits depend on (seed, config) alone; but each call draws in its own
+    basis, so two calls with one seed (two defocus planes, say) share no
+    source fields.
     Draw threads only draw the w = len(kernel) coefficients of each block of
     block_size realizations (sample_source_block), block j on thread
     j mod workers (one single-thread executor each, so a fast thread cannot
@@ -275,17 +312,21 @@ def accumulate_mc(
     order, into one set of zeroed running sums (_block_sums), 1024 columns
     at a time (_CHUNK_COLS).  A full map's chunk sums are matrix products,
     I1^T I2 and (I1^2)^T (I2^2) (BLAS gemm); the bucket's and the
-    diagonal's are elementwise, in place.
+    diagonal's are elementwise, in place.  A side with at most one nonzero
+    per column (a hop-free arm; _selection, read after the factor, whose
+    sides are dense) is gathered from the block's |c|^2, not multiplied, in
+    the same chunks and order: on unit weights (identity arms, binary masks)
+    with the GEMM's bits.
     Memory stays bounded by the kernel build's working memory (one reused
     batch of mode_decomposition's default 8 rows of n complex samples, plus
     a few n-sample rows; its docstring gives the bytes) and the kernel's
     16 * m * (n1 + n2) bytes, then by the range factor's working memory
-    before the first draw, then by the factored kernel, the running sums,
-    one block on the calling thread and at most `workers` draws, and last by
-    the sums and the tail's eps: draws are submitted through a window of
-    `workers`, so at most `workers` are running or unreduced at once, the
-    one being reduced included (a slow draw holds back the submission of
-    later ones).
+    before the first draw, then by the factored kernel, its selections, the
+    running sums, one block on the calling thread and at most `workers`
+    draws, and last by the sums and the tail's eps: draws are submitted
+    through a window of `workers`, so at most `workers` are running or
+    unreduced at once, the one being reduced included (a slow draw holds
+    back the submission of later ones).
     With B = block_size, m modes, n1 arm-1 columns, n2 = |x2|, S map
     entries (n1 * n2 for a full map, else n2) and W = min(max(n1, n2), 1024)
     columns in the widest chunk, the range factor takes at most
@@ -301,12 +342,15 @@ def accumulate_mc(
     chunk's field and intensities beside the diagonal's arm-1 intensities or
     the bucket's B arm-1 sums), and for a full map also 24*B*n1 + 8*n1*W
     (its whole arm-1 intensities and their squares, and one chunk's GEMM
-    product).  The running sums hold 16*S + 8*(n1 + n2) bytes from the
-    first draw on; the ratios are formed in their place, so the tail adds
-    only eps and its NaN mask, 9*S.  workers < 1 and block_size < 1 are
-    refused (ValueError) before any build or draw; at most os.cpu_count()
-    workers run: more hold more draws, no faster.  The map is returned as
-    computed; siegert_normalize refuses it where g2 is not finite.
+    product), and where a side is a selection also 8*B*w (the block's
+    |c|^2).  The selections hold at most 16*(n1 + n2) bytes (a row index and
+    a weight per column of a hop-free side) for the whole call, and the
+    running sums 16*S + 8*(n1 + n2) bytes from the first draw on; the
+    ratios are formed in their place, so the tail adds only eps and its NaN
+    mask, 9*S.  workers < 1 and block_size < 1 are refused (ValueError)
+    before any build or draw; at most os.cpu_count() workers run: more hold
+    more draws, no faster.  The map is returned as computed;
+    siegert_normalize refuses it where g2 is not finite.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -318,6 +362,7 @@ def accumulate_mc(
     )
     kernel = _range_factor(kernel)[0]  # the unfactored kernel is dropped here
     draw = partial(sample_source_block, width=len(kernel))
+    selections = (_selection(kernel.g1), _selection(kernel.g2))
 
     n, dx = config.n_realizations, kernel.grid.dx
     n1, n2 = len(kernel.columns1), len(kernel.columns2)
@@ -330,7 +375,7 @@ def accumulate_mc(
         # one thread per executor, so block j is drawn on thread j mod workers
         pools = [stack.enter_context(ThreadPoolExecutor(max_workers=1)) for _ in range(workers)]
         for c in _in_order(pools, draw, blocks):
-            _block_sums(kernel, kind, c, dx, sums)
+            _block_sums(kernel, kind, c, dx, sums, selections)
             del c  # not held while the next draw is awaited
 
     # the ratios, in place of the sums: g2_raw, <(I1 I2)^2>, <I1> and <I2>

@@ -442,15 +442,21 @@ def _traced_peak(call):
 def test_mc_memory_within_the_documented_bound(small_grid, geometry, kind, workers):
     # accumulate_mc's docstring: beyond the kernel build, the range factor's
     # 16*l*(6*m + 3*(n1 + n2)) bytes before the first draw (l its widest
-    # basis tried), then the running sums' 16*S + 8*(n1 + n2) with either
-    # one block of 32*B*W + 16*(B + W) bytes on the calling thread (and a
-    # full map's 24*B*n1 + 8*n1*W), W the widest column chunk, and `workers`
-    # draws of 16*w*B' bytes (w the draw's width; B = 256 is whole
-    # 64-realization chunks, so B' = B), or the tail's 9*S.  The bench's
-    # 200 um source (m = 25) is drawn m wide; the wide one (m = 375) is factored
-    for bench in (geometry, WIDE_SOURCE):
+    # basis tried), then the running sums' 16*S + 8*(n1 + n2) and a hop-free
+    # side's selection, 16 bytes a column, with either one block of
+    # 32*B*W + 16*(B + W) bytes on the calling thread (and a full map's
+    # 24*B*n1 + 8*n1*W, and where a side is a selection, the 8*B*w bytes of
+    # |c|^2), W the widest column chunk, and `workers` draws of 16*w*B' bytes
+    # (w the draw's width; B = 256 is whole 64-realization chunks, so
+    # B' = B), or the tail's 9*S.  The bench's 200 um source (m = 25) is
+    # drawn m wide; the wide one (m = 375) is factored, but for Siegert's
+    # identity kernel (the diagonal's third case), whose sides are gathered
+    cases = [(bench, build_arms(bench, make_double_slit(small_grid, 1e-3, 0.2e-3)))
+             for bench in (geometry, WIDE_SOURCE)]
+    if kind == "diagonal":
+        cases.append((WIDE_SOURCE, (IDENTITY, IDENTITY)))
+    for bench, arms in cases:
         config = make_config(small_grid, bench, n_realizations=2048, seed=13)
-        arms = build_arms(bench, make_double_slit(small_grid, 1e-3, 0.2e-3))
         x2 = scan_indices(small_grid, 3e-3)
         options = dict(bucket=kind == "bucket", diagonal=kind == "diagonal",
                        x1_indices=x2 if kind == "full" else None, x2_indices=x2)
@@ -458,19 +464,27 @@ def test_mc_memory_within_the_documented_bound(small_grid, geometry, kind, worke
         mc_peak = _traced_peak(lambda: accumulate_mc(config, *arms, workers=workers, **options))
         kernel = detector_kernel(config, *arms, **options)
         m, n1, n2 = len(kernel), len(kernel.columns1), len(kernel.columns2)
-        width = len(correlation._range_factor(kernel)[0].g1)
-        assert (width < m) == (bench is WIDE_SOURCE)
-        # the range finder tries l = 32, 64, ... below m, and stops at the width it keeps
-        tried = [32 << k for k in range(6) if 32 << k < m]
+        factored = correlation._range_factor(kernel)[0]
+        width = len(factored)
+        assert (width < m) == (bench is WIDE_SOURCE and arms[0] is not IDENTITY)
+        selected = [g.shape[1] for g in (factored.g1, factored.g2)
+                    if correlation._selection(g) is not None]
+        assert len(selected) == (2 if arms[0] is IDENTITY else 0)
+        # the range finder tries l = 32, 64, ... below m, and stops at the width it
+        # keeps; the identity's rank floor pins all m rows, so it tries none
+        tried = [32 << k for k in range(6) if 32 << k < m and arms[0] is not IDENTITY]
         factor = 16 * (width if width < m else max(tried, default=0)) * (6 * m + 3 * (n1 + n2))
+        factor = max(factor, 40 * max(n1, n2) + 8 * m)  # the floor, first
         S = n1 * n2 if kind == "full" else n2
         W = min(max(n1, n2), correlation._CHUNK_COLS)
         block = 32 * 256 * W + 16 * (256 + W)
         if kind == "full":
             block += 24 * 256 * n1 + 8 * n1 * W
+        if selected:
+            block += 8 * 256 * width
         draw = 16 * 256 * width
         slack = 64 * 1024  # Python objects: futures, tuples, the pool
-        loop = 16 * S + 8 * (n1 + n2) + max(block + workers * draw, 9 * S)
+        loop = 16 * S + 8 * (n1 + n2) + 16 * sum(selected) + max(block + workers * draw, 9 * S)
         assert mc_peak <= kernel_peak + max(factor, loop) + slack, m
 
 
@@ -525,53 +539,102 @@ def test_mc_block_bounds_are_not_listed_before_the_first_draw(small_grid, geomet
 @pytest.mark.parametrize("kind", ["full", "bucket", "diagonal"])
 def test_block_sums_equal_the_einsum_and_broadcast_forms(small_grid, kind, monkeypatch):
     # 257 realizations in blocks of 256: the last block holds a single row,
-    # drawn l wide and run through the factored kernel, as accumulate_mc does.
-    # At 16 columns a chunk, the 501-column window and the bucket's 50 arm-1
-    # columns each span several chunks, the last one ragged
+    # drawn as wide as the kernel, as accumulate_mc does.  At 16 columns a
+    # chunk, the 501-column window and the bucket's 50 arm-1 columns each span
+    # several chunks, the last one ragged.  Three kernels: the double slit's
+    # range factor (dense), and two hop-free ones whose sides are selections,
+    # which _block_sums gathers from |c|^2 with the dense path's bits:
+    # Siegert's identity (m = 375; the bucket reads all 2048 columns, 1673
+    # of them empty) and a 32-sample slit read at 64 columns, half of them
+    # empty, unfactored (its floor would factor it to 32 dense rows)
     config = make_config(small_grid, WIDE_SOURCE, n_realizations=257, seed=9)
     obj = make_double_slit(small_grid, 1e-3, 0.2e-3)
-    kernel, basis = correlation._range_factor(detector_kernel(
-        config, *build_arms(WIDE_SOURCE, obj), bucket=kind == "bucket",
-        diagonal=kind == "diagonal", x1_indices=obj.support_indices() if kind == "full" else None,
-        x2_indices=scan_indices(small_grid, 2e-3),
-    ))
-    width, dx = len(kernel), small_grid.dx
-    assert basis is not None and width < len(aperture_indices(config))
-    n1 = len(kernel.columns1)
-    for chunk in (correlation._CHUNK_COLS, 16):
-        monkeypatch.setattr(correlation, "_CHUNK_COLS", chunk)
-        for k0, k1 in ((0, 256), (256, 257)):
-            c = sample_source_block(config, k0, k1, width=width)
+    slit32 = ArmPath((one_slit(1000, 32),))
+    benches = {
+        "factor": (build_arms(WIDE_SOURCE, obj), obj.support_indices(),
+                   scan_indices(small_grid, 2e-3)),
+        "siegert": ((IDENTITY, IDENTITY), None, aperture_indices(config)),
+        "slit32": ((slit32, slit32), None, np.arange(984, 1048)),
+    }
+    dx = small_grid.dx
+    for bench, (arms, x1, x2) in benches.items():
+        kernel = detector_kernel(
+            config, *arms, bucket=kind == "bucket", diagonal=kind == "diagonal",
+            x1_indices=(x2 if x1 is None else x1) if kind == "full" else None, x2_indices=x2,
+        )
+        if bench == "factor":
+            kernel, basis = correlation._range_factor(kernel)
+            assert basis is not None and len(kernel) < len(aperture_indices(config))
+        selections = (correlation._selection(kernel.g1), correlation._selection(kernel.g2))
+        assert all((s is None) == (bench == "factor") for s in selections)
+        width, n1 = len(kernel), len(kernel.columns1)
+        for chunk in (correlation._CHUNK_COLS, 16):
+            monkeypatch.setattr(correlation, "_CHUNK_COLS", chunk)
+            for k0, k1 in ((0, 256), (256, 257)):
+                c = sample_source_block(config, k0, k1, width=width)
 
-            def intensities(g):
-                # |c g|^2 from the column slices _block_sums multiplies: a
-                # slice's GEMM may round apart from the whole one's, by ulps
-                return np.hstack([np.abs(c @ g[:, c0 : c0 + chunk]) ** 2
-                                  for c0 in range(0, g.shape[1], chunk)])
+                def intensities(g):
+                    # |c g|^2 from the column slices _block_sums multiplies: a
+                    # slice's GEMM may round apart from the whole one's, by ulps
+                    return np.hstack([np.abs(c @ g[:, c0 : c0 + chunk]) ** 2
+                                      for c0 in range(0, g.shape[1], chunk)])
 
-            for g in (kernel.g1, kernel.g2):
-                np.testing.assert_allclose(intensities(g), np.abs(c @ g) ** 2, rtol=1e-13, atol=0)
-            # a full map's arm-1 intensities are one GEMM, read whole
-            I1 = np.abs(c @ kernel.g1) ** 2 if kind == "full" else intensities(kernel.g1)
-            I2 = intensities(kernel.g2)
-            if kind == "full":
-                want = [np.einsum("bi,bj->ij", I1, I2), np.einsum("bi,bj->ij", I1**2, I2**2)]
-            else:
-                if kind == "bucket":
-                    rows = I1.sum(axis=1) * dx
-                    I1 = sum(I1[:, c0 : c0 + chunk].sum(axis=1) for c0 in range(0, n1, chunk)) * dx
-                    np.testing.assert_allclose(I1, rows, rtol=1e-13, atol=0)
-                P = I1[:, None] * I2 if kind == "bucket" else I1 * I2
-                want = [P.sum(axis=0), (P**2).sum(axis=0)]
-            want += [I1.sum(axis=0), I2.sum(axis=0)]
-            got = [np.zeros_like(w) for w in want]
-            correlation._block_sums(kernel, kind, c, dx, got)
-            for name, g, w in zip(("P", "P2", "I1", "I2"), got, want):
-                if kind == "full" and name in ("P", "P2"):
-                    # GEMM sums non-negative terms in another order: k1 - k0 ulps at most
-                    np.testing.assert_allclose(g, w, rtol=1e-12, atol=0, err_msg=name)
-                else:  # the same elementwise operations
-                    assert np.array_equal(g, w), (chunk, k0, name)
+                for g in (kernel.g1, kernel.g2):
+                    np.testing.assert_allclose(intensities(g), np.abs(c @ g) ** 2,
+                                               rtol=1e-13, atol=0)
+                # a full map's arm-1 intensities are one GEMM, read whole
+                I1 = np.abs(c @ kernel.g1) ** 2 if kind == "full" else intensities(kernel.g1)
+                I2 = intensities(kernel.g2)
+                if kind == "full":
+                    want = [np.einsum("bi,bj->ij", I1, I2), np.einsum("bi,bj->ij", I1**2, I2**2)]
+                else:
+                    if kind == "bucket":
+                        rows = I1.sum(axis=1) * dx
+                        I1 = sum(I1[:, c0 : c0 + chunk].sum(axis=1)
+                                 for c0 in range(0, n1, chunk)) * dx
+                        np.testing.assert_allclose(I1, rows, rtol=1e-13, atol=0)
+                    P = I1[:, None] * I2 if kind == "bucket" else I1 * I2
+                    want = [P.sum(axis=0), (P**2).sum(axis=0)]
+                want += [I1.sum(axis=0), I2.sum(axis=0)]
+                got = [np.zeros_like(w) for w in want]
+                correlation._block_sums(kernel, kind, c, dx, got, (None, None))
+                for name, g, w in zip(("P", "P2", "I1", "I2"), got, want):
+                    if kind == "full" and name in ("P", "P2"):
+                        # GEMM sums non-negative terms in another order: k1 - k0 ulps at most
+                        np.testing.assert_allclose(g, w, rtol=1e-12, atol=0, err_msg=name)
+                    else:  # the same elementwise operations
+                        assert np.array_equal(g, w), (bench, chunk, k0, name)
+                if bench != "factor":
+                    gathered = [np.zeros_like(w) for w in want]
+                    correlation._block_sums(kernel, kind, c, dx, gathered, selections)
+                    for name, g, d in zip(("P", "P2", "I1", "I2"), gathered, got):
+                        assert np.array_equal(g, d), (bench, chunk, k0, name)
+
+
+@pytest.mark.parametrize("kind", ["bucket", "diagonal", "full"])
+def test_mc_gathers_hop_free_sides_with_the_dense_bits(small_grid, kind, monkeypatch):
+    # identity arms: both sides of Siegert's kernel are selections, so every
+    # block's intensities are gathered from |c|^2; with _selection forced to
+    # None every block runs the dense GEMMs, and no bit moves, at 1 or 2 workers
+    config = make_config(small_grid, WIDE_SOURCE, n_realizations=600, seed=19)
+    x2 = aperture_indices(config)
+    options = dict(bucket=kind == "bucket", diagonal=kind == "diagonal",
+                   x1_indices=x2 if kind == "full" else None, x2_indices=x2)
+    passed, block_sums = [], correlation._block_sums
+
+    def spied(*args):
+        passed.append(args[5])
+        return block_sums(*args)
+
+    monkeypatch.setattr(correlation, "_block_sums", spied)
+    gathered = [accumulate_mc(config, IDENTITY, IDENTITY, workers=w, **options) for w in (1, 2)]
+    assert len(passed) == 6 and all(s is not None for sel in passed for s in sel)
+    monkeypatch.setattr(correlation, "_selection", lambda g: None)
+    dense = accumulate_mc(config, IDENTITY, IDENTITY, **options)
+    assert passed[6:] == [(None, None)] * 3
+    for out in gathered:
+        for name in ("g2_raw", "eps", "i1_mean", "i2_mean"):
+            assert np.array_equal(getattr(out, name), getattr(dense, name)), name
 
 
 def _all_tries_factor(kernel):
@@ -662,13 +725,27 @@ def test_the_rank_floor_sets_the_first_try(small_grid, monkeypatch, arm, x2, wid
 def test_rank_floor_forms_no_kernel_sized_array(small_grid, arm1):
     # an identity arm 2 pins all m = 375 rows, so no basis is tried and the
     # trace holds the floor alone: accumulate_mc's docstring gives it at most
-    # 40*max(n1, n2) + 8*m bytes, far below the m x n kernel it reads
+    # 40*max(n1, n2) + 8*m bytes, far below the m x n kernel it reads.  The
+    # floor reads each side through _selection: the identity's and the mask's
+    # arm 1 are selections (|g|^2 of each column's one nonzero), the hop's is None
     config = make_config(small_grid, WIDE_SOURCE, n_realizations=2)
     kernel = detector_kernel(config, arm1, IDENTITY, bucket=False, diagonal=True)
     m, n = len(kernel), len(kernel.columns2)
     peak = _traced_peak(lambda: correlation._range_factor(kernel))
     assert correlation._range_factor(kernel)[1] is None
     assert peak <= 40 * n + 8 * m + 4096 < m * n
+    dense = any(isinstance(el, Propagate) for el in arm1)
+    for g in (kernel.g1, kernel.g2):
+        selection = correlation._selection(g)
+        if g is kernel.g1 and dense:
+            assert selection is None
+            continue
+        rows, weights = selection
+        cols = np.arange(n)
+        assert np.array_equal(np.abs(g[rows, cols]) ** 2, weights)
+        g = g.copy()
+        g[rows, cols] = 0  # each column's nonzero, if it has one, is the one selected
+        assert not g.any()
 
 
 def test_fluctuation_equals_interference_term(grid, geometry):
