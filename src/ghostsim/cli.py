@@ -249,8 +249,9 @@ def _scenario_fig3(cfg, econf, workers, outdir):
         files.append(name)
         peaks[shift_mm] = peak_position(trace)
         summary[f"summary.peak_mm.shift_{shift_mm:+d}mm"] = peaks[shift_mm] * 1e3
-    if peaks[2] != peaks[-2]:
-        summary["summary.magnification_measured"] = (peaks[-2] - peaks[2]) / 4e-3
+    lo, hi = min(FIG3_SHIFTS_MM), max(FIG3_SHIFTS_MM)
+    if peaks[hi] != peaks[lo]:
+        summary["summary.magnification_measured"] = (peaks[lo] - peaks[hi]) / ((hi - lo) * 1e-3)
     summary["summary.magnification_scale"] = magnification_scale(econf.geometry)
     return files, summary
 

@@ -76,8 +76,8 @@ class CorrelationMap:
     (x1 = x2) or "full" (x1 by x2 matrix); x2 holds the coordinates of the
     kernel's arm-2 columns.  For the analytic engine n_accumulated is 0, eps
     is None and term2 is the interference part: g2_raw = <I1><I2> + term2.
-    detector_kernel picks the bucket's arm-1 columns and siegert_normalize
-    alone sets g2.
+    detector_kernel picks the bucket's arm-1 columns, and siegert_normalize
+    forms g2 from the map.
     """
 
     kind: str
@@ -88,7 +88,6 @@ class CorrelationMap:
     n_accumulated: int
     eps: np.ndarray | None = None
     term2: np.ndarray | None = None
-    g2: np.ndarray | None = None
 
     def marginal_product(self) -> np.ndarray:
         """<I1><I2> with the shape of g2_raw."""
@@ -135,12 +134,13 @@ def detector_kernel(
 
 
 def _selection(g: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(rows, weights) of a kernel side with at most one nonzero per column
-    (an arm with no hop: masks and lenses act pointwise), else None.  Column
-    k reads source mode rows[k] with weight |g[rows[k], k]|^2, 0 for an
-    empty column, so |c g[:, k]|^2 is |c[:, rows[k]]|^2 weights[k].  No
-    m x N array is formed: at most 40 * N bytes beside the N-column side
-    (its nonzeros and their weights, then the two results)."""
+    """(rows, weights) of a hop-free kernel side, one with at most one nonzero
+    per column (as an arm with no hop gives: masks and lenses act pointwise),
+    else None.  Column k reads source mode rows[k] with weight
+    |g[rows[k], k]|^2, 0 for an empty column, so |c g[:, k]|^2 is
+    |c[:, rows[k]]|^2 weights[k].  No m x N array is formed: at most 40 * N
+    bytes beside the N-column side (its nonzeros and their weights, then the
+    two results)."""
     n = g.shape[1]
     # a column with two nonzeros makes a side dense; column 0 shows it on the bench
     if np.count_nonzero(g[:, :1]) > 1 or np.count_nonzero(g) > n:
@@ -168,14 +168,13 @@ def _range_factor(kernel: ModeSet) -> tuple[ModeSet, np.ndarray | None]:
     ||G||_F^2 - ||F||_F^2 <= _FACTOR_TOL ||G||_F^2.  By Pythagoras that is
     ||(I - Q Q^H) G||_F^2, which bounds ||G^H G - F^H F||_F.  Where l would
     reach m, the kernel is kept.  Row j of the factor is source mode Q[:, j]
-    (ModeSet).  The doubling starts at a rank floor: a side with at most one
-    nonzero per column (an arm with no hop: masks and lenses act pointwise)
-    has orthogonal rows, so by Ky Fan each of its rows above twice the bound
-    (a smaller floor is always safe) is a direction every accepted basis
-    holds.  Each try draws its own Omega, so skipped widths change no bit;
-    Siegert's identity kernel forms no sketch.  No m x N array is formed:
-    the floor reads a side through its selection (_selection, the row norms
-    being the selection's weights summed by row), and the sketch is
+    (ModeSet).  The doubling starts at a rank floor: a hop-free side (one
+    that _selection reads) has orthogonal rows, so by Ky Fan each of its rows
+    above twice the bound (a smaller floor is always safe) is a direction
+    every accepted basis holds.  Each try draws its own Omega, so skipped
+    widths change no bit; Siegert's identity kernel forms no sketch.  No
+    m x N array is formed: the floor reads a side through its selection (the
+    row norms being the selection's weights summed by row), and the sketch is
     g (Omega^H g)^H, one arm at a time.
     """
     g1, g2 = kernel.g1, kernel.g2
@@ -312,11 +311,10 @@ def accumulate_mc(
     order, into one set of zeroed running sums (_block_sums), 1024 columns
     at a time (_CHUNK_COLS).  A full map's chunk sums are matrix products,
     I1^T I2 and (I1^2)^T (I2^2) (BLAS gemm); the bucket's and the
-    diagonal's are elementwise, in place.  A side with at most one nonzero
-    per column (a hop-free arm; _selection, read after the factor, whose
-    sides are dense) is gathered from the block's |c|^2, not multiplied, in
-    the same chunks and order: on unit weights (identity arms, binary masks)
-    with the GEMM's bits.
+    diagonal's are elementwise, in place.  A hop-free side (_selection, read
+    after the factor, whose sides are dense) is gathered from the block's
+    |c|^2, not multiplied, in the same chunks and order: on unit weights
+    (identity arms, binary masks) with the GEMM's bits.
     Memory stays bounded by the kernel build's working memory (one reused
     batch of mode_decomposition's default 8 rows of n complex samples, plus
     a few n-sample rows; its docstring gives the bytes) and the kernel's
@@ -445,15 +443,15 @@ def g2_analytic(modes: ModeSet, bucket: bool = True, *, diagonal: bool = False) 
     )
 
 
-def siegert_normalize(cmap: CorrelationMap) -> CorrelationMap:
-    """Normalize: g2 = <I1 I2> / (<I1><I2>), refused (ValueError) where it is
-    not finite: a zero marginal, a NaN or an overflow.  Thermal light obeys
-    1 <= g2 <= 2 exactly on the analytic path (Cauchy-Schwarz on the mode sum)."""
+def siegert_normalize(cmap: CorrelationMap) -> np.ndarray:
+    """The map's g2 = <I1 I2> / (<I1><I2>) in g2_raw's shape, refused (ValueError)
+    where it is not finite: a zero marginal, a NaN or an overflow.  Thermal light
+    obeys 1 <= g2 <= 2 exactly on the analytic path (Cauchy-Schwarz on the mode sum)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g2 = cmap.g2_raw / cmap.marginal_product()
     if not np.all(np.isfinite(g2)):
         raise ValueError("g2 is not finite: a marginal intensity is zero or a field is not finite")
-    return replace(cmap, g2=g2)
+    return g2
 
 
 def fluctuation_correlation(cmap: CorrelationMap) -> np.ndarray:

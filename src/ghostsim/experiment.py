@@ -189,7 +189,7 @@ def _correlate(
                              workers=workers)
     else:
         raise ValueError(f"unknown engine {engine!r}")
-    coincidence = siegert_normalize(cmap).g2
+    coincidence = siegert_normalize(cmap)
     if mode == "fluctuation":
         coincidence = fluctuation_correlation(cmap) / cmap.marginal_product()
     return ImageTrace(

@@ -22,6 +22,7 @@ different stream from the same key.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,12 @@ class EnsembleConfig:
     grid: Grid1D
 
     def __post_init__(self):
+        for name in ("n_realizations", "seed"):
+            value = getattr(self, name)
+            try:  # a float would pass int() and draw the truncated seed's stream
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.n_realizations < 1:
             raise ValueError("n_realizations must be >= 1")
         if not 0 <= int(self.seed) < 2**64:

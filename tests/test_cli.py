@@ -201,7 +201,7 @@ class TestExportImage:
         modes = mode_decomposition(config, ArmPath(()), ArmPath(()), columns1=idx, columns2=idx)
         cmap = siegert_normalize(g2_analytic(modes, bucket=False))
         path = tmp_path / "map.pgm"
-        export_image(cmap.g2, path)
+        export_image(cmap, path)
         data = path.read_bytes().split(b"65535\n", 1)[1]
         pix = np.frombuffer(data, dtype=">u2").reshape(len(idx), len(idx))
         assert np.all(pix.argmax(axis=1) == np.arange(len(idx)))

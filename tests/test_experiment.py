@@ -308,6 +308,59 @@ def test_thermal_imaging_is_blind_to_the_object_phase(small_grid, seed):
                                        rtol=8 * np.finfo(float).eps, atol=0, err_msg=name)
 
 
+# Benches on the small grid with a 3 mm source and magnification m = d'_B/(d_B - d_A),
+# d'_B solved from Eq. 3.  Every hop and the focal length stay above the chirp bound
+# dx * L / lambda = 0.207 m: a thin lens of focal length f is the phase of a hop of
+# length f, and below the bound it aliases (f = 0.044 m put each image 1 pitch off).
+LAW_BENCHES = st.builds(
+    lambda a, d_a, f, m: solve_image_plane(SetupGeometry.default(
+        a=a, d_a=d_a, d_b=d_a + f * (1 + m) / m, d_b_prime=f * (1 + m), f=f,
+        source_diameter=3e-3,
+    )),
+    st.floats(0.05, 0.2), st.floats(0.16, 0.3), st.floats(0.21, 0.3), st.floats(1.0, 4.0),
+)
+
+
+def _image_centroid(obj, bench):
+    """Centroid of g2 - 1 over default_image_window: the background-free
+    image, located between samples where an argmax sits on one."""
+    window = default_image_window(bench, obj)
+    trace = ghost_image_scan(obj, make_config(obj.grid, bench, n_realizations=2),
+                             mode="fluctuation", scan_halfwidth=max(map(abs, window)))
+    sel = (trace.positions >= window[0]) & (trace.positions <= window[1])
+    return float(np.average(trace.positions[sel], weights=trace.coincidence[sel]))
+
+
+@settings(max_examples=4, deadline=None)
+@given(bench=LAW_BENCHES)
+def test_magnification_law_across_benches(small_grid, bench):
+    # pinholes at -+0.4 mm image at +-0.4 m mm (measured: within 0.17 pitch)
+    shift = 0.4e-3
+    left, right = (_image_centroid(make_pinhole(small_grid, x, 60e-6), bench)
+                   for x in (-shift, shift))
+    measured = (left - right) / (2 * shift)
+    assert abs(measured - magnification_scale(bench)) * 2 * shift <= small_grid.dx / 2
+
+
+@settings(max_examples=4, deadline=None)
+@given(bench=LAW_BENCHES)
+def test_visibility_ceiling_across_benches(small_grid, bench):
+    # N equal 120 um slits at a 0.8 mm pitch: v_N <= 1/(2N+1), and v_N falls
+    # with N (measured: v_1 0.14-0.26, v_2 0.08-0.15, v_3 0.05-0.11)
+    config = make_config(small_grid, bench, n_realizations=2)
+    v = []
+    for n in (1, 2, 3):
+        t = np.zeros(small_grid.n)
+        for center in (np.arange(n) - (n - 1) / 2) * 0.8e-3:
+            t = np.maximum(t, make_slit(small_grid, center, 120e-6).t.real)
+        obj = TransmissionMask(small_grid, t)
+        window = default_image_window(bench, obj)
+        trace = ghost_image_scan(obj, config, scan_halfwidth=max(map(abs, window)))
+        v.append(visibility(trace, window))
+        assert v[-1] <= predicted_visibility(n)
+    assert v[0] > v[1] > v[2]
+
+
 def test_fwhm_of_a_flat_trace_is_refused():
     # argmax of a flat trace is index 0, and the crossing read v[-1] through right - 1
     with pytest.raises(ValueError, match="max equals min"):

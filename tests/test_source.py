@@ -155,6 +155,19 @@ class TestApertureAndStatistics:
         with pytest.raises(ValueError):
             EnsembleConfig(n_realizations=10, seed=2**64, geometry=geometry, grid=grid)
 
+    @pytest.mark.parametrize("n_realizations, seed", [(64, 1.5), (64, 1.0), (64.0, 1), (64, "1")])
+    def test_config_refuses_a_non_integral_count_or_seed(self, grid, geometry, n_realizations,
+                                                         seed):
+        # int(1.5) would draw seed 1's stream, and range(64.0) fails only inside a draw
+        with pytest.raises(ValueError, match="must be an integer"):
+            EnsembleConfig(n_realizations=n_realizations, seed=seed, geometry=geometry, grid=grid)
+
+    def test_config_accepts_numpy_integers(self, grid, geometry):
+        config = EnsembleConfig(n_realizations=np.int32(64), seed=np.uint64(7),
+                                geometry=geometry, grid=grid)
+        assert np.array_equal(sample_source_block(config, 0, 64),
+                              sample_source_block(make_config(grid, geometry, 64, 7), 0, 64))
+
 
 class TestModeDecomposition:
     def test_zero_length_arms_return_basis(self, grid, geometry):
