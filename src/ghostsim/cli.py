@@ -20,6 +20,7 @@ import sys
 import time
 import warnings
 from dataclasses import replace
+from decimal import Context, Decimal, DecimalException
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +41,7 @@ from .experiment import (
     ghost_image_scan,
     magnification_scale,
     peak_position,
+    predicted_visibility,
     pseudo_object_scan,
     siegert_scan,
     solve_image_plane,
@@ -55,17 +57,18 @@ EXIT_CONFIG = 2
 EXIT_SAMPLING = 3
 EXIT_IO = 4
 
-_LENGTH_UNITS = {"m": 1.0, "mm": 1e-3, "um": 1e-6, "µm": 1e-6, "nm": 1e-9}
+_LENGTH_UNITS = {"m": 0, "mm": -3, "um": -6, "µm": -6, "nm": -9}  # powers of ten
 
+_BENCH = SetupGeometry()  # the paper's Fig.-1 bench
 # key -> (kind, default); lengths in meters after parsing
 CONFIG_SCHEMA: dict[str, tuple[str, object]] = {
-    "a": ("length", 125e-3),
-    "d_A": ("length", 88e-3),
-    "d_B": ("length", 212e-3),
-    "d_B_prime": ("length", 268.5e-3),
-    "f": ("length", 85e-3),
-    "wavelength": ("length", 633e-9),
-    "source_diameter": ("length", 200e-6),
+    "a": ("length", _BENCH.a),
+    "d_A": ("length", _BENCH.d_a),
+    "d_B": ("length", _BENCH.d_b),
+    "d_B_prime": ("length", _BENCH.d_b_prime),
+    "f": ("length", _BENCH.f),
+    "wavelength": ("length", _BENCH.wavelength),
+    "source_diameter": ("length", _BENCH.source_diameter),
     "grid_n": ("int", 16384),
     "grid_dx": ("length", 2e-6),
     "seed": ("int", 20040720),
@@ -87,12 +90,17 @@ class ConfigError(ValueError):
 
 
 def _parse_length(text: str) -> float:
+    """Meters from a number and an optional unit, whose power of ten joins the
+    decimal exponent: the double nearest the value ("200um" is 2e-4, not 200 * 1e-6)."""
     s = text.strip()
     for unit in sorted(_LENGTH_UNITS, key=len, reverse=True):
         if s.endswith(unit):
             num = s[: -len(unit)].strip()
             if num:
-                return float(num) * _LENGTH_UNITS[unit]
+                try:  # len(num) digits of precision hold every digit, so scaleb is exact
+                    return float(Decimal(num).scaleb(_LENGTH_UNITS[unit], Context(prec=len(num))))
+                except DecimalException:  # an ArithmeticError, not a ValueError
+                    raise ValueError(f"could not read {num!r} as a number") from None
     return float(s)
 
 
@@ -276,7 +284,7 @@ def _scenario_fig4(cfg, econf, workers, outdir):
     summary = {
         "summary.peak_separation_mm": (pk_pos - pk_neg) * 1e3,
         "summary.visibility": vis,
-        "summary.visibility_ceiling_n2": 0.2,
+        "summary.visibility_ceiling_n2": predicted_visibility(obj.feature_count()),
         "summary.paper_measured_visibility": 0.12,  # reference metadata, not a target
         "summary.pgm_scale_min": lo,
         "summary.pgm_scale_max": hi,

@@ -93,13 +93,16 @@ class SetupGeometry:
 
     a: source -> beam splitter; d_a: BS -> object; d_b: BS -> lens;
     d_b_prime: lens -> scan plane; f: focal length.  All in meters.
+    The defaults are the paper's Fig.-1 bench: a = 125 mm, d_A = 88 mm, d_B =
+    212 mm, d'_B = 268.5 mm (as built, off Eq. 3), f = 85 mm, a 200 um source,
+    and He-Ne 633 nm, since the bench states no wavelength.
     """
 
-    a: float
-    d_a: float
-    d_b: float
-    d_b_prime: float
-    f: float
+    a: float = 125e-3
+    d_a: float = 88e-3
+    d_b: float = 212e-3
+    d_b_prime: float = 268.5e-3
+    f: float = 85e-3
     wavelength: float = 633e-9
     source_diameter: float = 200e-6
 
@@ -109,21 +112,6 @@ class SetupGeometry:
                 raise ValueError(f"{name} must be strictly positive")
         if not self.d_b > self.d_a:
             raise ValueError("d_b must exceed d_a (object distance d_b - d_a must be positive)")
-
-    @classmethod
-    def default(cls, **overrides) -> "SetupGeometry":
-        """Fig.-1 bench: a=125mm, d_A=88mm, d_B=212mm, d'_B=268.5mm, f=85mm, 200um source."""
-        params = dict(
-            a=125e-3,
-            d_a=88e-3,
-            d_b=212e-3,
-            d_b_prime=268.5e-3,
-            f=85e-3,
-            wavelength=633e-9,
-            source_diameter=200e-6,
-        )
-        params.update(overrides)
-        return cls(**params)
 
     @property
     def s_o(self) -> float:

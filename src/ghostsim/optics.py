@@ -130,7 +130,10 @@ def lens_phase(grid: Grid1D, wavelength: float, focal_length: float) -> np.ndarr
     """Thin-lens transmittance exp(-i pi x^2 / (lambda f)) on the grid,
     cached and read-only.  Refused (ValueError) where it is not finite: an f
     so short that x^2 / (lambda f) overflows on the grid; a refusal raises on
-    every call, since lru_cache keeps no exception."""
+    every call, since lru_cache keeps no exception.  Unlike a hop, f is not
+    checked against the chirp bound dx * L / lambda: the phase aliases where
+    |x| > lambda |f| / (2 dx), on paper.cfg beyond 13.4 of 16.4 mm, yet there
+    fig3's magnification and fig4's peak separation equal a 1 um pitch's."""
     x = grid.coords()
     with np.errstate(over="ignore", invalid="ignore"):
         phase = np.exp(-1j * np.pi * x**2 / (wavelength * focal_length))

@@ -39,7 +39,7 @@ def grid():
 @pytest.fixture(scope="session")
 def geometry():
     """Bench geometry with the verbatim scan-plane distance."""
-    return SetupGeometry.default()
+    return SetupGeometry()
 
 
 @pytest.fixture(scope="session")

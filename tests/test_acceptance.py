@@ -42,7 +42,7 @@ from ghostsim.source import EnsembleConfig, aperture_indices
 SEED = 20040720
 N_MC = 10_000
 GRID = Grid1D(n=16384, dx=2e-6)
-BENCH = SetupGeometry.default()          # verbatim bench distances
+BENCH = SetupGeometry()          # verbatim bench distances
 FOCUSED = solve_image_plane(BENCH)       # exact thin-lens scan plane
 SCAN_STEP = GRID.dx
 

@@ -5,15 +5,22 @@ import subprocess
 import sys
 import warnings
 from contextlib import nullcontext
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
+from ghostsim import SetupGeometry
 from ghostsim.cli import (
+    _LENGTH_UNITS,
+    CONFIG_SCHEMA,
     SCENARIOS,
     ConfigError,
+    _geometry,
+    _parse_length,
     export_image,
     export_trace,
     main,
@@ -73,6 +80,18 @@ class TestConfig:
         assert cfg["grid_n"] == 16384
         assert cfg["engine"] == "analytic"
 
+    def test_paper_cfg_is_the_bench_of_the_defaults(self):
+        # "200um" parses to the literal 200e-6, not to 200 * 1e-6, one ulp below
+        cfg = parse_config(PAPER_CFG)
+        assert cfg == {key: default for key, (_, default) in CONFIG_SCHEMA.items()}
+        assert _geometry(cfg) == SetupGeometry()
+
+    @given(number=st.decimals(-10**300, 10**300, allow_nan=False, allow_infinity=False),
+           unit=st.sampled_from(sorted(_LENGTH_UNITS)))
+    def test_length_is_the_double_nearest_its_decimal_value(self, number, unit):
+        exact = Fraction(number) * Fraction(10) ** _LENGTH_UNITS[unit]
+        assert _parse_length(f"{number}{unit}") == float(exact)
+
     def test_unit_suffixes(self, tmp_path):
         p = tmp_path / "u.cfg"
         p.write_text("a = 0.125m\nd_A = 88 mm\nf = 85000um\nwavelength = 633nm\n")
@@ -113,7 +132,11 @@ class TestConfig:
         for text, line in (("slit_width = 0mm\n", "line 1"),
                            ("a = 125mm\nscan_halfwidth = -1mm\n", "line 2"),
                            ("d_A = 88mm\na = inf\n", "line 2"),
-                           ("f = 1e400mm\n", "line 1")):
+                           ("f = 1e400mm\n", "line 1"),
+                           ("a = nanmm\n", "line 1"),
+                           ("a = sNaNmm\n", "line 1"),
+                           ("f = 1e9999999mm\n", "line 1"),
+                           ("d_A = 88mm\nf = 8x5mm\n", "line 2")):
             p = tmp_path / "bad.cfg"
             p.write_text(text)
             with pytest.raises(ConfigError, match=line):

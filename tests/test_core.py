@@ -177,8 +177,8 @@ class TestSetupGeometry:
 
     def test_requires_positive_object_distance(self):
         with pytest.raises(ValueError):
-            SetupGeometry.default(d_b=80e-3)
+            SetupGeometry(d_b=80e-3)
 
     def test_requires_positive_lengths(self):
         with pytest.raises(ValueError):
-            SetupGeometry.default(f=-85e-3)
+            SetupGeometry(f=-85e-3)

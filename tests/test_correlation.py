@@ -44,7 +44,7 @@ from conftest import PATHS, SMALL_GRID, make_config, one_slit
 IDENTITY = ArmPath(())
 # a 3 mm source on the small grid holds m = 375 modes, so the range factor
 # (accumulate_mc) can draw fewer than m normals per realization
-WIDE_SOURCE = SetupGeometry.default(source_diameter=3e-3)
+WIDE_SOURCE = SetupGeometry(source_diameter=3e-3)
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +83,7 @@ def test_disjoint_source_regions_factorize(grid, geometry):
 
 
 def test_single_mode_analytic_g2_is_two_everywhere(grid):
-    geo = SetupGeometry.default(source_diameter=2e-6)  # one grid sample
+    geo = SetupGeometry(source_diameter=2e-6)  # one grid sample
     config = make_config(grid, geo, n_realizations=2)
     arm1 = ArmPath((Propagate(geo.z_source_object),))
     arm2 = ArmPath((Propagate(geo.z_source_lens), Lens(geo.f), Propagate(geo.d_b_prime)))
@@ -927,7 +927,7 @@ def test_bucket_i1_over_mask_support_equals_full_grid_sum(small_grid, slits, see
 # benches whose hops a + d_A, a + d_B and d'_B all clear the small grid's
 # chirp bound dx * L / lambda = 0.207 m; the image need not be in focus
 BENCHES = st.builds(
-    lambda a, d_a, s_o, d_b_prime, f: SetupGeometry.default(
+    lambda a, d_a, s_o, d_b_prime, f: SetupGeometry(
         a=a, d_a=d_a, d_b=d_a + s_o, d_b_prime=d_b_prime, f=f
     ),
     st.floats(0.05, 0.2), st.floats(0.16, 0.3), st.floats(0.02, 0.3),
@@ -989,7 +989,7 @@ def test_entangled_light_images_coherently_thermal_light_incoherently():
     # The 3 mm source resolves the slits at both planes; 8192 x 2 um keeps the
     # short entangled-plane hop inside the chirp bound.
     grid = Grid1D(n=8192, dx=2e-6)
-    geometry = SetupGeometry.default(source_diameter=3e-3)
+    geometry = SetupGeometry(source_diameter=3e-3)
     obj = make_double_slit(grid, 1e-3, 0.2e-3)
     columns2 = scan_indices(grid, 3e-3)
     x = grid.coords()[columns2]

@@ -52,7 +52,7 @@ class TestThinLens:
 
     def test_bench_distances_report_residual(self):
         # as-built distances: slightly off the exact thin-lens surface
-        bench = SetupGeometry.default()
+        bench = SetupGeometry()
         assert magnification_scale(bench) == pytest.approx(2.165, abs=1e-3)
         f_eff = 1.0 / (1.0 / bench.s_o + 1.0 / bench.d_b_prime)
         assert f_eff == pytest.approx(84.8e-3, abs=0.05e-3)
@@ -109,7 +109,7 @@ class TestGhostImageScan:
         assert (pk_pos - pk_neg) == pytest.approx(m * 1e-3, abs=0.05e-3)
 
     def test_all_ones_object_gives_flat_trace(self, small_grid):
-        geo = SetupGeometry.default()
+        geo = SetupGeometry()
         config = make_config(small_grid, geo, n_realizations=2)
         obj = make_slit(small_grid, 0.0, small_grid.span)
         trace = ghost_image_scan(obj, config, engine="analytic", scan_halfwidth=2.5e-3)
@@ -225,7 +225,7 @@ class TestDefocus:
 
     @pytest.mark.parametrize("engine", ["mc", "analytic"])
     def test_each_point_equals_a_scan_at_the_shifted_plane(self, small_grid, engine):
-        geo = replace(solve_image_plane(SetupGeometry.default()), source_diameter=3e-3)
+        geo = replace(solve_image_plane(SetupGeometry()), source_diameter=3e-3)
         config = make_config(small_grid, geo, n_realizations=256)
         obj = make_pinhole(small_grid, 0.0, 60e-6)
         deltas = [-30e-3, 0.0, 30e-3]
@@ -247,7 +247,7 @@ class TestDefocus:
 
 @pytest.mark.parametrize("procedure", ["ghost", "pseudo", "siegert", "defocus", "mode"])
 def test_unknown_engine_is_named(small_grid, procedure):
-    config = make_config(small_grid, SetupGeometry.default(), n_realizations=2)
+    config = make_config(small_grid, SetupGeometry(), n_realizations=2)
     obj = make_pinhole(small_grid, 0.0, 60e-6)
     calls = {
         "ghost": lambda: ghost_image_scan(obj, config, engine="quantum", scan_halfwidth=2e-3),
@@ -295,7 +295,7 @@ def test_thermal_imaging_is_blind_to_the_object_phase(small_grid, seed):
     # column, so T e^{i phi} and |T| give one ghost-plane and one sigma-plane
     # trace, to the rounding of the phase factor (measured: 2 ulps at most)
     rng = np.random.default_rng(seed)
-    geo = replace(solve_image_plane(SetupGeometry.default()), source_diameter=1e-3)
+    geo = replace(solve_image_plane(SetupGeometry()), source_diameter=1e-3)
     config = make_config(small_grid, geo, n_realizations=2)
     n = small_grid.n
     amplitude = make_double_slit(small_grid, 1e-3, 0.2e-3).t.real * rng.uniform(0.1, 1, n)
@@ -313,7 +313,7 @@ def test_thermal_imaging_is_blind_to_the_object_phase(small_grid, seed):
 # dx * L / lambda = 0.207 m: a thin lens of focal length f is the phase of a hop of
 # length f, and below the bound it aliases (f = 0.044 m put each image 1 pitch off).
 LAW_BENCHES = st.builds(
-    lambda a, d_a, f, m: solve_image_plane(SetupGeometry.default(
+    lambda a, d_a, f, m: solve_image_plane(SetupGeometry(
         a=a, d_a=d_a, d_b=d_a + f * (1 + m) / m, d_b_prime=f * (1 + m), f=f,
         source_diameter=3e-3,
     )),
@@ -359,6 +359,20 @@ def test_visibility_ceiling_across_benches(small_grid, bench):
         v.append(visibility(trace, window))
         assert v[-1] <= predicted_visibility(n)
     assert v[0] > v[1] > v[2]
+
+
+@settings(max_examples=4, deadline=None)
+@given(bench=LAW_BENCHES)
+def test_defocus_optimum_at_the_thin_lens_plane_across_benches(small_grid, bench):
+    # 7 planes stepped by a tenth of the image-side depth of focus (M s)^2 / lambda,
+    # s the speckle size: the visibility argmax lies within one step of Eq. 3's d'_B.
+    # Measured: with a tenth or a twentieth, all 140 benches peak at the centre; with
+    # 0.01, 40 benches spread over +-1 step and with 0.005 over +-2 (asymmetric curves)
+    step = 0.1 * (magnification_scale(bench) * speckle_size(bench)) ** 2 / bench.wavelength
+    points = defocus_sweep(make_pinhole(small_grid, 0.0, 60e-6),
+                           make_config(small_grid, bench, n_realizations=2),
+                           [k * step for k in range(-3, 4)])
+    assert abs(np.argmax([p.visibility for p in points]) - 3) <= 1
 
 
 def test_fwhm_of_a_flat_trace_is_refused():

@@ -366,7 +366,7 @@ def _adjoint(path, y):
 
 _CHIRP = np.exp(1j * np.linspace(0, 40, SMALL_GRID.n) ** 1.5)
 _PHASE_MASK = TransmissionMask(SMALL_GRID, 0.9 * _CHIRP * one_slit(600, 800).t)
-_BENCH = SetupGeometry.default()
+_BENCH = SetupGeometry()
 
 
 class TestAdjoint:

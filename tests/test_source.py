@@ -251,7 +251,7 @@ def test_kernel_equals_paths_run_on_the_unit_basis(small_grid, arm1, arm2, colum
     # the oracle propagates every mode; the kernel propagates one impulse
     # through the leading hops and applies trailing lenses and masks per
     # column, from the source side or the detector side (the reversed path)
-    config = make_config(small_grid, SetupGeometry.default(), n_realizations=1)
+    config = make_config(small_grid, SetupGeometry(), n_realizations=1)
     modes = mode_decomposition(config, arm1, arm2, block_size,
                                columns1=np.array(columns1), columns2=np.array(columns2))
     for path, columns, g in ((arm1, columns1, modes.g1), (arm2, columns2, modes.g2)):
