@@ -485,8 +485,9 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--realizations", type=int, default=None)
     p_run.add_argument("--workers", type=int, default=1, metavar="N",
-                       help="MC draw threads, N at most the CPU count; outputs are "
-                            "byte-identical for any N; < 1 refused by either engine")
+                       help="MC draw threads, N at most the CPU count, drawing one "
+                            "block ahead of the reduction; outputs are byte-identical "
+                            "for any N; < 1 refused by either engine")
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="parse a config and check sampling")

@@ -3,8 +3,9 @@
 Two interchangeable engines compute <I1 I2>:
 
 * accumulate_mc    - ensemble average over speckle realizations, drawn by
-                     threads in blocks that the calling thread reduces in
-                     index order: bit-identical for any worker count;
+                     threads in blocks, one block ahead of the calling
+                     thread, which reduces them in index order:
+                     bit-identical for any worker count;
 * g2_analytic      - Gaussian-moment (mode-sum) evaluation, exact in the
                      discrete model, exposing the interference term separately.
 
@@ -51,7 +52,7 @@ __all__ = [
 
 _FULL_MAP_LIMIT = 1 << 24  # refuse full x1-by-x2 maps above this many entries
 _ANALYTIC_CHUNK = 256  # arm-1 columns per bucket term2 product in g2_analytic
-_CHUNK_COLS = 1024  # columns per field product in an MC block's reduction (_block_sums)
+_CHUNK_COLS = 1024  # arm-2 columns per product: an MC block's reduction, the analytic bucket
 _FACTOR_TOL = 1e-12  # the range factor's bound on ||G^H G - F^H F||_F / ||G||_F^2
 _FACTOR_WIDTH = 32  # the range finder's first basis width, doubled until the bound holds
 _SKETCH_KEY = 0  # Philox key of the range finder's test matrix: fixed, so (seed, config) fix bits
@@ -259,12 +260,14 @@ def _block_sums(kernel, kind, c, dx, sums, selections):
 
 def _in_order(pools, fn, items):
     """fn(*args) for the j-th args in items on pools[j % len(pools)], yielded
-    in order, with at most len(pools) calls submitted and not yet yielded, one
-    per pool: a slow call holds back the ones after it."""
+    in order, with at most len(pools) + 1 calls submitted and not yet yielded:
+    while the caller works on call j, calls j + 1 to j + len(pools) run or
+    wait their turn, so even one pool runs ahead of the caller.  A slow call
+    holds back the ones after it."""
     pending = deque()
     for j, args in enumerate(items):
         pending.append(pools[j % len(pools)].submit(fn, *args))
-        if len(pending) == len(pools):
+        if len(pending) > len(pools):
             yield pending.popleft().result()
     while pending:
         yield pending.popleft().result()
@@ -307,24 +310,26 @@ def accumulate_mc(
     Draw threads only draw the w = len(kernel) coefficients of each block of
     block_size realizations (sample_source_block), block j on thread
     j mod workers (one single-thread executor each, so a fast thread cannot
-    take every block); the calling thread reduces every draw, in block-index
-    order, into one set of zeroed running sums (_block_sums), 1024 columns
-    at a time (_CHUNK_COLS).  A full map's chunk sums are matrix products,
-    I1^T I2 and (I1^2)^T (I2^2) (BLAS gemm); the bucket's and the
-    diagonal's are elementwise, in place.  A hop-free side (_selection, read
-    after the factor, whose sides are dense) is gathered from the block's
-    |c|^2, not multiplied, in the same chunks and order: on unit weights
-    (identity arms, binary masks) with the GEMM's bits.
+    take every block), one block ahead of the reduction: while the calling
+    thread reduces block j, blocks j + 1 to j + workers are drawn or queued,
+    so even one draw thread overlaps the reduction.  The calling thread
+    reduces every draw, in block-index order, into one set of zeroed running
+    sums (_block_sums), 1024 columns at a time (_CHUNK_COLS).  A full map's
+    chunk sums are matrix products, I1^T I2 and (I1^2)^T (I2^2) (BLAS gemm);
+    the bucket's and the diagonal's are elementwise, in place.  A hop-free
+    side (_selection, read after the factor, whose sides are dense) is
+    gathered from the block's |c|^2, not multiplied, in the same chunks and
+    order: on unit weights (identity arms, binary masks) with the GEMM's
+    bits.
     Memory stays bounded by the kernel build's working memory (one reused
     batch of mode_decomposition's default 8 rows of n complex samples, plus
     a few n-sample rows; its docstring gives the bytes) and the kernel's
     16 * m * (n1 + n2) bytes, then by the range factor's working memory
     before the first draw, then by the factored kernel, its selections, the
-    running sums, one block on the calling thread and at most `workers`
-    draws, and last by the sums and the tail's eps: draws are submitted
-    through a window of `workers`, so at most `workers` are running or
-    unreduced at once, the one being reduced included (a slow draw holds
-    back the submission of later ones).
+    running sums and at most `workers` + 1 blocks: the one being reduced,
+    with the reduction's working memory, and up to `workers` drawn or
+    drawing (a slow draw holds back the submission of later ones); and last
+    by the sums and the tail's eps.
     With B = block_size, m modes, n1 arm-1 columns, n2 = |x2|, S map
     entries (n1 * n2 for a full map, else n2) and W = min(max(n1, n2), 1024)
     columns in the widest chunk, the range factor takes at most
@@ -407,7 +412,11 @@ def g2_analytic(modes: ModeSet, bucket: bool = True, *, diagonal: bool = False) 
     interference term is term2 = |sum_q g1* g2|^2.  The bucket integrates
     both over every arm-1 column held (so those must cover arm 1's output,
     as detector_kernel's do); the diagonal pairs column k of g1 with column
-    k of g2, so both arms must hold the same columns.
+    k of g2, so both arms must hold the same columns.  The bucket's term2
+    forms K = g1^H g2 one block of _ANALYTIC_CHUNK arm-1 by _CHUNK_COLS arm-2
+    columns at a time, so it holds at most 24 * 256 * 1024 bytes of K and
+    |K|^2 (6 MB) whatever the scan window; column slices of 1024 keep the
+    GEMM's bits.
     """
     if len(modes) == 0:
         raise ValueError("mode set is empty")
@@ -420,8 +429,11 @@ def g2_analytic(modes: ModeSet, bucket: bool = True, *, diagonal: bool = False) 
         i1_mean: np.ndarray | float = float(rho1.sum() * dx)
         term2 = np.zeros(len(modes.columns2))
         for c0 in range(0, len(modes.columns1), _ANALYTIC_CHUNK):
-            K = modes.g1[:, c0 : c0 + _ANALYTIC_CHUNK].conj().T @ modes.g2
-            term2 += (np.abs(K) ** 2).sum(axis=0)
+            g1_h = modes.g1[:, c0 : c0 + _ANALYTIC_CHUNK].conj().T
+            for k0 in range(0, len(modes.columns2), _CHUNK_COLS):
+                cols = slice(k0, k0 + _CHUNK_COLS)
+                # K = g1^H g2 is a temporary, not held while the next chunk's forms
+                term2[cols] += (np.abs(g1_h @ modes.g2[:, cols]) ** 2).sum(axis=0)
         term2 *= dx
     elif kind == "diagonal":
         if not np.array_equal(modes.columns1, modes.columns2):

@@ -400,30 +400,79 @@ def test_mc_block_j_is_drawn_on_thread_j_mod_workers(small_grid, geometry, worke
 
 
 def test_mc_holds_at_most_workers_blocks_unmerged(small_grid, geometry, monkeypatch):
-    # held: drawn or drawing, and not yet reduced on the calling thread
-    workers = os.cpu_count() or 1
-    config = make_config(small_grid, geometry, n_realizations=8 * (4 * workers + 3), seed=7)
+    # held: drawn or drawing, and not yet reduced on the calling thread; alive:
+    # started and not yet reduced, the block being reduced included
+    cpus = os.cpu_count() or 1
+    blocks = 4 * cpus + 3
+    config = make_config(small_grid, geometry, n_realizations=8 * blocks, seed=7)
     options = dict(bucket=False, diagonal=True, x2_indices=aperture_indices(config),
                    block_size=8)
     ref = accumulate_mc(config, IDENTITY, IDENTITY, workers=1, **options)
+    draw, block_sums = correlation.sample_source_block, correlation._block_sums
 
-    lock, started, held = threading.Lock(), [], []
-    draw = correlation.sample_source_block
+    for workers in sorted({1, cpus}):
+        lock, started, held, alive = threading.Lock(), [], [], []
+        began = [threading.Event() for _ in range(blocks)]
 
-    def stalled(config, k0, k1, **kwargs):
-        with lock:
-            started.append(k0)
-        if k0 == 0:
-            # long enough for every other draw to run, had it been submitted
-            time.sleep(0.3)
+        def stalled(config, k0, k1, **kwargs):
             with lock:
-                held.append(len(started))  # nothing is reduced before block 0
+                started.append(k0)
+            began[k0 // 8].set()
+            if k0 == 0:
+                # long enough for every other draw to run, had it been submitted
+                time.sleep(0.3)
+                with lock:
+                    held.append(len(started))  # nothing is reduced before block 0
+            return draw(config, k0, k1, **kwargs)
+
+        def reduced(*args):
+            j = len(alive)
+            if j + 1 < blocks:
+                # block j + 1 is submitted before block j is reduced: let it start
+                began[j + 1].wait(timeout=2)
+            with lock:
+                alive.append(len(started) - j)
+            return block_sums(*args)
+
+        monkeypatch.setattr(correlation, "sample_source_block", stalled)
+        monkeypatch.setattr(correlation, "_block_sums", reduced)
+        out = accumulate_mc(config, IDENTITY, IDENTITY, workers=workers, **options)
+        assert 1 <= held[0] <= workers
+        assert len(alive) == blocks and max(alive) <= workers + 1, alive
+        if workers == 1:
+            assert min(alive[:-1]) >= 2, alive
+        assert sorted(started) == list(range(0, config.n_realizations, 8))
+        for name in ("g2_raw", "i1_mean", "i2_mean", "eps"):
+            assert np.array_equal(getattr(out, name), getattr(ref, name)), name
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=lambda w: f"workers={w}")
+def test_mc_draw_runs_one_block_ahead_of_the_reduction(small_grid, geometry, workers,
+                                                       monkeypatch):
+    # by events, not timing: the reduction of block j waits for the draw of
+    # block j + 1 to start, which it can only do if it was submitted first
+    blocks = 6
+    config = make_config(small_grid, geometry, n_realizations=8 * blocks, seed=9)
+    options = dict(bucket=False, diagonal=True, x2_indices=aperture_indices(config),
+                   block_size=8)
+    ref = accumulate_mc(config, IDENTITY, IDENTITY, workers=1, **options)
+    started = [threading.Event() for _ in range(blocks)]
+    ahead = []
+    draw, block_sums = correlation.sample_source_block, correlation._block_sums
+
+    def signalled(config, k0, k1, **kwargs):
+        started[k0 // 8].set()
         return draw(config, k0, k1, **kwargs)
 
-    monkeypatch.setattr(correlation, "sample_source_block", stalled)
+    def waiting(*args):
+        j = len(ahead)
+        ahead.append(j + 1 == blocks or started[j + 1].wait(timeout=2))
+        return block_sums(*args)
+
+    monkeypatch.setattr(correlation, "sample_source_block", signalled)
+    monkeypatch.setattr(correlation, "_block_sums", waiting)
     out = accumulate_mc(config, IDENTITY, IDENTITY, workers=workers, **options)
-    assert 1 <= held[0] <= workers
-    assert sorted(started) == list(range(0, config.n_realizations, 8))
+    assert ahead == [True] * blocks
     for name in ("g2_raw", "i1_mean", "i2_mean", "eps"):
         assert np.array_equal(getattr(out, name), getattr(ref, name)), name
 
@@ -446,11 +495,13 @@ def test_mc_memory_within_the_documented_bound(small_grid, geometry, kind, worke
     # side's selection, 16 bytes a column, with either one block of
     # 32*B*W + 16*(B + W) bytes on the calling thread (and a full map's
     # 24*B*n1 + 8*n1*W, and where a side is a selection, the 8*B*w bytes of
-    # |c|^2), W the widest column chunk, and `workers` draws of 16*w*B' bytes
-    # (w the draw's width; B = 256 is whole 64-realization chunks, so
-    # B' = B), or the tail's 9*S.  The bench's 200 um source (m = 25) is
-    # drawn m wide; the wide one (m = 375) is factored, but for Siegert's
-    # identity kernel (the diagonal's third case), whose sides are gathered
+    # |c|^2), W the widest column chunk, and `workers` + 1 draws of 16*w*B'
+    # bytes (w the draw's width; B = 256 is whole 64-realization chunks, so
+    # B' = B), or the tail's 9*S.  The bound counts `workers` draws, one fewer
+    # than the docstring: the block term's margin holds the draw run ahead.
+    # The bench's 200 um source (m = 25) is drawn m wide; the wide one
+    # (m = 375) is factored, but for Siegert's identity kernel (the
+    # diagonal's third case), whose sides are gathered
     cases = [(bench, build_arms(bench, make_double_slit(small_grid, 1e-3, 0.2e-3)))
              for bench in (geometry, WIDE_SOURCE)]
     if kind == "diagonal":
@@ -513,6 +564,38 @@ def test_mc_memory_grows_with_the_window_by_held_columns_only(small_grid, geomet
         kernel_peak = _traced_peak(lambda: detector_kernel(config, *arms, **options))
         mc_peak = _traced_peak(lambda: accumulate_mc(config, *arms, **options))
         grown.append(mc_peak - kernel_peak)
+    assert grown[1] - grown[0] <= held[1] - held[0] + 64 * 1024, (grown, held)
+
+
+@pytest.mark.parametrize("bench", [SetupGeometry(), WIDE_SOURCE], ids=["m25", "m375"])
+def test_analytic_bucket_term_equals_the_unchunked_sum(small_grid, bench):
+    # a 250-column slit (one arm-1 chunk) and 2001 scan columns (two arm-2
+    # chunks): the chunked term2 has the bits of the one-product form
+    config = make_config(small_grid, bench)
+    kernel = detector_kernel(config, *build_arms(bench, make_slit(small_grid, 0.0, 2e-3)),
+                             x2_indices=scan_indices(small_grid, 8e-3))
+    g1, g2 = kernel.g1, kernel.g2
+    assert g1.shape[1] <= correlation._ANALYTIC_CHUNK < correlation._CHUNK_COLS < g2.shape[1]
+    term2 = (np.abs(g1.conj().T @ g2) ** 2).sum(axis=0) * small_grid.dx
+    assert np.array_equal(g2_analytic(kernel).term2, term2)
+
+
+def test_analytic_bucket_memory_grows_with_the_window_by_held_columns_only(small_grid,
+                                                                            geometry):
+    # past _CHUNK_COLS scan columns the bucket's K = g1^H g2 stops growing: one
+    # more column costs g2_analytic, beyond the kernel, only |g2| and its
+    # square (at most 16*m = 400 bytes, for rho2) and its map entries (rho2,
+    # term2, g2_raw, the marginal product and x2), not K's and |K|^2's 24*n1
+    # (6000)
+    config = make_config(small_grid, geometry)
+    arms = build_arms(geometry, make_slit(small_grid, 0.0, 2e-3))
+    grown, held = [], []
+    for halfwidth in (4.4e-3, 8e-3):
+        kernel = detector_kernel(config, *arms, x2_indices=scan_indices(small_grid, halfwidth))
+        m, n2 = kernel.g2.shape
+        assert n2 > correlation._CHUNK_COLS  # so K is 1024 columns wide at either width
+        held.append(16 * m * n2 + 40 * n2)
+        grown.append(_traced_peak(lambda: g2_analytic(kernel)))
     assert grown[1] - grown[0] <= held[1] - held[0] + 64 * 1024, (grown, held)
 
 
