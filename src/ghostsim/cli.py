@@ -193,12 +193,16 @@ def _write_lines(path: str | Path, lines) -> None:
 
 
 def export_trace(trace: ImageTrace, path: str | Path) -> None:
-    """CSV trace: header + one row per scan point, 17 significant digits, LF."""
-    columns = (trace.positions, trace.coincidence, trace.singles1, trace.singles2)
-    lines = ["x2_m,coincidence,singles1,singles2"]
-    lines += [f"{x:.17g},{c:.17g},{s1:.17g},{s2:.17g}"
-              for x, c, s1, s2 in zip(*(col.tolist() for col in columns))]
-    _write_lines(path, lines)
+    """CSV trace: header + one row per scan point, 17 significant digits, LF.
+    Each distinct bit pattern of a column is formatted once (a bucket's
+    singles1 is one value at every point); -0.0 and 0.0 stay apart."""
+    columns = []
+    for col in (trace.positions, trace.coincidence, trace.singles1, trace.singles2):
+        bits, inverse = np.unique(np.asarray(col, dtype=float).view(np.uint64),
+                                  return_inverse=True)
+        text = np.array([f"{v:.17g}" for v in bits.view(float).tolist()], dtype=object)
+        columns.append(text[inverse].tolist())
+    _write_lines(path, ["x2_m,coincidence,singles1,singles2", *map(",".join, zip(*columns))])
 
 
 def export_image(data: np.ndarray, path: str | Path) -> tuple[float, float]:

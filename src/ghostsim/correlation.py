@@ -56,6 +56,7 @@ _CHUNK_COLS = 1024  # arm-2 columns per product: an MC block's reduction, the an
 _FACTOR_TOL = 1e-12  # the range factor's bound on ||G^H G - F^H F||_F / ||G||_F^2
 _FACTOR_WIDTH = 32  # the range finder's first basis width, doubled until the bound holds
 _SKETCH_KEY = 0  # Philox key of the range finder's test matrix: fixed, so (seed, config) fix bits
+_TAIL_ROWS = 32  # full-map rows per block of the MC tail's eps: its temporaries are this wide
 
 
 def _kind(bucket: bool, diagonal: bool) -> str:
@@ -67,6 +68,12 @@ def _kind(bucket: bool, diagonal: bool) -> str:
 def _product(kind: str, a, b, out=None) -> np.ndarray:
     """a * b in the shape of a map of this kind: the outer product if full."""
     return (np.multiply.outer if kind == "full" else np.multiply)(a, b, out=out)
+
+
+def _abs2(x: np.ndarray) -> np.ndarray:
+    """|x|^2, squared in the buffer of |x| (np.square has the bits of ** 2 and of a * a)."""
+    a = np.abs(x)
+    return np.square(a, out=a)
 
 
 @dataclass(frozen=True)
@@ -149,8 +156,7 @@ def _selection(g: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     nz_rows, nz_cols = np.nonzero(g)
     if np.any(np.bincount(nz_cols) > 1):
         return None
-    values = np.abs(g[nz_rows, nz_cols])
-    values *= values
+    values = _abs2(g[nz_rows, nz_cols])
     rows = np.zeros(n, dtype=np.intp)
     rows[nz_cols] = nz_rows
     weights = np.zeros(n)
@@ -176,7 +182,9 @@ def _range_factor(kernel: ModeSet) -> tuple[ModeSet, np.ndarray | None]:
     widths change no bit; Siegert's identity kernel forms no sketch.  No
     m x N array is formed: the floor reads a side through its selection (the
     row norms being the selection's weights summed by row), and the sketch is
-    g (Omega^H g)^H, one arm at a time.
+    g (Omega^H g)^H, one arm at a time, with Omega^H g conjugated in place
+    and freed before the next arm's (its transpose keeps the layout a
+    conjugated copy would have, so the GEMM's bits do not change).
     """
     g1, g2 = kernel.g1, kernel.g2
     m = len(kernel)
@@ -192,14 +200,20 @@ def _range_factor(kernel: ModeSet) -> tuple[ModeSet, np.ndarray | None]:
     while width < m:
         z = Generator(Philox(key=_SKETCH_KEY)).standard_normal((m, 2 * width))
         omega_h = z.view(np.complex128).T.conj()
-        sketch = g1 @ (omega_h @ g1).T.conj()
-        sketch += g2 @ (omega_h @ g2).T.conj()
+        sketch = _sketch_term(g1, omega_h)
+        sketch += _sketch_term(g2, omega_h)
         q_h = np.linalg.qr(sketch)[0].T.conj()
         f1, f2 = q_h @ g1, q_h @ g2
         if total - np.linalg.norm(f1) ** 2 - np.linalg.norm(f2) ** 2 <= _FACTOR_TOL * total:
             return replace(kernel, g1=f1, g2=f2), q_h
         width *= 2
     return kernel, None
+
+
+def _sketch_term(g: np.ndarray, omega_h: np.ndarray) -> np.ndarray:
+    """g (Omega^H g)^H, the one l x N temporary conjugated in place."""
+    y = omega_h @ g
+    return g @ np.conjugate(y, out=y).T
 
 
 def _block_sums(kernel, kind, c, dx, sums, selections):
@@ -213,12 +227,11 @@ def _block_sums(kernel, kind, c, dx, sums, selections):
     C-ordered (np.take) so that its sums run in the GEMM path's order."""
     s_p, s_p2, s_i1, s_i2 = sums
     if any(s is not None for s in selections):
-        a = np.abs(c)
-        a *= a  # |c|^2, one array per block
+        a = _abs2(c)  # one array per block
 
     def intensities(g, selection, cols=slice(None)):
         if selection is None:
-            return np.abs(c @ g[:, cols]) ** 2
+            return _abs2(c @ g[:, cols])
         rows, weights = selection
         i = np.take(a, rows[cols], axis=1)
         i *= weights[cols]
@@ -329,28 +342,31 @@ def accumulate_mc(
     running sums and at most `workers` + 1 blocks: the one being reduced,
     with the reduction's working memory, and up to `workers` drawn or
     drawing (a slow draw holds back the submission of later ones); and last
-    by the sums and the tail's eps.
+    by the sums and one row block of the tail's temporaries.
     With B = block_size, m modes, n1 arm-1 columns, n2 = |x2|, S map
     entries (n1 * n2 for a full map, else n2) and W = min(max(n1, n2), 1024)
     columns in the widest chunk, the range factor takes at most
-    16*l*(6*m + 3*(n1 + n2)) bytes beside G, l being the widest basis
+    16*l*(6*m + 2*(n1 + n2)) bytes beside G, l being the widest basis
     it tries: m x l arrays (the test matrix, the sketch G G^H Omega, QR's
     work and Q^H), l x (n1 + n2) ones (F, and Omega^H g, formed one arm at a
-    time, so there is no second m x (n1 + n2) array) and the previous try's
-    Q^H and F; its rank floor, first, takes at most 40*max(n1, n2) + 8*m
-    (a hop-free side's nonzeros and its rows' norms).  A draw takes at most
-    16*w*B' bytes, B' being B rounded out to whole 64-realization
-    chunks (at most B + 126; the normals are drawn into the complex
-    amplitudes themselves), and the block at most 32*B*W + 16*(B + W) (one
-    chunk's field and intensities beside the diagonal's arm-1 intensities or
-    the bucket's B arm-1 sums), and for a full map also 24*B*n1 + 8*n1*W
-    (its whole arm-1 intensities and their squares, and one chunk's GEMM
-    product), and where a side is a selection also 8*B*w (the block's
-    |c|^2).  The selections hold at most 16*(n1 + n2) bytes (a row index and
-    a weight per column of a hop-free side) for the whole call, and the
-    running sums 16*S + 8*(n1 + n2) bytes from the first draw on; the
-    ratios are formed in their place, so the tail adds only eps and its NaN
-    mask, 9*S.  workers < 1 and block_size < 1 are refused (ValueError)
+    time and conjugated in place, so there is no m x (n1 + n2) array) and
+    the previous try's Q^H and F; its rank floor, first, takes at most
+    40*max(n1, n2) + 8*m (a hop-free side's nonzeros and its rows' norms).
+    A draw takes at most 16*w*B' bytes, B' being B rounded out to whole
+    64-realization chunks (at most B + 126; the normals are drawn into the
+    complex amplitudes themselves), and the block at most
+    32*B*W + 16*(B + W) (one chunk's field and intensities beside the
+    diagonal's arm-1 intensities or the bucket's B arm-1 sums), and for a
+    full map also 24*B*n1 + 8*n1*W (its whole arm-1 intensities and their
+    squares, and one chunk's GEMM product), and where a side is a selection
+    also 8*B*w (the block's |c|^2).  The selections hold at most
+    16*(n1 + n2) bytes (a row index and a weight per column of a hop-free
+    side) for the whole call, and the running sums 16*S + 8*(n1 + n2) bytes
+    from the first draw on; the ratios are formed in their place, and eps
+    in that of sum (I1 I2)^2, one row block at a time, so the tail adds only
+    one block's g2_raw^2 (then <I1><I2>) and NaN mask, 9*R*n2 bytes:
+    R = min(n1, 32) rows of a full map (_TAIL_ROWS), 1 of a bucket or a
+    diagonal.  workers < 1 and block_size < 1 are refused (ValueError)
     before any build or draw; at most os.cpu_count() workers run: more hold
     more draws, no faster.  The map is returned as computed;
     siegert_normalize refuses it where g2 is not finite.
@@ -381,18 +397,24 @@ def accumulate_mc(
             _block_sums(kernel, kind, c, dx, sums, selections)
             del c  # not held while the next draw is awaited
 
-    # the ratios, in place of the sums: g2_raw, <(I1 I2)^2>, <I1> and <I2>
+    # the ratios, in place of the sums: g2_raw, <(I1 I2)^2>, <I1> and <I2>; then
+    # eps in <(I1 I2)^2>'s place, _TAIL_ROWS rows of a full map at a time (the
+    # whole vector of a bucket or a diagonal, indexed by ...), each entry by the
+    # same steps
     for s in sums:
         s /= n
-    g2_raw, var, i1_mean, i2_mean = sums
-    eps = np.square(g2_raw)
-    np.subtract(var, eps, out=eps)
-    np.maximum(eps, 0.0, out=eps)
-    eps /= n
-    np.sqrt(eps, out=eps)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        eps /= _product(kind, i1_mean, i2_mean, out=var)  # var is spent: <I1><I2> in its place
-    eps[np.isnan(eps)] = np.inf  # no bound where a marginal is 0 (0/0), as for x/0
+    g2_raw, eps, i1_mean, i2_mean = sums
+    row_blocks = ([slice(r0, r0 + _TAIL_ROWS) for r0 in range(0, n1, _TAIL_ROWS)]
+                  if kind == "full" else [...])
+    for rows in row_blocks:
+        e, t = eps[rows], np.square(g2_raw[rows])
+        np.subtract(e, t, out=e)
+        np.maximum(e, 0.0, out=e)
+        e /= n
+        np.sqrt(e, out=e)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e /= _product(kind, i1_mean[rows], i2_mean, out=t)  # t is spent: <I1><I2> in its place
+        e[np.isnan(e)] = np.inf  # no bound where a marginal is 0 (0/0), as for x/0
 
     return CorrelationMap(
         kind=kind,
@@ -408,11 +430,12 @@ def accumulate_mc(
 def g2_analytic(modes: ModeSet, bucket: bool = True, *, diagonal: bool = False) -> CorrelationMap:
     """Exact mode-sum G2 over the columns the kernel holds.
 
-    With rho_i = sum_q |g_i|^2 the background is rho1 * rho2 and the
-    interference term is term2 = |sum_q g1* g2|^2.  The bucket integrates
-    both over every arm-1 column held (so those must cover arm 1's output,
-    as detector_kernel's do); the diagonal pairs column k of g1 with column
-    k of g2, so both arms must hold the same columns.  The bucket's term2
+    With rho_i = sum_q |g_i|^2 (|g_i|^2 squared in place, one arm at a
+    time) the background is rho1 * rho2 and the interference term is
+    term2 = |sum_q g1* g2|^2.  The bucket integrates both over every arm-1
+    column held (so those must cover arm 1's output, as detector_kernel's
+    do); the diagonal pairs column k of g1 with column k of g2, so both arms
+    must hold the same columns.  The bucket's term2
     forms K = g1^H g2 one block of _ANALYTIC_CHUNK arm-1 by _CHUNK_COLS arm-2
     columns at a time, so it holds at most 24 * 256 * 1024 bytes of K and
     |K|^2 (6 MB) whatever the scan window; column slices of 1024 keep the
@@ -422,8 +445,8 @@ def g2_analytic(modes: ModeSet, bucket: bool = True, *, diagonal: bool = False) 
         raise ValueError("mode set is empty")
     kind = _kind(bucket, diagonal)
     dx = modes.grid.dx
-    rho1 = (np.abs(modes.g1) ** 2).sum(axis=0)
-    rho2 = (np.abs(modes.g2) ** 2).sum(axis=0)
+    rho1 = _abs2(modes.g1).sum(axis=0)  # |g1|^2 freed before |g2|^2 forms
+    rho2 = _abs2(modes.g2).sum(axis=0)
 
     if kind == "bucket":
         i1_mean: np.ndarray | float = float(rho1.sum() * dx)
@@ -433,21 +456,23 @@ def g2_analytic(modes: ModeSet, bucket: bool = True, *, diagonal: bool = False) 
             for k0 in range(0, len(modes.columns2), _CHUNK_COLS):
                 cols = slice(k0, k0 + _CHUNK_COLS)
                 # K = g1^H g2 is a temporary, not held while the next chunk's forms
-                term2[cols] += (np.abs(g1_h @ modes.g2[:, cols]) ** 2).sum(axis=0)
+                term2[cols] += _abs2(g1_h @ modes.g2[:, cols]).sum(axis=0)
         term2 *= dx
     elif kind == "diagonal":
         if not np.array_equal(modes.columns1, modes.columns2):
             raise ValueError("a diagonal map needs both arms held at the same columns")
         i1_mean = rho1
-        term2 = np.abs(np.einsum("mi,mi->i", modes.g1.conj(), modes.g2)) ** 2
+        term2 = _abs2(np.einsum("mi,mi->i", modes.g1.conj(), modes.g2))
     else:
         i1_mean = rho1
-        term2 = np.abs(modes.g1.conj().T @ modes.g2) ** 2
+        term2 = _abs2(modes.g1.conj().T @ modes.g2)
 
+    g2_raw = _product(kind, i1_mean, rho2)
+    g2_raw += term2
     return CorrelationMap(
         kind=kind,
         x2=modes.grid.coords()[modes.columns2],
-        g2_raw=_product(kind, i1_mean, rho2) + term2,
+        g2_raw=g2_raw,
         i1_mean=i1_mean,
         i2_mean=rho2,
         n_accumulated=0,

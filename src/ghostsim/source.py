@@ -192,7 +192,8 @@ def _arm_kernel(
             apply_path_block(batch, grid, wavelength, middle, out=batch)
             for j in np.flatnonzero((inv >= b0) & (inv < b0 + len(batch))):
                 g[j] = batch[inv[j] - b0, mcols if mirrored[j] else cols]
-    g *= apply_path_block(np.ones(n), grid, wavelength, ArmPath(arm.elements[last:]))[cols]
+    if arm.elements[last:]:  # an arm that ends in a hop has no trailing factor
+        g *= apply_path_block(np.ones(n), grid, wavelength, ArmPath(arm.elements[last:]))[cols]
     return g
 
 

@@ -490,15 +490,17 @@ def _traced_peak(call):
 @pytest.mark.parametrize("kind", ["full", "bucket", "diagonal"])
 def test_mc_memory_within_the_documented_bound(small_grid, geometry, kind, workers):
     # accumulate_mc's docstring: beyond the kernel build, the range factor's
-    # 16*l*(6*m + 3*(n1 + n2)) bytes before the first draw (l its widest
+    # 16*l*(6*m + 2*(n1 + n2)) bytes before the first draw (l its widest
     # basis tried), then the running sums' 16*S + 8*(n1 + n2) and a hop-free
     # side's selection, 16 bytes a column, with either one block of
     # 32*B*W + 16*(B + W) bytes on the calling thread (and a full map's
     # 24*B*n1 + 8*n1*W, and where a side is a selection, the 8*B*w bytes of
     # |c|^2), W the widest column chunk, and `workers` + 1 draws of 16*w*B'
     # bytes (w the draw's width; B = 256 is whole 64-realization chunks, so
-    # B' = B), or the tail's 9*S.  The bound counts `workers` draws, one fewer
-    # than the docstring: the block term's margin holds the draw run ahead.
+    # B' = B), or the tail's one row block, 9*R*n2 (R = min(n1, 32) rows of a
+    # full map, 1 of a bucket or a diagonal).  The bound counts `workers`
+    # draws, one fewer than the docstring: the block term's margin holds the
+    # draw run ahead.
     # The bench's 200 um source (m = 25) is drawn m wide; the wide one
     # (m = 375) is factored, but for Siegert's identity kernel (the
     # diagonal's third case), whose sides are gathered
@@ -524,9 +526,10 @@ def test_mc_memory_within_the_documented_bound(small_grid, geometry, kind, worke
         # the range finder tries l = 32, 64, ... below m, and stops at the width it
         # keeps; the identity's rank floor pins all m rows, so it tries none
         tried = [32 << k for k in range(6) if 32 << k < m and arms[0] is not IDENTITY]
-        factor = 16 * (width if width < m else max(tried, default=0)) * (6 * m + 3 * (n1 + n2))
+        factor = 16 * (width if width < m else max(tried, default=0)) * (6 * m + 2 * (n1 + n2))
         factor = max(factor, 40 * max(n1, n2) + 8 * m)  # the floor, first
         S = n1 * n2 if kind == "full" else n2
+        tail = 9 * (min(n1, correlation._TAIL_ROWS) if kind == "full" else 1) * n2
         W = min(max(n1, n2), correlation._CHUNK_COLS)
         block = 32 * 256 * W + 16 * (256 + W)
         if kind == "full":
@@ -535,7 +538,7 @@ def test_mc_memory_within_the_documented_bound(small_grid, geometry, kind, worke
             block += 8 * 256 * width
         draw = 16 * 256 * width
         slack = 64 * 1024  # Python objects: futures, tuples, the pool
-        loop = 16 * S + 8 * (n1 + n2) + 16 * sum(selected) + max(block + workers * draw, 9 * S)
+        loop = 16 * S + 8 * (n1 + n2) + 16 * sum(selected) + max(block + workers * draw, tail)
         assert mc_peak <= kernel_peak + max(factor, loop) + slack, m
 
 
@@ -543,9 +546,10 @@ def test_mc_memory_within_the_documented_bound(small_grid, geometry, kind, worke
 def test_mc_memory_grows_with_the_window_by_held_columns_only(small_grid, geometry, kind):
     # past _CHUNK_COLS scan columns a block stops growing: one more column
     # costs accumulate_mc, beyond the kernel build, only what it holds for the
-    # whole call, the kernel's column and its map entries' sums, eps and NaN
-    # mask, and not a block's 24*B bytes of fields and intensities
-    # (6144 per column, where the narrow bench's m = 25 holds at most 1658)
+    # whole call, the kernel's column and its map entries' sums, and the
+    # tail's eps temporaries in one row block of the map (_TAIL_ROWS rows of a
+    # full map), not a block's 24*B bytes of fields and intensities (6144 per
+    # column, where the narrow bench's m = 25 holds at most 1496)
     config = make_config(small_grid, geometry, n_realizations=512, seed=17)
     obj = make_double_slit(small_grid, 1e-3, 0.2e-3)
     arms = build_arms(geometry, obj)
@@ -559,7 +563,8 @@ def test_mc_memory_grows_with_the_window_by_held_columns_only(small_grid, geomet
         kernel = detector_kernel(config, *arms, **options)
         n1, n2 = len(kernel.columns1), len(kernel.columns2)
         S = n1 * n2 if kind == "full" else n2
-        held.append(kernel.g1.nbytes + kernel.g2.nbytes + 25 * S + 8 * (n1 + n2))
+        tail = 9 * (min(n1, correlation._TAIL_ROWS) if kind == "full" else 1) * n2
+        held.append(kernel.g1.nbytes + kernel.g2.nbytes + 16 * S + tail + 8 * (n1 + n2))
         del kernel
         kernel_peak = _traced_peak(lambda: detector_kernel(config, *arms, **options))
         mc_peak = _traced_peak(lambda: accumulate_mc(config, *arms, **options))
@@ -1053,6 +1058,32 @@ def test_worker_count_does_not_change_bits_for_maps(grid, geometry, kind):
         out = accumulate_mc(config, arm1, arm2, workers=workers, **options)
         for name in ("g2_raw", "i1_mean", "i2_mean", "eps"):
             assert np.array_equal(getattr(out, name), getattr(ref, name)), (workers, name)
+
+
+def test_mc_tail_row_block_does_not_change_bits(small_grid, geometry, monkeypatch):
+    # a full map's eps is formed _TAIL_ROWS rows at a time: one row, 7 rows
+    # (the 50 slit columns end in a ragged block) and all n1 rows give the
+    # same bits.  Arm 2 ends in a mask dark at one scan column, where <I2> is
+    # 0 and eps is 0/0, so the eps = inf rule runs in every block
+    config = make_config(small_grid, geometry, n_realizations=300, seed=23)
+    obj = make_double_slit(small_grid, 1e-3, 0.2e-3)
+    arm1, arm2 = build_arms(geometry, obj)
+    x2 = scan_indices(small_grid, 2e-3)
+    t = np.ones(small_grid.n)
+    t[x2[40]] = 0.0
+    arm2 = ArmPath((*arm2, TransmissionMask(small_grid, t)))
+    x1 = obj.support_indices()
+    assert len(x1) % 7 != 0
+    maps = []
+    for rows in (1, 7, len(x1)):
+        monkeypatch.setattr(correlation, "_TAIL_ROWS", rows)
+        maps.append(accumulate_mc(config, arm1, arm2, bucket=False, x1_indices=x1,
+                                  x2_indices=x2))
+    assert maps[0].i2_mean[40] == 0 and np.all(np.isinf(maps[0].eps[:, 40]))
+    assert np.all(np.isfinite(np.delete(maps[0].eps, 40, axis=1)))
+    for cmap in maps[1:]:
+        for name in ("g2_raw", "eps", "i1_mean", "i2_mean"):
+            assert np.array_equal(getattr(cmap, name), getattr(maps[0], name)), name
 
 
 def _visibility_and_peaks(x, trace, halfwidth):
