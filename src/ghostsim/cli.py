@@ -59,16 +59,13 @@ EXIT_IO = 4
 
 _LENGTH_UNITS = {"m": 0, "mm": -3, "um": -6, "µm": -6, "nm": -9}  # powers of ten
 
-_BENCH = SetupGeometry()  # the paper's Fig.-1 bench
-# key -> (kind, default); lengths in meters after parsing
+# geometry config key -> the SetupGeometry field it sets
+_GEOMETRY_KEYS = {"a": "a", "d_A": "d_a", "d_B": "d_b", "d_B_prime": "d_b_prime", "f": "f",
+                  "wavelength": "wavelength", "source_diameter": "source_diameter"}
+# key -> (kind, default); lengths in meters after parsing; the geometry's
+# defaults are the paper's Fig.-1 bench, SetupGeometry()
 CONFIG_SCHEMA: dict[str, tuple[str, object]] = {
-    "a": ("length", _BENCH.a),
-    "d_A": ("length", _BENCH.d_a),
-    "d_B": ("length", _BENCH.d_b),
-    "d_B_prime": ("length", _BENCH.d_b_prime),
-    "f": ("length", _BENCH.f),
-    "wavelength": ("length", _BENCH.wavelength),
-    "source_diameter": ("length", _BENCH.source_diameter),
+    **{key: ("length", getattr(SetupGeometry(), field)) for key, field in _GEOMETRY_KEYS.items()},
     "grid_n": ("int", 16384),
     "grid_dx": ("length", 2e-6),
     "seed": ("int", 20040720),
@@ -142,15 +139,7 @@ def parse_config(path: str | Path) -> dict:
 
 
 def _geometry(cfg: dict) -> SetupGeometry:
-    return SetupGeometry(
-        a=cfg["a"],
-        d_a=cfg["d_A"],
-        d_b=cfg["d_B"],
-        d_b_prime=cfg["d_B_prime"],
-        f=cfg["f"],
-        wavelength=cfg["wavelength"],
-        source_diameter=cfg["source_diameter"],
-    )
+    return SetupGeometry(**{field: cfg[key] for key, field in _GEOMETRY_KEYS.items()})
 
 
 def _grid(cfg: dict) -> Grid1D:

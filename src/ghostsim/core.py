@@ -132,9 +132,11 @@ class SetupGeometry:
 
 
 def interval_indices(grid: Grid1D, center: float, width: float) -> tuple[int, int]:
-    """Half-open sample range [i0, i1) covering [center - width/2, center + width/2).
-    A width below the grid pitch, or NaN, is refused (ValueError) wherever the
-    interval sits: it would hold one sample or none depending on its centre."""
+    """Half-open sample range [i0, i1) covering [center - width/2, center + width/2):
+    the one rule for an aperture on the window.  A width below the grid pitch,
+    or NaN, is refused (ValueError) wherever the interval sits: it would hold
+    one sample or none depending on its centre.  So is an interval that leaves
+    the window [0, n): it would be clipped to a smaller aperture."""
     if not width >= grid.dx:
         raise ValueError(f"aperture width {width:.3g} m is below the grid pitch {grid.dx:.3g} m")
     lo = (center - width / 2) / grid.dx + grid.n / 2
@@ -142,14 +144,15 @@ def interval_indices(grid: Grid1D, center: float, width: float) -> tuple[int, in
     i0 = int(np.ceil(lo - 1e-9))
     # hi - lo >= 1 holds exactly; max() keeps the one sample that rounding can drop
     i1 = max(int(np.ceil(hi - 1e-9)), i0 + 1)
+    if i0 < 0 or i1 > grid.n:
+        raise ValueError(f"aperture {width:.3g} m at {center:.3g} m leaves the grid window")
     return i0, i1
 
 
 def make_slit(grid: Grid1D, center: float, width: float) -> TransmissionMask:
-    """Binary slit: t = 1 on [center - width/2, center + width/2), 0 outside."""
+    """Binary slit: t = 1 on [center - width/2, center + width/2), 0 outside;
+    interval_indices refuses one below the pitch or outside the window."""
     i0, i1 = interval_indices(grid, center, width)
-    if i0 < 0 or i1 > grid.n:
-        raise ValueError("slit extends outside the grid window")
     t = np.zeros(grid.n)
     t[i0:i1] = 1.0
     return TransmissionMask(grid, t)

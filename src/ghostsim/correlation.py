@@ -313,7 +313,8 @@ def accumulate_mc(
     orthonormal basis, ||G^H G - F^H F||_F <= 1e-12 ||G||_F^2) and dropped,
     and a realization draws l CN(0, 1) coefficients instead of m amplitudes.
     l is read from the kernel alone: the narrowest doubling of 32 the finder
-    accepts (32 or 64 on the bench's kernels), else m, drawn unfactored;
+    accepts (32 for every `ghost run` MC kernel on paper.cfg; c06's defocus-0
+    kernel needs 64), else m, drawn unfactored;
     Siegert's identity kernel pins all m rows (the finder's rank floor),
     forms no sketch and is gathered, not multiplied (below).  The analytic
     engine reads G itself.  The basis comes from a fixed-key sketch, so the
@@ -483,9 +484,11 @@ def g2_analytic(modes: ModeSet, bucket: bool = True, *, diagonal: bool = False) 
 def siegert_normalize(cmap: CorrelationMap) -> np.ndarray:
     """The map's g2 = <I1 I2> / (<I1><I2>) in g2_raw's shape, refused (ValueError)
     where it is not finite: a zero marginal, a NaN or an overflow.  Thermal light
-    obeys 1 <= g2 <= 2 exactly on the analytic path (Cauchy-Schwarz on the mode sum)."""
+    obeys 1 <= g2 <= 2 exactly on the analytic path (Cauchy-Schwarz on the mode sum).
+    g2 is formed in the buffer of <I1><I2>: a call holds it and its finiteness mask."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        g2 = cmap.g2_raw / cmap.marginal_product()
+        g2 = cmap.marginal_product()
+        np.divide(cmap.g2_raw, g2, out=g2)
     if not np.all(np.isfinite(g2)):
         raise ValueError("g2 is not finite: a marginal intensity is zero or a field is not finite")
     return g2
@@ -495,10 +498,12 @@ def fluctuation_correlation(cmap: CorrelationMap) -> np.ndarray:
     """Background-free correlation <I1 I2> - <I1><I2>.
 
     Equals the interference term exactly on the analytic path; on the MC path
-    it is the sample estimate of the same quantity (needs >= 2 realizations).
+    it is the sample estimate of the same quantity (needs >= 2 realizations),
+    formed in the buffer of <I1><I2>.
     """
     if cmap.term2 is not None:  # analytic: the interference term itself
         return cmap.term2.copy()
     if cmap.n_accumulated < 2:
         raise ValueError("fluctuation correlation needs at least 2 realizations")
-    return cmap.g2_raw - cmap.marginal_product()
+    out = cmap.marginal_product()
+    return np.subtract(cmap.g2_raw, out, out=out)

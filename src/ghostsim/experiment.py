@@ -191,7 +191,8 @@ def _correlate(
         raise ValueError(f"unknown engine {engine!r}")
     coincidence = siegert_normalize(cmap)
     if mode == "fluctuation":
-        coincidence = fluctuation_correlation(cmap) / cmap.marginal_product()
+        coincidence = fluctuation_correlation(cmap)
+        coincidence /= cmap.marginal_product()
     return ImageTrace(
         positions=cmap.x2,
         coincidence=coincidence,

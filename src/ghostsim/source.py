@@ -62,9 +62,9 @@ class EnsembleConfig:
 
 
 def aperture_indices(config: EnsembleConfig) -> np.ndarray:
-    """Grid samples inside the source aperture [-D/2, D/2), clipped to the window."""
-    i0, i1 = interval_indices(config.grid, 0.0, config.geometry.source_diameter)
-    return np.arange(max(i0, 0), min(i1, config.grid.n))
+    """Grid samples inside the source aperture [-D/2, D/2); interval_indices
+    refuses (ValueError) a source below the pitch or wider than the window."""
+    return np.arange(*interval_indices(config.grid, 0.0, config.geometry.source_diameter))
 
 
 def _philox_key(seed: int) -> np.ndarray:

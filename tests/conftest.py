@@ -10,6 +10,7 @@ from ghostsim import (
     Propagate,
     SetupGeometry,
     TransmissionMask,
+    solve_image_plane,
 )
 
 # Arm paths on the 2048 x 8 um grid of the small_grid fixture: every nonzero
@@ -29,6 +30,18 @@ ELEMENTS = st.one_of(
     st.builds(one_slit, st.integers(0, SMALL_GRID.n - 1), st.integers(1, 512)),
 )
 PATHS = st.lists(ELEMENTS, max_size=5).map(ArmPath)
+
+# Benches on the small grid with a 3 mm source and magnification m = d'_B/(d_B - d_A),
+# d'_B solved from Eq. 3.  Every hop and the focal length stay above the chirp bound
+# dx * L / lambda = 0.207 m: a thin lens of focal length f is the phase of a hop of
+# length f, and below the bound it aliases (f = 0.044 m put each image 1 pitch off).
+LAW_BENCHES = st.builds(
+    lambda a, d_a, f, m: solve_image_plane(SetupGeometry(
+        a=a, d_a=d_a, d_b=d_a + f * (1 + m) / m, d_b_prime=f * (1 + m), f=f,
+        source_diameter=3e-3,
+    )),
+    st.floats(0.05, 0.2), st.floats(0.16, 0.3), st.floats(0.21, 0.3), st.floats(1.0, 4.0),
+)
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import os
 import shutil
@@ -85,6 +86,13 @@ class TestConfig:
         cfg = parse_config(PAPER_CFG)
         assert cfg == {key: default for key, (_, default) in CONFIG_SCHEMA.items()}
         assert _geometry(cfg) == SetupGeometry()
+
+    def test_each_geometry_field_is_set_by_one_config_key(self):
+        from ghostsim.cli import _GEOMETRY_KEYS
+
+        fields = [field.name for field in dataclasses.fields(SetupGeometry)]
+        assert sorted(_GEOMETRY_KEYS.values()) == sorted(fields)
+        assert list(CONFIG_SCHEMA)[: len(fields)] == list(_GEOMETRY_KEYS)
 
     @given(number=st.decimals(-10**300, 10**300, allow_nan=False, allow_infinity=False),
            unit=st.sampled_from(sorted(_LENGTH_UNITS)))
@@ -421,6 +429,21 @@ class TestMainCommands:
         assert ("largest aperture (0.005 m)" in err) == (code == 3)
         assert (out / "manifest.txt").exists() == (code == 0)
         assert out.exists() == (code == 0)
+
+    @pytest.mark.parametrize("scenario", ["fig3-point", "fig4-doubleslit", "sigma-plane",
+                                          "siegert-baseline"])
+    def test_source_wider_than_the_window_exits_3_at_the_guard_band(
+        self, tmp_path, capsys, scenario
+    ):
+        # the 2048 x 8 um window spans 16.4 mm: the guard band refuses a 20 mm
+        # source before anything is built (core.interval_indices would refuse it too)
+        cfg = small_cfg(tmp_path, **SMALL_GRID, source_diameter="20mm")
+        out = tmp_path / "o"
+        assert main(["run", scenario, "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("sampling validation failed: window")
+        assert "largest aperture (0.02 m)" in err and "Traceback" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "scenario,override",

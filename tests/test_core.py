@@ -54,7 +54,7 @@ class TestMasks:
         assert m.feature_count() == 2
 
     def test_slit_outside_window(self, grid):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="leaves the grid window"):
             make_slit(grid, grid.span, 0.2e-3)
 
     def test_slit_needs_positive_width(self, grid):

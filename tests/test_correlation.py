@@ -273,6 +273,23 @@ def test_lens_whose_phase_is_not_finite_is_refused(small_grid, geometry, monkeyp
     assert hops == []
 
 
+def test_source_wider_than_the_window_is_refused_before_any_hop(small_grid, monkeypatch):
+    # a 20 mm source on the 16.4 mm window: clipped to the window, it would
+    # draw a smaller source than the bench names
+    hops = []
+    monkeypatch.setattr(optics, "propagate_block", lambda *a, **k: hops.append(a))
+    bench = SetupGeometry(source_diameter=20e-3)
+    config = make_config(small_grid, bench, n_realizations=8)
+    arms = build_arms(bench, make_slit(small_grid, 0.0, 0.4e-3))
+    x2 = scan_indices(small_grid, 3e-3)
+    for call in (lambda: aperture_indices(config),
+                 lambda: detector_kernel(config, *arms, x2_indices=x2),
+                 lambda: accumulate_mc(config, *arms, x2_indices=x2)):
+        with pytest.raises(ValueError, match="leaves the grid window"):
+            call()
+    assert hops == []
+
+
 @pytest.mark.parametrize("x2", [[2048], [3000], [-1], [0.5], [[0, 1]]],
                          ids=["n", "beyond-n", "negative", "float", "2-D"])
 def test_kernel_columns_off_the_grid_are_refused_before_any_hop(small_grid, geometry,
@@ -545,11 +562,15 @@ def test_mc_memory_within_the_documented_bound(small_grid, geometry, kind, worke
 @pytest.mark.parametrize("kind", ["full", "bucket", "diagonal"])
 def test_mc_memory_grows_with_the_window_by_held_columns_only(small_grid, geometry, kind):
     # past _CHUNK_COLS scan columns a block stops growing: one more column
-    # costs accumulate_mc, beyond the kernel build, only what it holds for the
-    # whole call, the kernel's column and its map entries' sums, and the
-    # tail's eps temporaries in one row block of the map (_TAIL_ROWS rows of a
-    # full map), not a block's 24*B bytes of fields and intensities (6144 per
-    # column, where the narrow bench's m = 25 holds at most 1496)
+    # costs accumulate_mc, beyond the kernel build (whose peak holds the
+    # kernel's column), only its map entries' sums and the tail's eps
+    # temporaries in one row block of the map (_TAIL_ROWS rows of a full
+    # map), not a block's 24*B bytes of fields and intensities.  The draw run
+    # ahead (16*m*B bytes) may be held at one width's peak and not at the
+    # other's, as the threads' timing has it.  The full map's 601 arm-1
+    # columns make a whole-map tail (9*n1 bytes a column, not 9*32) its peak:
+    # with one, the growth exceeded this bound by 0.55 MB; the row-block tail
+    # stays 0.45 MB inside it
     config = make_config(small_grid, geometry, n_realizations=512, seed=17)
     obj = make_double_slit(small_grid, 1e-3, 0.2e-3)
     arms = build_arms(geometry, obj)
@@ -558,18 +579,34 @@ def test_mc_memory_grows_with_the_window_by_held_columns_only(small_grid, geomet
         x2 = scan_indices(small_grid, halfwidth)
         assert len(x2) > 1024  # so a block's chunk is 1024 columns at either width
         options = dict(bucket=kind == "bucket", diagonal=kind == "diagonal",
-                       x1_indices=obj.support_indices() if kind == "full" else None,
+                       x1_indices=scan_indices(small_grid, 2.4e-3) if kind == "full" else None,
                        x2_indices=x2)
         kernel = detector_kernel(config, *arms, **options)
         n1, n2 = len(kernel.columns1), len(kernel.columns2)
         S = n1 * n2 if kind == "full" else n2
         tail = 9 * (min(n1, correlation._TAIL_ROWS) if kind == "full" else 1) * n2
-        held.append(kernel.g1.nbytes + kernel.g2.nbytes + 16 * S + tail + 8 * (n1 + n2))
+        held.append(16 * S + tail + 8 * (n1 + n2))
+        draw = 16 * len(kernel) * 256
         del kernel
         kernel_peak = _traced_peak(lambda: detector_kernel(config, *arms, **options))
         mc_peak = _traced_peak(lambda: accumulate_mc(config, *arms, **options))
         grown.append(mc_peak - kernel_peak)
-    assert grown[1] - grown[0] <= held[1] - held[0] + 64 * 1024, (grown, held)
+    assert grown[1] - grown[0] <= held[1] - held[0] + draw + 64 * 1024, (grown, held)
+
+
+def test_normalization_of_a_full_map_holds_only_its_result():
+    # siegert_normalize and fluctuation_correlation form their result in the
+    # buffer of <I1><I2>: on mc_fullmap's 200 x 6001 map a call peaks at the
+    # result, siegert_normalize's finiteness mask and some slack
+    rng = np.random.default_rng(5)
+    i1, i2 = rng.uniform(1, 2, 200), rng.uniform(1, 2, 6001)
+    g2_raw = np.multiply.outer(i1, i2) * rng.uniform(1, 2, (200, 6001))
+    cmap = correlation.CorrelationMap("full", np.arange(6001.0), g2_raw, i1, i2, 2)
+    product = np.multiply.outer(i1, i2)
+    for normalize, want in ((siegert_normalize, g2_raw / product),
+                            (fluctuation_correlation, g2_raw - product)):
+        assert np.array_equal(normalize(cmap), want)
+        assert _traced_peak(lambda: normalize(cmap)) <= 9 * g2_raw.size + 64 * 1024
 
 
 @pytest.mark.parametrize("bench", [SetupGeometry(), WIDE_SOURCE], ids=["m25", "m375"])

@@ -31,7 +31,7 @@ from ghostsim.experiment import (
     speckle_size,
 )
 
-from conftest import make_config
+from conftest import LAW_BENCHES, make_config
 
 
 @pytest.fixture(scope="module")
@@ -306,19 +306,6 @@ def test_thermal_imaging_is_blind_to_the_object_phase(small_grid, seed):
         for name in ("coincidence", "singles1", "singles2"):
             np.testing.assert_allclose(getattr(got, name), getattr(want, name),
                                        rtol=8 * np.finfo(float).eps, atol=0, err_msg=name)
-
-
-# Benches on the small grid with a 3 mm source and magnification m = d'_B/(d_B - d_A),
-# d'_B solved from Eq. 3.  Every hop and the focal length stay above the chirp bound
-# dx * L / lambda = 0.207 m: a thin lens of focal length f is the phase of a hop of
-# length f, and below the bound it aliases (f = 0.044 m put each image 1 pitch off).
-LAW_BENCHES = st.builds(
-    lambda a, d_a, f, m: solve_image_plane(SetupGeometry(
-        a=a, d_a=d_a, d_b=d_a + f * (1 + m) / m, d_b_prime=f * (1 + m), f=f,
-        source_diameter=3e-3,
-    )),
-    st.floats(0.05, 0.2), st.floats(0.16, 0.3), st.floats(0.21, 0.3), st.floats(1.0, 4.0),
-)
 
 
 def _image_centroid(obj, bench):
