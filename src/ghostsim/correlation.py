@@ -53,6 +53,7 @@ __all__ = [
 _FULL_MAP_LIMIT = 1 << 24  # refuse full x1-by-x2 maps above this many entries
 _ANALYTIC_CHUNK = 256  # arm-1 columns per bucket term2 product in g2_analytic
 _CHUNK_COLS = 1024  # arm-2 columns per product: an MC block's reduction, the analytic bucket
+_RHO_COLS = 64  # widest column block of |g|^2 in g2_analytic's rho: 768 KB at m = 1500
 _FACTOR_TOL = 1e-12  # the range factor's bound on ||G^H G - F^H F||_F / ||G||_F^2
 _FACTOR_WIDTH = 32  # the range finder's first basis width, doubled until the bound holds
 _SKETCH_KEY = 0  # Philox key of the range finder's test matrix: fixed, so (seed, config) fix bits
@@ -74,6 +75,22 @@ def _abs2(x: np.ndarray) -> np.ndarray:
     """|x|^2, squared in the buffer of |x| (np.square has the bits of ** 2 and of a * a)."""
     a = np.abs(x)
     return np.square(a, out=a)
+
+
+def _column_power(g: np.ndarray) -> np.ndarray:
+    """sum_q |g[q, k]|^2 for each column k of g, with the bits of
+    _abs2(g).sum(axis=0) but |g|^2 formed in ceil(N / _RHO_COLS) column
+    blocks of near-equal width, 8 * m * _RHO_COLS bytes at most.  A block is
+    one column wide only where g is: NumPy sums a lone column pairwise, as it
+    does every column of an F-ordered side, while a C-ordered side's columns
+    are summed row by row."""
+    n = g.shape[1]
+    out = np.empty(n)
+    blocks = -(-n // _RHO_COLS)
+    for j in range(blocks):
+        cols = slice(j * n // blocks, (j + 1) * n // blocks)
+        out[cols] = _abs2(g[:, cols]).sum(axis=0)
+    return out
 
 
 @dataclass(frozen=True)
@@ -431,12 +448,13 @@ def accumulate_mc(
 def g2_analytic(modes: ModeSet, bucket: bool = True, *, diagonal: bool = False) -> CorrelationMap:
     """Exact mode-sum G2 over the columns the kernel holds.
 
-    With rho_i = sum_q |g_i|^2 (|g_i|^2 squared in place, one arm at a
-    time) the background is rho1 * rho2 and the interference term is
-    term2 = |sum_q g1* g2|^2.  The bucket integrates both over every arm-1
-    column held (so those must cover arm 1's output, as detector_kernel's
-    do); the diagonal pairs column k of g1 with column k of g2, so both arms
-    must hold the same columns.  The bucket's term2
+    With rho_i = sum_q |g_i|^2 (_column_power: |g_i|^2 squared in place, at
+    most _RHO_COLS = 64 columns at a time, one arm after the other, with the
+    bits of the whole side's sum) the background is rho1 * rho2 and the
+    interference term is term2 = |sum_q g1* g2|^2.  The bucket integrates
+    both over every arm-1 column held (so those must cover arm 1's output, as
+    detector_kernel's do); the diagonal pairs column k of g1 with column k of
+    g2, so both arms must hold the same columns.  The bucket's term2
     forms K = g1^H g2 one block of _ANALYTIC_CHUNK arm-1 by _CHUNK_COLS arm-2
     columns at a time, so it holds at most 24 * 256 * 1024 bytes of K and
     |K|^2 (6 MB) whatever the scan window; column slices of 1024 keep the
@@ -446,8 +464,7 @@ def g2_analytic(modes: ModeSet, bucket: bool = True, *, diagonal: bool = False) 
         raise ValueError("mode set is empty")
     kind = _kind(bucket, diagonal)
     dx = modes.grid.dx
-    rho1 = _abs2(modes.g1).sum(axis=0)  # |g1|^2 freed before |g2|^2 forms
-    rho2 = _abs2(modes.g2).sum(axis=0)
+    rho1, rho2 = _column_power(modes.g1), _column_power(modes.g2)
 
     if kind == "bucket":
         i1_mean: np.ndarray | float = float(rho1.sum() * dx)

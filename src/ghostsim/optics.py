@@ -33,6 +33,10 @@ __all__ = [
 
 # fraction of the band limit over which the raised-cosine roll-off acts
 _BAND_TAPER = 0.10
+# entries each of the hop and lens caches holds: a bench correlation runs at
+# most three distinct hops (source -> object, source -> lens, lens -> scan plane)
+# and one lens, so a plane rebuilds none of its own and drops the earlier planes'
+_CACHE_SIZE = 4
 
 
 class SamplingError(ValueError):
@@ -100,11 +104,15 @@ def _transfer_function(n: int, dx: float, wavelength: float, distance: float) ->
     return H
 
 
-@lru_cache(maxsize=128)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _hop(grid: Grid1D, wavelength: float, distance: float) -> np.ndarray:
     """The transfer function of a hop that validate_sampling passes, checked
-    once per distinct hop; a refused hop raises SamplingError on every call,
-    since lru_cache keeps no exception."""
+    once per distinct hop while it is cached; a refused hop raises
+    SamplingError on every call, since lru_cache keeps no exception.  The
+    cache keeps the _CACHE_SIZE = 4 hops used last, 16 * n bytes each: a
+    bench correlation runs at most three distinct hops, so none is rebuilt
+    within one, and a sweep holds 4 however many planes it runs (an arm pair
+    with more hops stays correct and rebuilds some)."""
     report = validate_sampling(grid, wavelength, distance)
     if not report.ok:
         raise SamplingError("; ".join(report.messages))
@@ -125,15 +133,17 @@ def propagate_block(
     return np.fft.ifft(out, axis=-1, out=out)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=_CACHE_SIZE)
 def lens_phase(grid: Grid1D, wavelength: float, focal_length: float) -> np.ndarray:
     """Thin-lens transmittance exp(-i pi x^2 / (lambda f)) on the grid,
-    cached and read-only.  Refused (ValueError) where it is not finite: an f
-    so short that x^2 / (lambda f) overflows on the grid; a refusal raises on
-    every call, since lru_cache keeps no exception.  Unlike a hop, f is not
-    checked against the chirp bound dx * L / lambda: the phase aliases where
-    |x| > lambda |f| / (2 dx), on paper.cfg beyond 13.4 of 16.4 mm, yet there
-    fig3's magnification and fig4's peak separation equal a 1 um pitch's."""
+    read-only; the cache keeps the _CACHE_SIZE = 4 phases used last, 16 * n
+    bytes each, which a correlation's one lens never evicts.  Refused
+    (ValueError) where it is not finite: an f so short that x^2 / (lambda f)
+    overflows on the grid; a refusal raises on every call, since lru_cache
+    keeps no exception.  Unlike a hop, f is not checked against the chirp
+    bound dx * L / lambda: the phase aliases where |x| > lambda |f| / (2 dx),
+    on paper.cfg beyond 13.4 of 16.4 mm, yet there fig3's magnification and
+    fig4's peak separation equal a 1 um pitch's."""
     x = grid.coords()
     with np.errstate(over="ignore", invalid="ignore"):
         phase = np.exp(-1j * np.pi * x**2 / (wavelength * focal_length))

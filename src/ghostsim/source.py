@@ -162,22 +162,25 @@ def _arm_kernel(
     amplitude at each grid sample in rows; plan is _plan(grid.n, arm, rows).
 
     Leading Propagate hops commute with grid shifts (the band-limited transfer
-    function is circulant), so one centred impulse runs through them and each
-    row is that response rolled to its sample.  The elements from there to the
-    last hop run on the plan's rows, block_size at a time, in place on one
-    reused (block_size, n) buffer.  The mirror rule holds because the centred
-    response is even when that segment is (the coordinates are (k - n/2) dx,
-    and fftfreq negates exactly, so H(nu) is exactly even): row (n - r) % n
-    is row r mirrored, read at the mirrored columns (n - cols) % n, and only
-    FFT rounding tells the two apart.  Lenses and masks after the last hop
-    act pointwise, so they are applied to the kept columns alone.
+    function is circulant), so one centred impulse runs through them, in place,
+    and each row is that response rolled to its sample, read from the response
+    twice over (the impulse's buffer is freed once that is built).  The
+    elements from there to the last hop run on the plan's rows, block_size at
+    a time, in place on one reused (block_size, n) buffer.  The mirror rule
+    holds because the centred response is even when that segment is (the
+    coordinates are (k - n/2) dx, and fftfreq negates exactly, so H(nu) is
+    exactly even): row (n - r) % n is row r mirrored, read at the mirrored
+    columns (n - cols) % n, and only FFT rounding tells the two apart.
+    Lenses and masks after the last hop act pointwise, so they are applied to
+    the kept columns alone.
     """
     n = grid.n
     lead, last, run, inv = plan
-    impulse = np.zeros(n, dtype=np.complex128)
-    impulse[n // 2] = 1.0
-    h = apply_path_block(impulse, grid, wavelength, ArmPath(arm.elements[:lead]))
+    h = np.zeros(n, dtype=np.complex128)
+    h[n // 2] = 1.0
+    apply_path_block(h, grid, wavelength, ArmPath(arm.elements[:lead]), out=h)
     hh = np.concatenate([h, h])  # hh[(n // 2 - r) % n:][:n]: the response rolled to sample r
+    del h  # not held beside the batch buffer
     if lead == last:
         g = sliding_window_view(hh, n)[((n // 2 - rows) % n)[:, None], cols]
     else:
@@ -229,12 +232,14 @@ def mode_decomposition(
     only, and scales with n.  Each arm reuses one (block_size, n) buffer, in
     place, for every batch.  Working memory is at most
     16 * m * (|columns1| + |columns2|) bytes for the kept kernel plus
-    16 * n * (2 * block_size + 16) bytes: the batch buffer and the gather of
-    its kept columns, and the impulse response (twice), the trailing factor
-    and the cached transfer functions and lens phases with their
-    temporaries.  block_size < 1 and any other columns are refused
-    (ValueError), and every lens phase computed and refused if it is not
-    finite, before any propagation.
+    16 * n * (block_size + 18) bytes: the batch buffer, one row's gather of
+    its kept columns (1), the impulse response twice over (2; the impulse is
+    propagated in its own buffer and freed), the trailing factor (1.5), the
+    at most 4 transfer functions and 4 lens phases that optics caches (8)
+    and the temporaries of one being built (3), and the row plans' indices,
+    8 bytes a row or column (2.5).  block_size < 1 and any other columns are
+    refused (ValueError), and every lens phase computed and refused if it is
+    not finite, before any propagation.
     """
     if block_size < 1:
         raise ValueError(f"block_size must be at least 1, got {block_size}")

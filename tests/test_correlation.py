@@ -612,31 +612,45 @@ def test_normalization_of_a_full_map_holds_only_its_result():
 @pytest.mark.parametrize("bench", [SetupGeometry(), WIDE_SOURCE], ids=["m25", "m375"])
 def test_analytic_bucket_term_equals_the_unchunked_sum(small_grid, bench):
     # a 250-column slit (one arm-1 chunk) and 2001 scan columns (two arm-2
-    # chunks): the chunked term2 has the bits of the one-product form
+    # chunks): the chunked term2 has the bits of the one-product form.  rho
+    # forms in blocks of at most 64 columns with the bits of the whole
+    # side's sum, on forward-built sides (C-ordered) and, with 193 scan
+    # columns against 375 modes, on a side built reversed (F-ordered); 193
+    # columns are three blocks, where 64 at a time would leave one alone
     config = make_config(small_grid, bench)
-    kernel = detector_kernel(config, *build_arms(bench, make_slit(small_grid, 0.0, 2e-3)),
-                             x2_indices=scan_indices(small_grid, 8e-3))
+    arms = build_arms(bench, make_slit(small_grid, 0.0, 2e-3))
+    kernel = detector_kernel(config, *arms, x2_indices=scan_indices(small_grid, 8e-3))
     g1, g2 = kernel.g1, kernel.g2
     assert g1.shape[1] <= correlation._ANALYTIC_CHUNK < correlation._CHUNK_COLS < g2.shape[1]
     term2 = (np.abs(g1.conj().T @ g2) ** 2).sum(axis=0) * small_grid.dx
     assert np.array_equal(g2_analytic(kernel).term2, term2)
+    narrow = detector_kernel(config, *arms, x2_indices=scan_indices(small_grid, 0.77e-3))
+    assert narrow.g2.flags.f_contiguous == (bench is WIDE_SOURCE)
+    for k in (kernel, narrow):
+        assert min(k.g1.shape[1], k.g2.shape[1]) > correlation._RHO_COLS
+        out = g2_analytic(k)
+        rho1, rho2 = ((np.abs(g) ** 2).sum(axis=0) for g in (k.g1, k.g2))
+        assert out.i1_mean == float(rho1.sum() * small_grid.dx)
+        assert np.array_equal(out.i2_mean, rho2)
+        diagonal = g2_analytic(replace(k, g1=k.g2, columns1=k.columns2), False, diagonal=True)
+        assert np.array_equal(diagonal.i1_mean, rho2)
 
 
 def test_analytic_bucket_memory_grows_with_the_window_by_held_columns_only(small_grid,
                                                                             geometry):
-    # past _CHUNK_COLS scan columns the bucket's K = g1^H g2 stops growing: one
-    # more column costs g2_analytic, beyond the kernel, only |g2| and its
-    # square (at most 16*m = 400 bytes, for rho2) and its map entries (rho2,
-    # term2, g2_raw, the marginal product and x2), not K's and |K|^2's 24*n1
-    # (6000)
+    # past _CHUNK_COLS scan columns the bucket's K = g1^H g2 stops growing,
+    # and past _RHO_COLS so does rho's |g2|^2: one more column costs
+    # g2_analytic, beyond the kernel, only its map entries (rho2, term2,
+    # g2_raw, the marginal product and x2), not K's and |K|^2's 24*n1 (6000)
+    # nor |g2|^2's 8*m (200)
     config = make_config(small_grid, geometry)
     arms = build_arms(geometry, make_slit(small_grid, 0.0, 2e-3))
     grown, held = [], []
     for halfwidth in (4.4e-3, 8e-3):
         kernel = detector_kernel(config, *arms, x2_indices=scan_indices(small_grid, halfwidth))
-        m, n2 = kernel.g2.shape
+        n2 = kernel.g2.shape[1]
         assert n2 > correlation._CHUNK_COLS  # so K is 1024 columns wide at either width
-        held.append(16 * m * n2 + 40 * n2)
+        held.append(40 * n2)
         grown.append(_traced_peak(lambda: g2_analytic(kernel)))
     assert grown[1] - grown[0] <= held[1] - held[0] + 64 * 1024, (grown, held)
 

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -23,6 +24,7 @@ from ghostsim import (
     solve_thin_lens,
     visibility,
 )
+from ghostsim import optics
 from ghostsim.experiment import (
     ImageTrace,
     eq3_residual,
@@ -243,6 +245,27 @@ class TestDefocus:
             assert point.delta == delta
             # the same _correlate call: the same kernel bits (and, for MC, the same draws)
             assert [point.visibility, point.peak_width] == expected
+
+    def test_a_sweep_holds_the_optics_of_the_plane_in_progress_only(self, small_grid):
+        # a = 123.4 mm and 1.7 mm steps: hops no other test runs.  An untraced
+        # plane first builds the hops all planes share and whatever NumPy sets up
+        # once; then one plane and 11 planes (the one among them) are traced.
+        # Those 10 more d'_B hops of 16 * n bytes each may add at most two to
+        # the one plane's peak, and at most 4 transfer functions stay cached
+        geo = replace(solve_image_plane(SetupGeometry(a=123.4e-3)), source_diameter=3e-3)
+        config = make_config(small_grid, geo, n_realizations=2)
+        obj = make_pinhole(small_grid, 0.0, 60e-6)
+        defocus_sweep(obj, config, [-17e-3])
+        peaks = []
+        for deltas in ([0.0], [k * 1.7e-3 for k in range(-5, 6)]):
+            tracemalloc.start()
+            try:
+                defocus_sweep(obj, config, deltas)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2 * 16 * small_grid.n, peaks
+        assert optics._hop.cache_info().currsize <= 4
 
 
 @pytest.mark.parametrize("procedure", ["ghost", "pseudo", "siegert", "defocus", "mode"])
