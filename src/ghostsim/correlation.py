@@ -3,9 +3,10 @@
 Two interchangeable engines compute <I1 I2>:
 
 * accumulate_mc    - ensemble average over speckle realizations, drawn by
-                     threads in blocks, one block ahead of the calling
-                     thread, which reduces them in index order:
-                     bit-identical for any worker count;
+                     threads in blocks ahead of the calling thread, which
+                     draws too when the next block is not ready and
+                     reduces them in index order: bit-identical for any
+                     worker count;
 * g2_analytic      - Gaussian-moment (mode-sum) evaluation, exact in the
                      discrete model, exposing the interference term separately.
 
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from functools import partial
@@ -289,18 +290,39 @@ def _block_sums(kernel, kind, c, dx, sums, selections):
 
 
 def _in_order(pools, fn, items):
-    """fn(*args) for the j-th args in items on pools[j % len(pools)], yielded
-    in order, with at most len(pools) + 1 calls submitted and not yet yielded:
-    while the caller works on call j, calls j + 1 to j + len(pools) run or
-    wait their turn, so even one pool runs ahead of the caller.  A slow call
-    holds back the ones after it."""
-    pending = deque()
-    for j, args in enumerate(items):
-        pending.append(pools[j % len(pools)].submit(fn, *args))
-        if len(pending) > len(pools):
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
+    """fn(*args) for each args in items, yielded in order.  Calls are sent
+    to the pools round-robin in submission order until len(pools) + 1 sent
+    calls are not yet yielded, so even one pool runs ahead of the caller.
+    When the caller asks for the next result and it is not ready, the
+    calling thread runs the next call not yet sent itself, and asks again,
+    while fewer than len(pools) + 2 calls are alive: sent or run and not yet
+    done with, the one the caller works on included (the generator runs only
+    between the caller's turns).  A slow call holds back the ones after it."""
+    items, pending = iter(items), deque()  # (future, run by a pool), in call order
+    turn, in_pools, limit = 0, 0, len(pools) + 2
+    while True:
+        while in_pools <= len(pools) and len(pending) < limit:
+            args = next(items, None)
+            if args is None:
+                break
+            pending.append((pools[turn % len(pools)].submit(fn, *args), True))
+            turn, in_pools = turn + 1, in_pools + 1
+        if not pending:
+            return
+        while not pending[0][0].done() and len(pending) < limit:
+            args = next(items, None)
+            if args is None:
+                break
+            pending.append((_ready(fn(*args)), False))
+        in_pools -= pending[0][1]
+        yield pending.popleft()[0].result()  # no reference kept while the caller works
+
+
+def _ready(value) -> Future:
+    """A future that already holds value: a call the calling thread ran."""
+    future = Future()
+    future.set_result(value)
+    return future
 
 
 def accumulate_mc(
@@ -338,15 +360,19 @@ def accumulate_mc(
     bits depend on (seed, config) alone; but each call draws in its own
     basis, so two calls with one seed (two defocus planes, say) share no
     source fields.
-    Draw threads only draw the w = len(kernel) coefficients of each block of
-    block_size realizations (sample_source_block), block j on thread
-    j mod workers (one single-thread executor each, so a fast thread cannot
-    take every block), one block ahead of the reduction: while the calling
-    thread reduces block j, blocks j + 1 to j + workers are drawn or queued,
-    so even one draw thread overlaps the reduction.  The calling thread
-    reduces every draw, in block-index order, into one set of zeroed running
-    sums (_block_sums), 1024 columns at a time (_CHUNK_COLS).  A full map's
-    chunk sums are matrix products, I1^T I2 and (I1^2)^T (I2^2) (BLAS gemm);
+    A draw is the w = len(kernel) coefficients of one block of block_size
+    realizations (sample_source_block), a pure function of (seed, w, block).
+    Blocks go to `workers` draw threads (one single-thread executor each, so
+    a fast thread cannot take every block), round-robin in block order,
+    until workers + 1 sent blocks are not yet reduced, so even one draw
+    thread overlaps the reduction (_in_order).  When the calling thread is
+    ready for block j and block j's draw has not finished, it draws the next
+    block not yet sent itself, while fewer than workers + 2 blocks are
+    alive: a draw-bound run (Siegert's) keeps it busy too.  Which thread
+    draws a block changes no bit.  The calling thread reduces every block,
+    in block-index order, into one set of zeroed running sums (_block_sums),
+    1024 columns at a time (_CHUNK_COLS).  A full map's chunk sums are
+    matrix products, I1^T I2 and (I1^2)^T (I2^2) (BLAS gemm);
     the bucket's and the diagonal's are elementwise, in place.  A hop-free
     side (_selection, read after the factor, whose sides are dense) is
     gathered from the block's |c|^2, not multiplied, in the same chunks and
@@ -357,10 +383,11 @@ def accumulate_mc(
     a few n-sample rows; its docstring gives the bytes) and the kernel's
     16 * m * (n1 + n2) bytes, then by the range factor's working memory
     before the first draw, then by the factored kernel, its selections, the
-    running sums and at most `workers` + 1 blocks: the one being reduced,
-    with the reduction's working memory, and up to `workers` drawn or
-    drawing (a slow draw holds back the submission of later ones); and last
-    by the sums and one row block of the tail's temporaries.
+    running sums and at most `workers` + 2 blocks alive (sent or drawn, and
+    not yet reduced): the one being reduced, with the reduction's working
+    memory, and up to `workers` + 1 drawn or drawing (a slow draw holds back
+    the sending of later ones); and last by the sums and one row block of
+    the tail's temporaries.
     With B = block_size, m modes, n1 arm-1 columns, n2 = |x2|, S map
     entries (n1 * n2 for a full map, else n2) and W = min(max(n1, n2), 1024)
     columns in the widest chunk, the range factor takes at most
@@ -385,9 +412,10 @@ def accumulate_mc(
     one block's g2_raw^2 (then <I1><I2>) and NaN mask, 9*R*n2 bytes:
     R = min(n1, 32) rows of a full map (_TAIL_ROWS), 1 of a bucket or a
     diagonal.  workers < 1 and block_size < 1 are refused (ValueError)
-    before any build or draw; at most os.cpu_count() workers run: more hold
-    more draws, no faster.  The map is returned as computed;
-    siegert_normalize refuses it where g2 is not finite.
+    before any build or draw; at most os.cpu_count() draw threads run beside
+    the calling thread: more hold more draws, no faster.  The map is
+    returned as computed; siegert_normalize refuses it where g2 is not
+    finite.
     """
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")

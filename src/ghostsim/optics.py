@@ -37,6 +37,8 @@ _BAND_TAPER = 0.10
 # most three distinct hops (source -> object, source -> lens, lens -> scan plane)
 # and one lens, so a plane rebuilds none of its own and drops the earlier planes'
 _CACHE_SIZE = 4
+# samples of nu^2 squared at a time while a transfer function forms (512 KB)
+_CHIRP_CHUNK = 1 << 16
 
 
 class SamplingError(ValueError):
@@ -86,20 +88,30 @@ class ArmPath:
 
 
 def _transfer_function(n: int, dx: float, wavelength: float, distance: float) -> np.ndarray:
+    """H(nu) in place: beside its 16 * n bytes it holds one float n-array
+    (nu, then |nu|, then the window) and n-byte masks, and squares nu
+    _CHIRP_CHUNK samples at a time, so a new hop peaks below 2 * 16 * n."""
     nu = np.fft.fftfreq(n, dx)
-    H = np.exp(2j * np.pi * distance / wavelength) * np.exp(
-        -1j * np.pi * wavelength * distance * nu**2
-    )
+    H = np.empty(n, dtype=np.complex128)
+    chirp = -1j * np.pi * wavelength * distance
+    for k0 in range(0, n, _CHIRP_CHUNK):
+        part = slice(k0, k0 + _CHIRP_CHUNK)
+        np.multiply(chirp, np.square(nu[part]), out=H[part])
+    np.exp(H, out=H)
+    np.multiply(np.exp(2j * np.pi * distance / wavelength), H, out=H)
     if distance != 0:
         # _hop's check keeps 1/L < nu_lim <= Nyquist (validate_sampling)
         nu_lim = (n * dx) / (2 * wavelength * abs(distance))
-        anu = np.abs(nu)
-        window = np.ones(n)
+        anu = np.abs(nu, out=nu)
         lo = (1.0 - _BAND_TAPER) * nu_lim
         ramp = (anu > lo) & (anu <= nu_lim)
-        window[ramp] = 0.5 * (1 + np.cos(np.pi * (anu[ramp] - lo) / (nu_lim - lo)))
-        window[anu > nu_lim] = 0.0
-        H = H * window
+        taper = 0.5 * (1 + np.cos(np.pi * (anu[ramp] - lo) / (nu_lim - lo)))
+        cut = anu > nu_lim
+        window = anu  # |nu| is read out: the window takes its buffer
+        window.fill(1.0)
+        window[ramp] = taper
+        window[cut] = 0.0
+        H *= window
     H.setflags(write=False)
     return H
 
@@ -146,7 +158,11 @@ def lens_phase(grid: Grid1D, wavelength: float, focal_length: float) -> np.ndarr
     fig4's peak separation equal a 1 um pitch's."""
     x = grid.coords()
     with np.errstate(over="ignore", invalid="ignore"):
-        phase = np.exp(-1j * np.pi * x**2 / (wavelength * focal_length))
+        # in place: the bits of exp(-1j * pi * x**2 / (lambda f)), x and the phase held
+        phase = np.multiply(-1j * np.pi, np.square(x, out=x))
+        del x
+        phase /= wavelength * focal_length
+        np.exp(phase, out=phase)
     if not np.all(np.isfinite(phase)):
         raise ValueError(
             f"lens phase is not finite: focal length {focal_length} m is too short for the grid"

@@ -232,14 +232,15 @@ def mode_decomposition(
     only, and scales with n.  Each arm reuses one (block_size, n) buffer, in
     place, for every batch.  Working memory is at most
     16 * m * (|columns1| + |columns2|) bytes for the kept kernel plus
-    16 * n * (block_size + 18) bytes: the batch buffer, one row's gather of
+    16 * n * (block_size + 17) bytes: the batch buffer, one row's gather of
     its kept columns (1), the impulse response twice over (2; the impulse is
     propagated in its own buffer and freed), the trailing factor (1.5), the
     at most 4 transfer functions and 4 lens phases that optics caches (8)
-    and the temporaries of one being built (3), and the row plans' indices,
-    8 bytes a row or column (2.5).  block_size < 1 and any other columns are
-    refused (ValueError), and every lens phase computed and refused if it is
-    not finite, before any propagation.
+    and one being built, with its temporaries (2: optics forms each in
+    place), and the row plans' indices, 8 bytes a row or column (2.5).
+    block_size < 1 and any other columns are refused (ValueError), and every
+    lens phase computed and refused if it is not finite, before any
+    propagation.
     """
     if block_size < 1:
         raise ValueError(f"block_size must be at least 1, got {block_size}")

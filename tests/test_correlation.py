@@ -357,6 +357,8 @@ def test_bucket_and_diagonal_are_exclusive(small_grid, geometry, call):
 
 
 def test_mc_threads_capped_at_cpu_count(small_grid, geometry, monkeypatch):
+    # at most os.cpu_count() pool threads draw, beside the calling thread,
+    # which draws only when the block it asks for is not ready
     cpus = os.cpu_count() or 1
     workers = cpus + 4
     config = make_config(small_grid, geometry, n_realizations=8 * workers, seed=6)
@@ -364,6 +366,7 @@ def test_mc_threads_capped_at_cpu_count(small_grid, geometry, monkeypatch):
                    block_size=8)
     ref = accumulate_mc(config, IDENTITY, IDENTITY, workers=1, **options)
 
+    caller = threading.get_ident()
     lock, running, peak, drawers, reducers = threading.Lock(), [0], [0], set(), set()
     draw, block_sums = correlation.sample_source_block, correlation._block_sums
 
@@ -386,79 +389,144 @@ def test_mc_threads_capped_at_cpu_count(small_grid, geometry, monkeypatch):
     monkeypatch.setattr(correlation, "sample_source_block", counted)
     monkeypatch.setattr(correlation, "_block_sums", reduced)
     out = accumulate_mc(config, IDENTITY, IDENTITY, workers=workers, **options)
-    assert 1 <= peak[0] <= cpus
+    assert 1 <= len(drawers - {caller}) <= cpus
+    assert 1 <= peak[0] <= cpus + 1
     for name in ("g2_raw", "i1_mean", "i2_mean", "eps"):
         assert np.array_equal(getattr(out, name), getattr(ref, name)), name
-    # the pool only draws, and every block is reduced on the calling thread
-    assert reducers == {threading.get_ident()} and threading.get_ident() not in drawers
+    # every block is reduced on the calling thread
+    assert reducers == {caller}
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_mc_block_j_is_drawn_on_thread_j_mod_workers(small_grid, geometry, workers, monkeypatch):
+def test_mc_pool_draws_go_round_robin_in_submission_order(small_grid, geometry, workers,
+                                                          monkeypatch):
     # an instantaneous draw: with one shared pool a single thread could take
-    # every block; striped, each block has its thread whatever the timing
+    # every block; striped, the i-th block sent to a pool is drawn on pool
+    # i mod workers whatever the timing.  The calling thread draws the blocks
+    # it takes before they are sent (whenever the one it asks for is not
+    # ready), never one of the first workers + 1, and each block is drawn once
     workers = min(workers, os.cpu_count() or 1)
-    config = make_config(small_grid, geometry, n_realizations=4 * 8, seed=8)
-    lock, thread_of = threading.Lock(), {}
+    blocks = 12
+    config = make_config(small_grid, geometry, n_realizations=blocks * 8, seed=8)
+    caller, lock, calls, thread_of = threading.get_ident(), threading.Lock(), [], {}
 
     def instant(config, k0, k1, *, width):
         with lock:
+            calls.append(k0 // 8)
             thread_of[k0 // 8] = threading.get_ident()
         return np.zeros((k1 - k0, width), dtype=np.complex128)
 
     monkeypatch.setattr(correlation, "sample_source_block", instant)
     accumulate_mc(config, IDENTITY, IDENTITY, bucket=False, diagonal=True,
                   x2_indices=aperture_indices(config), block_size=8, workers=workers)
-    assert sorted(thread_of) == [0, 1, 2, 3]
-    assert len(set(thread_of.values())) == workers
-    assert threading.get_ident() not in thread_of.values()
-    for j in range(4):
-        assert thread_of[j] == thread_of[j % workers], j
+    assert sorted(calls) == list(range(blocks))
+    pooled = [j for j in range(blocks) if thread_of[j] != caller]
+    assert pooled[: workers + 1] == list(range(workers + 1))
+    threads = [thread_of[j] for j in pooled[:workers]]
+    assert len(set(threads)) == workers
+    for i, j in enumerate(pooled):
+        assert thread_of[j] == threads[i % workers], j
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=lambda w: f"workers={w}")
+def test_mc_calling_thread_draws_while_the_block_it_waits_for_is_not_ready(
+        small_grid, geometry, workers, monkeypatch):
+    # by events, not timing: block 0's draw is held until the calling thread
+    # has drawn a block, which it does only because block 0 is not ready.  The
+    # pools hold blocks 0 to workers, so the caller draws block workers + 1;
+    # the reduction still reads blocks 0, 1, 2, ... in order, and the map has
+    # the bits of an unstalled one-worker run
+    workers = min(workers, os.cpu_count() or 1)
+    blocks = 6
+    config = make_config(small_grid, geometry, n_realizations=8 * blocks, seed=10)
+    options = dict(bucket=False, diagonal=True, x2_indices=aperture_indices(config),
+                   block_size=8)
+    ref = accumulate_mc(config, IDENTITY, IDENTITY, workers=1, **options)
+    caller, released, drawn_by, in_order = threading.get_ident(), threading.Event(), {}, []
+    draw, block_sums = correlation.sample_source_block, correlation._block_sums
+
+    def held(config, k0, k1, **kwargs):
+        if k0 == 0:
+            released.wait(timeout=10)
+        c = draw(config, k0, k1, **kwargs)
+        drawn_by[k0 // 8] = threading.get_ident()
+        if threading.get_ident() == caller:
+            released.set()
+        return c
+
+    def reduced(kernel, kind, c, *args):
+        j = len(in_order)
+        in_order.append(np.array_equal(c, draw(config, 8 * j, 8 * j + 8, width=c.shape[1])))
+        return block_sums(kernel, kind, c, *args)
+
+    monkeypatch.setattr(correlation, "sample_source_block", held)
+    monkeypatch.setattr(correlation, "_block_sums", reduced)
+    out = accumulate_mc(config, IDENTITY, IDENTITY, workers=workers, **options)
+    assert released.is_set() and drawn_by[0] != caller
+    assert min(j for j, t in drawn_by.items() if t == caller) == workers + 1
+    assert sorted(drawn_by) == list(range(blocks)) and in_order == [True] * blocks
+    for name in ("g2_raw", "i1_mean", "i2_mean", "eps"):
+        assert np.array_equal(getattr(out, name), getattr(ref, name)), name
 
 
 def test_mc_holds_at_most_workers_blocks_unmerged(small_grid, geometry, monkeypatch):
-    # held: drawn or drawing, and not yet reduced on the calling thread; alive:
-    # started and not yet reduced, the block being reduced included
+    # alive: sent to a pool or drawn on the calling thread, and not yet
+    # reduced (the block being reduced included); accumulate_mc keeps at most
+    # `workers` + 2.  Block 0 is held until the calling thread has drawn, so
+    # the bound is reached: blocks 0 to `workers` wait in the pools while the
+    # caller draws block `workers` + 1.  Each reduction then waits for the
+    # next block's draw to start, so every block sent early is
     cpus = os.cpu_count() or 1
     blocks = 4 * cpus + 3
     config = make_config(small_grid, geometry, n_realizations=8 * blocks, seed=7)
     options = dict(bucket=False, diagonal=True, x2_indices=aperture_indices(config),
                    block_size=8)
     ref = accumulate_mc(config, IDENTITY, IDENTITY, workers=1, **options)
+    caller = threading.get_ident()
     draw, block_sums = correlation.sample_source_block, correlation._block_sums
 
     for workers in sorted({1, cpus}):
-        lock, started, held, alive = threading.Lock(), [], [], []
+        lock, entered, done, alive = threading.Lock(), set(), [0], []
+        released = threading.Event()
         began = [threading.Event() for _ in range(blocks)]
 
-        def stalled(config, k0, k1, **kwargs):
+        def enter(k0):
             with lock:
-                started.append(k0)
+                entered.add(k0)
+                alive.append(len(entered) - done[0])
+
+        class Counted(correlation.ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                enter(args[1])
+                return super().submit(fn, *args)
+
+        def stalled(config, k0, k1, **kwargs):
+            here = threading.get_ident() == caller
+            if here:
+                enter(k0)
             began[k0 // 8].set()
             if k0 == 0:
-                # long enough for every other draw to run, had it been submitted
-                time.sleep(0.3)
-                with lock:
-                    held.append(len(started))  # nothing is reduced before block 0
-            return draw(config, k0, k1, **kwargs)
+                released.wait(timeout=10)
+            c = draw(config, k0, k1, **kwargs)
+            if here:
+                released.set()
+            return c
 
         def reduced(*args):
-            j = len(alive)
+            j = done[0]
             if j + 1 < blocks:
-                # block j + 1 is submitted before block j is reduced: let it start
                 began[j + 1].wait(timeout=2)
+            block_sums(*args)
             with lock:
-                alive.append(len(started) - j)
-            return block_sums(*args)
+                done[0] += 1
 
+        monkeypatch.setattr(correlation, "ThreadPoolExecutor", Counted)
         monkeypatch.setattr(correlation, "sample_source_block", stalled)
         monkeypatch.setattr(correlation, "_block_sums", reduced)
         out = accumulate_mc(config, IDENTITY, IDENTITY, workers=workers, **options)
-        assert 1 <= held[0] <= workers
-        assert len(alive) == blocks and max(alive) <= workers + 1, alive
-        if workers == 1:
-            assert min(alive[:-1]) >= 2, alive
-        assert sorted(started) == list(range(0, config.n_realizations, 8))
+        assert released.is_set() and done[0] == blocks
+        assert max(alive) == workers + 2, alive
+        assert sorted(entered) == list(range(0, config.n_realizations, 8))
         for name in ("g2_raw", "i1_mean", "i2_mean", "eps"):
             assert np.array_equal(getattr(out, name), getattr(ref, name)), name
 
@@ -512,12 +580,12 @@ def test_mc_memory_within_the_documented_bound(small_grid, geometry, kind, worke
     # side's selection, 16 bytes a column, with either one block of
     # 32*B*W + 16*(B + W) bytes on the calling thread (and a full map's
     # 24*B*n1 + 8*n1*W, and where a side is a selection, the 8*B*w bytes of
-    # |c|^2), W the widest column chunk, and `workers` + 1 draws of 16*w*B'
+    # |c|^2), W the widest column chunk, and `workers` + 2 draws of 16*w*B'
     # bytes (w the draw's width; B = 256 is whole 64-realization chunks, so
     # B' = B), or the tail's one row block, 9*R*n2 (R = min(n1, 32) rows of a
     # full map, 1 of a bucket or a diagonal).  The bound counts `workers`
-    # draws, one fewer than the docstring: the block term's margin holds the
-    # draw run ahead.
+    # draws, two fewer than the docstring: the block term's margin holds the
+    # draws run ahead.
     # The bench's 200 um source (m = 25) is drawn m wide; the wide one
     # (m = 375) is factored, but for Siegert's identity kernel (the
     # diagonal's third case), whose sides are gathered

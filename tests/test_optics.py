@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -328,6 +330,69 @@ class TestCallersArray:
             with pytest.raises(ValueError, match="lens phase is not finite"):
                 lens_phase(g4096, WL, 1e-307)
         assert lens_phase(g4096, WL, 85e-3) is phase
+
+
+class TestBuiltInPlace:
+    """A transfer function and a lens phase form in their own buffer, with the
+    bits of the plain expressions."""
+
+    @staticmethod
+    def plain_transfer_function(n, dx, wavelength, distance):
+        nu = np.fft.fftfreq(n, dx)
+        H = np.exp(2j * np.pi * distance / wavelength) * np.exp(
+            -1j * np.pi * wavelength * distance * nu**2
+        )
+        if distance != 0:
+            nu_lim = (n * dx) / (2 * wavelength * abs(distance))
+            anu = np.abs(nu)
+            window = np.ones(n)
+            lo = (1.0 - optics._BAND_TAPER) * nu_lim
+            ramp = (anu > lo) & (anu <= nu_lim)
+            window[ramp] = 0.5 * (1 + np.cos(np.pi * (anu[ramp] - lo) / (nu_lim - lo)))
+            window[anu > nu_lim] = 0.0
+            H = H * window
+        return H
+
+    # n = 2^17 + 3 squares nu in three chunks, the last one 3 samples long; the
+    # hops run from no band limit (0) past the chirp bound L dx / lambda
+    @pytest.mark.parametrize("n", [2048, (1 << 17) + 3])
+    @pytest.mark.parametrize("distance", [0.0, 0.05, 0.2, 3.0])
+    def test_transfer_function_has_the_bits_of_the_plain_expression(self, n, distance):
+        for dx, wavelength in ((8e-6, WL), (2e-6, 702e-9)):
+            got = _transfer_function(n, dx, wavelength, distance)
+            want = self.plain_transfer_function(n, dx, wavelength, distance)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), dx
+
+    @pytest.mark.parametrize("focal_length", [85e-3, -0.3, 2.5e-3])
+    def test_lens_phase_has_the_bits_of_the_plain_expression(self, focal_length):
+        for grid in (SMALL_GRID, Grid1D(1 << 17, 2e-6)):
+            x = grid.coords()
+            want = np.exp(-1j * np.pi * x**2 / (WL * focal_length))
+            got = lens_phase.__wrapped__(grid, WL, focal_length)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_a_new_hop_and_a_new_lens_hold_little_beside_their_result(self):
+        # a hop holds H, nu (then |nu|, then the window, in one buffer), n-byte
+        # masks and one chunk of nu^2: below 2 rows of 16 * n bytes; a lens
+        # holds x^2 and the phase, 1.5 rows, and NumPy's buffer for casting
+        # x^2 to complex (np.getbufsize() elements), beside 64 KiB for Python
+        # objects.  Both took 2.5 to 3.6 rows when each step formed a new array
+        n, row, slack = 1 << 18, 16 * (1 << 18), 64 * 1024
+        grid = Grid1D(n, 2e-6)
+        for distance in (0.0, 0.1):
+            peak = _traced_peak(lambda: _transfer_function(n, grid.dx, WL, distance))
+            assert peak <= 2 * row + slack, (distance, peak / row)
+        peak = _traced_peak(lambda: lens_phase.__wrapped__(grid, WL, 85e-3))
+        assert peak <= 1.5 * row + 16 * np.getbufsize() + slack, peak / row
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 class TestReciprocity:

@@ -301,7 +301,7 @@ def test_a_scan_window_centred_on_the_axis_runs_half_its_rows(small_grid, geomet
 @pytest.mark.parametrize("block_size", [None, 64], ids=["default", "64"])
 def test_kernel_build_memory_within_the_documented_bound(small_grid, geometry, block_size):
     # mode_decomposition's docstring: the kept kernel plus
-    # 16 * n * (block_size + 18) bytes, from either side; with 75 kept
+    # 16 * n * (block_size + 17) bytes, from either side; with 75 kept
     # columns arm 2 is built reversed, with 751 forward (m = 375 modes)
     if block_size is None:
         block_size = inspect.signature(mode_decomposition).parameters["block_size"].default
@@ -319,4 +319,4 @@ def test_kernel_build_memory_within_the_documented_bound(small_grid, geometry, b
         finally:
             tracemalloc.stop()
         kept = 16 * len(modes) * (len(modes.columns1) + len(modes.columns2))
-        assert peak <= kept + 16 * small_grid.n * (block_size + 18), len(x2)
+        assert peak <= kept + 16 * small_grid.n * (block_size + 17), len(x2)
