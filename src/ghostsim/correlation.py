@@ -21,6 +21,13 @@ instead of m, to a fixed tolerance (_range_factor); the analytic engine sums
 the unfactored kernel.  The MC result converges to the analytic one as
 1/sqrt(n).
 
+A matrix product with a long inner dimension changes bits with the BLAS
+thread count, and OpenBLAS threads by the host's cores.  The range factor and
+the mode sum therefore run with NumPy's bundled OpenBLAS held at one thread
+(_one_blas_thread), so (seed, config) fix every output bit on every host
+with that BLAS; where no such handle is found (an MKL, Accelerate or system
+BLAS), the hold does nothing and the bits are fixed on one host only.
+
 The observable's rules live here alone: the bucket's columns, refused when
 its mask is opaque (detector_kernel), and normalization, refused where g2 is
 not finite (siegert_normalize); both engines return raw maps as computed.
@@ -28,12 +35,13 @@ not finite (siegert_normalize); both engines return raw maps as computed.
 
 from __future__ import annotations
 
+import ctypes
 import os
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -59,6 +67,43 @@ _FACTOR_TOL = 1e-12  # the range factor's bound on ||G^H G - F^H F||_F / ||G||_F
 _FACTOR_WIDTH = 32  # the range finder's first basis width, doubled until the bound holds
 _SKETCH_KEY = 0  # Philox key of the range finder's test matrix: fixed, so (seed, config) fix bits
 _TAIL_ROWS = 32  # full-map rows per block of the MC tail's eps: its temporaries are this wide
+
+
+@cache
+def _blas_threads():
+    """(get, set) of the thread count of NumPy's bundled OpenBLAS, found
+    through the symbols its multiarray module links, or None (another BLAS)."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold the BLAS at one thread, and restore its previous count on exit;
+    a no-op where _blas_threads finds no handle.  A product's bits then
+    depend on its operands alone, and no idle OpenBLAS worker is left
+    spinning on a core after it (one spins for about 0.15 s after a
+    threaded GEMM).  The count is process-wide, so the hold is entered from
+    the calling thread only: MC draw threads and kernel build threads never
+    call BLAS."""
+    handle = _blas_threads()
+    if handle is None:
+        yield
+        return
+    get, set_ = handle
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
 
 
 def _kind(bucket: bool, diagonal: bool) -> str:
@@ -182,6 +227,7 @@ def _selection(g: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return rows, weights
 
 
+@_one_blas_thread()
 def _range_factor(kernel: ModeSet) -> tuple[ModeSet, np.ndarray | None]:
     """(kernel with (g1, g2) replaced by (f1, f2) = Q^H (g1, g2), Q^H), or
     (kernel, None) where no basis narrower than m holds it.
@@ -202,7 +248,11 @@ def _range_factor(kernel: ModeSet) -> tuple[ModeSet, np.ndarray | None]:
     row norms being the selection's weights summed by row), and the sketch is
     g (Omega^H g)^H, one arm at a time, with Omega^H g conjugated in place
     and freed before the next arm's (its transpose keeps the layout a
-    conjugated copy would have, so the GEMM's bits do not change).
+    conjugated copy would have, so the GEMM's bits do not change).  It runs
+    with the BLAS held at one thread (_one_blas_thread): its norms, sketch,
+    QR and projection have inner dimensions of m or more, so the fixed
+    sketch key and (seed, config) fix its bits on every host with NumPy's
+    bundled OpenBLAS.
     """
     g1, g2 = kernel.g1, kernel.g2
     m = len(kernel)
@@ -356,8 +406,10 @@ def accumulate_mc(
     kernel needs 64), else m, drawn unfactored;
     Siegert's identity kernel pins all m rows (the finder's rank floor),
     forms no sketch and is gathered, not multiplied (below).  The analytic
-    engine reads G itself.  The basis comes from a fixed-key sketch, so the
-    bits depend on (seed, config) alone; but each call draws in its own
+    engine reads G itself.  The basis comes from a fixed-key sketch, formed
+    with the BLAS held at one thread, so the bits depend on (seed, config)
+    alone on every host with NumPy's bundled OpenBLAS (on one host only
+    where _one_blas_thread finds no handle); but each call draws in its own
     basis, so two calls with one seed (two defocus planes, say) share no
     source fields.
     A draw is the w = len(kernel) coefficients of one block of block_size
@@ -377,17 +429,18 @@ def accumulate_mc(
     side (_selection, read after the factor, whose sides are dense) is
     gathered from the block's |c|^2, not multiplied, in the same chunks and
     order: on unit weights (identity arms, binary masks) with the GEMM's
-    bits.
+    bits.  The draw times the factor (inner dimension l <= 64) runs at the
+    BLAS's own thread count: its bits do not change with it.
     Memory stays bounded by the kernel build's working memory (one reused
-    batch of mode_decomposition's default 8 rows of n complex samples, plus
-    a few n-sample rows; its docstring gives the bytes) and the kernel's
-    16 * m * (n1 + n2) bytes, then by the range factor's working memory
-    before the first draw, then by the factored kernel, its selections, the
-    running sums and at most `workers` + 2 blocks alive (sent or drawn, and
-    not yet reduced): the one being reduced, with the reduction's working
-    memory, and up to `workers` + 1 drawn or drawing (a slow draw holds back
-    the sending of later ones); and last by the sums and one row block of
-    the tail's temporaries.
+    batch of mode_decomposition's default 8 rows of n complex samples per
+    build thread, plus a few n-sample rows; its docstring gives the bytes)
+    and the kernel's 16 * m * (n1 + n2) bytes, then by the range factor's
+    working memory before the first draw, then by the factored kernel, its
+    selections, the running sums and at most `workers` + 2 blocks alive
+    (sent or drawn, and not yet reduced): the one being reduced, with the
+    reduction's working memory, and up to `workers` + 1 drawn or drawing (a
+    slow draw holds back the sending of later ones); and last by the sums
+    and one row block of the tail's temporaries.
     With B = block_size, m modes, n1 arm-1 columns, n2 = |x2|, S map
     entries (n1 * n2 for a full map, else n2) and W = min(max(n1, n2), 1024)
     columns in the widest chunk, the range factor takes at most
@@ -473,6 +526,7 @@ def accumulate_mc(
     )
 
 
+@_one_blas_thread()
 def g2_analytic(modes: ModeSet, bucket: bool = True, *, diagonal: bool = False) -> CorrelationMap:
     """Exact mode-sum G2 over the columns the kernel holds.
 
@@ -486,7 +540,10 @@ def g2_analytic(modes: ModeSet, bucket: bool = True, *, diagonal: bool = False) 
     forms K = g1^H g2 one block of _ANALYTIC_CHUNK arm-1 by _CHUNK_COLS arm-2
     columns at a time, so it holds at most 24 * 256 * 1024 bytes of K and
     |K|^2 (6 MB) whatever the scan window; column slices of 1024 keep the
-    GEMM's bits.
+    GEMM's bits.  It runs with the BLAS held at one thread
+    (_one_blas_thread), so the bucket's and the full map's products (inner
+    dimension m) have the same bits on every host with NumPy's bundled
+    OpenBLAS.
     """
     if len(modes) == 0:
         raise ValueError("mode set is empty")

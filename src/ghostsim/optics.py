@@ -141,8 +141,20 @@ def propagate_block(
     amplitudes itself), which is returned."""
     H = _hop(grid, wavelength, distance)
     out = np.fft.fft(amplitudes, axis=-1, out=out)
-    out *= H
+    _scale_rows(out, H)
     return np.fft.ifft(out, axis=-1, out=out)
+
+
+def _scale_rows(out: np.ndarray, factor: np.ndarray) -> None:
+    """out *= factor along the last axis, one row at a time, with the bits
+    of the broadcast product.  Over a stack of rows shorter than NumPy's
+    8192-element ufunc buffer, that product fills the buffer (128 KB beside
+    the stack, 160 KB for a real factor); row by row a complex factor needs
+    no temporary and a real one casts one row, so threads that each run
+    their own stack (the kernel build's) add at most that row when their
+    products meet."""
+    for index in np.ndindex(out.shape[:-1]):
+        out[index] *= factor
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -197,9 +209,9 @@ def apply_path_block(
             if el.distance:
                 propagate_block(out, grid, wavelength, el.distance, out=out)
         elif isinstance(el, Lens):
-            out *= lens_phase(grid, wavelength, el.focal_length)
+            _scale_rows(out, lens_phase(grid, wavelength, el.focal_length))
         else:
             if el.grid != grid:
                 raise ValueError("mask grid does not match field grid")
-            out *= el.t
+            _scale_rows(out, el.t)
     return out

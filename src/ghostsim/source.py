@@ -23,6 +23,8 @@ different stream from the same key.
 from __future__ import annotations
 
 import operator
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -166,7 +168,14 @@ def _arm_kernel(
     and each row is that response rolled to its sample, read from the response
     twice over (the impulse's buffer is freed once that is built).  The
     elements from there to the last hop run on the plan's rows, block_size at
-    a time, in place on one reused (block_size, n) buffer.  The mirror rule
+    a time.  The batches are dealt into T = min(os.cpu_count(), batches)
+    strides (every T-th batch), each run by a pool thread, in place, in a
+    (block_size, n) buffer of its own; all T buffers are made before any
+    thread starts, and the calling thread waits for the pool (T = 1 makes no
+    pool, and the calling thread runs every batch).  Each FFT row is
+    computed alone, so no bit depends on T.  An empty batch run through the
+    segment first builds and checks its transfer functions and lens phases
+    once, before the threads read them from optics' caches.  The mirror rule
     holds because the centred response is even when that segment is (the
     coordinates are (k - n/2) dx, and fftfreq negates exactly, so H(nu) is
     exactly even): row (n - r) % n is row r mirrored, read at the mirrored
@@ -185,16 +194,30 @@ def _arm_kernel(
         g = sliding_window_view(hh, n)[((n // 2 - rows) % n)[:, None], cols]
     else:
         middle = ArmPath(arm.elements[lead:last])
+        # an empty batch builds and checks each operator once, before the threads read them
+        apply_path_block(np.empty((0, n), dtype=np.complex128), grid, wavelength, middle)
         mirrored, mcols = rows != run[inv], (n - cols) % n
         g = np.empty((len(rows), len(cols)), dtype=np.complex128)
-        buf = np.empty((min(block_size, len(run)), n), dtype=np.complex128)
-        for b0 in range(0, len(run), block_size):
-            batch = buf[: len(run[b0 : b0 + block_size])]
-            for row, shift in zip(batch, (n // 2 - run[b0 : b0 + block_size]) % n):
-                row[:] = hh[shift : shift + n]
-            apply_path_block(batch, grid, wavelength, middle, out=batch)
-            for j in np.flatnonzero((inv >= b0) & (inv < b0 + len(batch))):
-                g[j] = batch[inv[j] - b0, mcols if mirrored[j] else cols]
+        starts = range(0, len(run), block_size)
+        threads = min(os.cpu_count() or 1, len(starts))
+
+        def build(buf, b0s):  # the batches at b0s, in this thread's own buffer
+            for b0 in b0s:
+                batch = buf[: len(run[b0 : b0 + block_size])]
+                for row, shift in zip(batch, (n // 2 - run[b0 : b0 + block_size]) % n):
+                    row[:] = hh[shift : shift + n]
+                apply_path_block(batch, grid, wavelength, middle, out=batch)
+                for j in np.flatnonzero((inv >= b0) & (inv < b0 + len(batch))):
+                    g[j] = batch[inv[j] - b0, mcols if mirrored[j] else cols]
+
+        # every buffer is made before any thread starts, so all of them are held at once
+        shape = (min(block_size, len(run)), n)
+        bufs = [np.empty(shape, dtype=np.complex128) for _ in range(threads)]
+        if threads == 1:
+            build(bufs[0], starts)
+        else:  # the calling thread waits: every batch's span nests in its caller's
+            with ThreadPoolExecutor(threads) as pool:
+                list(pool.map(build, bufs, (starts[t::threads] for t in range(threads))))
     if arm.elements[last:]:  # an arm that ends in a hop has no trailing factor
         g *= apply_path_block(np.ones(n), grid, wavelength, ArmPath(arm.elements[last:]))[cols]
     return g
@@ -229,15 +252,19 @@ def mode_decomposition(
     block_size counts the rows of one whole-row batch (modes forward, kept
     columns reversed); the batch holds 16 * n * block_size bytes, which for
     the default 8 rows is 2 MiB (about one core's L2 cache) at n = 16384
-    only, and scales with n.  Each arm reuses one (block_size, n) buffer, in
-    place, for every batch.  Working memory is at most
-    16 * m * (|columns1| + |columns2|) bytes for the kept kernel plus
-    16 * n * (block_size + 17) bytes: the batch buffer, one row's gather of
-    its kept columns (1), the impulse response twice over (2; the impulse is
-    propagated in its own buffer and freed), the trailing factor (1.5), the
-    at most 4 transfer functions and 4 lens phases that optics caches (8)
-    and one being built, with its temporaries (2: optics forms each in
-    place), and the row plans' indices, 8 bytes a row or column (2.5).
+    only, and scales with n.  An arm's batches run on
+    T = min(os.cpu_count(), batches) build threads (_arm_kernel), each of
+    which reuses one (block_size, n) buffer of its own, in place, for every
+    batch it runs; the output's bits do not depend on T, and no build thread
+    calls BLAS.  Working memory is at most 16 * m * (|columns1| + |columns2|)
+    bytes for the kept kernel plus 16 * n * (T * (block_size + 1) + 16)
+    bytes: for each build thread its batch buffer and one row's gather of
+    its kept columns (T * (block_size + 1)), the impulse response twice over
+    (2; the impulse is propagated in its own buffer and freed), the trailing
+    factor (1.5), the at most 4 transfer functions and 4 lens phases that
+    optics caches (8) and one being built, with its temporaries (2: optics
+    forms each in place), and the row plans' indices, 8 bytes a row or
+    column (2.5).
     block_size < 1 and any other columns are refused (ValueError), and every
     lens phase computed and refused if it is not finite, before any
     propagation.

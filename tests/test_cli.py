@@ -628,3 +628,28 @@ def test_console_entry_point():
     res = subprocess.run(["ghost", "list-scenarios"], capture_output=True, text=True)
     assert res.returncode == 0
     assert "fig3-point" in res.stdout
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # OpenBLAS threads a product by the host's cores, and a product with a long
+    # inner dimension changes bits with its thread count: the range factor's
+    # sketch under MC fig4, and the mode sum's g1^H g2 under analytic defocus.
+    # A 4096-sample grid keeps both quick; a 1.5 mm defocus source fits its
+    # 8.2 mm window, and its sweep's products part at two BLAS threads
+    root = Path(__file__).resolve().parents[1]
+    cfg = small_cfg(tmp_path, grid_n=4096, scan_halfwidth="2mm", defocus_source_diameter="1.5mm")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": threads}
+        files = {}
+        for scenario, engine in (("fig4-doubleslit", "mc"), ("defocus", "analytic")):
+            out = tmp_path / f"{scenario}_{threads}"
+            res = subprocess.run(
+                [sys.executable, "-m", "ghostsim.cli", "run", scenario, "--config", str(cfg),
+                 "--out", str(out), "--engine", engine],
+                capture_output=True, text=True, env=env,
+            )
+            assert res.returncode == 0, res.stderr
+            files.update({(scenario, p.name): p.read_bytes() for p in out.iterdir()})
+        outputs.append(files)
+    assert len(outputs[0]) == 5 and outputs[0] == outputs[1]

@@ -844,9 +844,11 @@ def test_mc_gathers_hop_free_sides_with_the_dense_bits(small_grid, kind, monkeyp
             assert np.array_equal(getattr(out, name), getattr(dense, name)), name
 
 
+@correlation._one_blas_thread()
 def _all_tries_factor(kernel):
     """_range_factor with no rank floor: every doubling of its first width
-    below m is tried, each on its own fixed-key test matrix."""
+    below m is tried, each on its own fixed-key test matrix, with the BLAS
+    held at one thread as _range_factor holds it."""
     g1, g2 = kernel.g1, kernel.g2
     m = len(kernel)
     total = np.linalg.norm(g1) ** 2 + np.linalg.norm(g2) ** 2
@@ -1254,3 +1256,35 @@ def test_entangled_light_images_coherently_thermal_light_incoherently():
     assert 0.02 < vis < predicted_visibility(2)
     assert peaks == pytest.approx((-at["slit_image"], at["slit_image"]), rel=0.1)
     assert at["entangled"][0] < vis / 2  # entangled light is defocused here
+
+
+def test_one_blas_thread_holds_one_thread_and_restores_the_count():
+    handle = correlation._blas_threads()
+    if handle is None:
+        pytest.skip("NumPy's BLAS is not its bundled OpenBLAS")
+    get, set_ = handle
+    start = get()
+    set_(2)  # a count to restore that is not the held one (a 1-core host may cap it at 1)
+    try:
+        before = get()
+        with correlation._one_blas_thread():
+            assert get() == 1
+        assert get() == before
+        with pytest.raises(RuntimeError, match="inside"):
+            with correlation._one_blas_thread():
+                assert get() == 1
+                raise RuntimeError("inside")
+        assert get() == before
+    finally:
+        set_(start)
+
+
+def test_one_blas_thread_does_nothing_where_no_handle_is_found(monkeypatch):
+    # another BLAS (MKL, Accelerate, a system OpenBLAS) exports neither symbol
+    handle, calls = correlation._blas_threads(), []
+    monkeypatch.setattr(correlation.ctypes, "CDLL", lambda path: calls.append(path) or object())
+    assert correlation._blas_threads.__wrapped__() is None and len(calls) == 1
+    monkeypatch.setattr(correlation, "_blas_threads", lambda: None)
+    count = handle[0]() if handle else None
+    with correlation._one_blas_thread():
+        assert (handle[0]() if handle else None) == count

@@ -1,4 +1,7 @@
 import inspect
+import os
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -19,7 +22,7 @@ from ghostsim import (
     mode_decomposition,
 )
 from ghostsim.experiment import build_arms, scan_indices
-from ghostsim import optics
+from ghostsim import optics, source
 from ghostsim.optics import apply_path_block, propagate_block
 from ghostsim.source import _plan, aperture_indices, sample_source_block
 
@@ -299,10 +302,12 @@ def test_a_scan_window_centred_on_the_axis_runs_half_its_rows(small_grid, geomet
 
 
 @pytest.mark.parametrize("block_size", [None, 64], ids=["default", "64"])
-def test_kernel_build_memory_within_the_documented_bound(small_grid, geometry, block_size):
+def test_kernel_build_memory_within_the_documented_bound(small_grid, geometry, block_size,
+                                                         monkeypatch):
     # mode_decomposition's docstring: the kept kernel plus
-    # 16 * n * (block_size + 17) bytes, from either side; with 75 kept
-    # columns arm 2 is built reversed, with 751 forward (m = 375 modes)
+    # 16 * n * (T * (block_size + 1) + 16) bytes with T build threads, from
+    # either side; with 75 kept columns arm 2 is built reversed, with 751
+    # forward (m = 375 modes: 188 rows, 3 batches of 64)
     if block_size is None:
         block_size = inspect.signature(mode_decomposition).parameters["block_size"].default
     geometry = replace(geometry, source_diameter=3e-3)
@@ -310,13 +315,56 @@ def test_kernel_build_memory_within_the_documented_bound(small_grid, geometry, b
     obj = make_double_slit(small_grid, 1e-3, 0.2e-3)
     arms = build_arms(geometry, obj)
     assert len(aperture_indices(config)) == 375
-    for x2 in (scan_indices(small_grid, 0.3e-3), scan_indices(small_grid, 3e-3)):
-        tracemalloc.start()
-        try:
-            modes = mode_decomposition(config, *arms, block_size,
-                                       columns1=obj.support_indices(), columns2=x2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        kept = 16 * len(modes) * (len(modes.columns1) + len(modes.columns2))
-        assert peak <= kept + 16 * small_grid.n * (block_size + 17), len(x2)
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(os, "cpu_count", lambda: threads)
+        for x2 in (scan_indices(small_grid, 0.3e-3), scan_indices(small_grid, 3e-3)):
+            tracemalloc.start()
+            try:
+                modes = mode_decomposition(config, *arms, block_size,
+                                           columns1=obj.support_indices(), columns2=x2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            kept = 16 * len(modes) * (len(modes.columns1) + len(modes.columns2))
+            bound = kept + 16 * small_grid.n * (threads * (block_size + 1) + 16)
+            assert peak <= bound, (threads, len(x2))
+
+
+@pytest.mark.parametrize("block_size, batches", [(8, 24), (64, 3)],
+                         ids=["24-batches", "3-batches"])
+def test_kernel_bits_do_not_depend_on_the_build_threads(small_grid, geometry, monkeypatch,
+                                                        block_size, batches):
+    # fig4's lens arm from m = 375 modes: 188 rows after the mirror rule, in 24
+    # batches of 8 (2 and 5 threads divide them unevenly) or 3 of 64 (fewer
+    # than 5 threads); arm 1, a hop then the mask, is gathered from one
+    # impulse.  T = 1 runs every batch on the calling thread, T > 1 none
+    geometry = replace(geometry, source_diameter=3e-3)
+    config = make_config(small_grid, geometry, n_realizations=1)
+    obj = make_double_slit(small_grid, 1e-3, 0.2e-3)
+    arm1, arm2 = build_arms(geometry, obj)
+    x2 = scan_indices(small_grid, 3e-3)
+    idx = aperture_indices(config)
+    assert len(_plan(small_grid.n, arm2, idx)[2]) == 188 and -(-188 // block_size) == batches
+    batch_threads, run = [], source.apply_path_block
+
+    def recording(amplitudes, *args, **kwargs):
+        if amplitudes.ndim == 2 and len(amplitudes):
+            batch_threads.append(threading.get_ident())
+        return run(amplitudes, *args, **kwargs)
+
+    monkeypatch.setattr(source, "apply_path_block", recording)
+    kernels, interval = {}, sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the threads that write g's rows trade places often
+    try:
+        for threads in (1, 2, 5):
+            monkeypatch.setattr(os, "cpu_count", lambda: threads)
+            batch_threads.clear()
+            kernels[threads] = mode_decomposition(config, arm1, arm2, block_size,
+                                                  columns1=obj.support_indices(), columns2=x2)
+            on_caller = batch_threads.count(threading.get_ident())
+            assert on_caller == (len(batch_threads) if threads == 1 else 0)
+    finally:
+        sys.setswitchinterval(interval)
+    for threads in (2, 5):
+        for side in ("g1", "g2"):
+            assert np.array_equal(getattr(kernels[threads], side), getattr(kernels[1], side))
