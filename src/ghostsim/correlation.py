@@ -36,7 +36,6 @@ not finite (siegert_normalize); both engines return raw maps as computed.
 from __future__ import annotations
 
 import ctypes
-import os
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
@@ -48,7 +47,7 @@ from numpy.random import Generator, Philox
 
 from .core import TransmissionMask
 from .optics import ArmPath
-from .source import EnsembleConfig, ModeSet, mode_decomposition, sample_source_block
+from .source import EnsembleConfig, ModeSet, mode_decomposition, sample_source_block, usable_cpus
 
 __all__ = [
     "CorrelationMap",
@@ -465,8 +464,8 @@ def accumulate_mc(
     one block's g2_raw^2 (then <I1><I2>) and NaN mask, 9*R*n2 bytes:
     R = min(n1, 32) rows of a full map (_TAIL_ROWS), 1 of a bucket or a
     diagonal.  workers < 1 and block_size < 1 are refused (ValueError)
-    before any build or draw; at most os.cpu_count() draw threads run beside
-    the calling thread: more hold more draws, no faster.  The map is
+    before any build or draw; at most source.usable_cpus() draw threads run
+    beside the calling thread: more hold more draws, no faster.  The map is
     returned as computed; siegert_normalize refuses it where g2 is not
     finite.
     """
@@ -488,7 +487,7 @@ def accumulate_mc(
     sums = (np.zeros(shape), np.zeros(shape), np.zeros(() if kind == "bucket" else n1),
             np.zeros(n2))
     blocks = ((config, k0, min(k0 + block_size, n)) for k0 in range(0, n, block_size))
-    workers = min(workers, os.cpu_count() or 1)
+    workers = min(workers, usable_cpus())
     with ExitStack() as stack:
         # one thread per executor, so block j is drawn on thread j mod workers
         pools = [stack.enter_context(ThreadPoolExecutor(max_workers=1)) for _ in range(workers)]

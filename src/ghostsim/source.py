@@ -37,6 +37,16 @@ from .optics import ArmPath, Lens, Propagate, apply_path_block, lens_phase
 __all__ = ["EnsembleConfig", "ModeSet", "sample_source_block", "mode_decomposition"]
 
 _CHUNK = 64  # realizations per Philox counter: part of the stream's definition
+_BUILD_THREADS = 2  # most kernel build threads: measured to pay at 2; each holds a batch buffer
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS reports
+    one, else os.cpu_count().  A cgroup CPU quota is not counted."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this OS
+        return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -168,14 +178,15 @@ def _arm_kernel(
     and each row is that response rolled to its sample, read from the response
     twice over (the impulse's buffer is freed once that is built).  The
     elements from there to the last hop run on the plan's rows, block_size at
-    a time.  The batches are dealt into T = min(os.cpu_count(), batches)
-    strides (every T-th batch), each run by a pool thread, in place, in a
-    (block_size, n) buffer of its own; all T buffers are made before any
-    thread starts, and the calling thread waits for the pool (T = 1 makes no
-    pool, and the calling thread runs every batch).  Each FFT row is
-    computed alone, so no bit depends on T.  An empty batch run through the
-    segment first builds and checks its transfer functions and lens phases
-    once, before the threads read them from optics' caches.  The mirror rule
+    a time.  The batches are dealt into
+    T = min(_BUILD_THREADS, usable_cpus(), batches) strides (every T-th
+    batch), each run by a pool thread, in place, in a (block_size, n) buffer
+    of its own; all T buffers are made before any thread starts, and the
+    calling thread waits for the pool, at T = 1 too, so every batch's span
+    nests in its caller's.  Each FFT row is computed alone, so no bit depends
+    on T.  An empty batch run through the segment first builds and checks
+    its transfer functions and lens phases once, before the threads read
+    them from optics' caches.  The mirror rule
     holds because the centred response is even when that segment is (the
     coordinates are (k - n/2) dx, and fftfreq negates exactly, so H(nu) is
     exactly even): row (n - r) % n is row r mirrored, read at the mirrored
@@ -199,7 +210,7 @@ def _arm_kernel(
         mirrored, mcols = rows != run[inv], (n - cols) % n
         g = np.empty((len(rows), len(cols)), dtype=np.complex128)
         starts = range(0, len(run), block_size)
-        threads = min(os.cpu_count() or 1, len(starts))
+        threads = min(_BUILD_THREADS, usable_cpus(), len(starts))
 
         def build(buf, b0s):  # the batches at b0s, in this thread's own buffer
             for b0 in b0s:
@@ -213,11 +224,8 @@ def _arm_kernel(
         # every buffer is made before any thread starts, so all of them are held at once
         shape = (min(block_size, len(run)), n)
         bufs = [np.empty(shape, dtype=np.complex128) for _ in range(threads)]
-        if threads == 1:
-            build(bufs[0], starts)
-        else:  # the calling thread waits: every batch's span nests in its caller's
-            with ThreadPoolExecutor(threads) as pool:
-                list(pool.map(build, bufs, (starts[t::threads] for t in range(threads))))
+        with ThreadPoolExecutor(threads) as pool:  # the calling thread waits
+            list(pool.map(build, bufs, (starts[t::threads] for t in range(threads))))
     if arm.elements[last:]:  # an arm that ends in a hop has no trailing factor
         g *= apply_path_block(np.ones(n), grid, wavelength, ArmPath(arm.elements[last:]))[cols]
     return g
@@ -253,14 +261,17 @@ def mode_decomposition(
     columns reversed); the batch holds 16 * n * block_size bytes, which for
     the default 8 rows is 2 MiB (about one core's L2 cache) at n = 16384
     only, and scales with n.  An arm's batches run on
-    T = min(os.cpu_count(), batches) build threads (_arm_kernel), each of
+    T = min(2, usable_cpus(), batches) build threads (_arm_kernel), each of
     which reuses one (block_size, n) buffer of its own, in place, for every
     batch it runs; the output's bits do not depend on T, and no build thread
-    calls BLAS.  Working memory is at most 16 * m * (|columns1| + |columns2|)
-    bytes for the kept kernel plus 16 * n * (T * (block_size + 1) + 16)
-    bytes: for each build thread its batch buffer and one row's gather of
-    its kept columns (T * (block_size + 1)), the impulse response twice over
-    (2; the impulse is propagated in its own buffer and freed), the trailing
+    calls BLAS.  T is capped at 2, the count measured to pay, so the bound
+    below does not grow with the host's cores.  Working memory is at most
+    16 * m * (|columns1| + |columns2|) bytes for the kept kernel plus
+    16 * n * (T * (block_size + 1) + 16) bytes, at most
+    16 * n * (2 * block_size + 18): for each build thread its batch buffer
+    and one row's gather of its kept columns (T * (block_size + 1)), the
+    impulse response twice over (2; the impulse is propagated in its own
+    buffer and freed), the trailing
     factor (1.5), the at most 4 transfer functions and 4 lens phases that
     optics caches (8) and one being built, with its temporaries (2: optics
     forms each in place), and the row plans' indices, 8 bytes a row or

@@ -1,4 +1,3 @@
-import os
 import threading
 import time
 import tracemalloc
@@ -37,7 +36,7 @@ from ghostsim.experiment import (
     solve_thin_lens,
 )
 from ghostsim.optics import apply_path_block
-from ghostsim.source import aperture_indices, sample_source_block
+from ghostsim.source import aperture_indices, sample_source_block, usable_cpus
 
 from conftest import PATHS, SMALL_GRID, make_config, one_slit
 
@@ -357,9 +356,9 @@ def test_bucket_and_diagonal_are_exclusive(small_grid, geometry, call):
 
 
 def test_mc_threads_capped_at_cpu_count(small_grid, geometry, monkeypatch):
-    # at most os.cpu_count() pool threads draw, beside the calling thread,
+    # at most usable_cpus() pool threads draw, beside the calling thread,
     # which draws only when the block it asks for is not ready
-    cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     workers = cpus + 4
     config = make_config(small_grid, geometry, n_realizations=8 * workers, seed=6)
     options = dict(bucket=False, diagonal=True, x2_indices=aperture_indices(config),
@@ -405,7 +404,7 @@ def test_mc_pool_draws_go_round_robin_in_submission_order(small_grid, geometry, 
     # i mod workers whatever the timing.  The calling thread draws the blocks
     # it takes before they are sent (whenever the one it asks for is not
     # ready), never one of the first workers + 1, and each block is drawn once
-    workers = min(workers, os.cpu_count() or 1)
+    workers = min(workers, usable_cpus())
     blocks = 12
     config = make_config(small_grid, geometry, n_realizations=blocks * 8, seed=8)
     caller, lock, calls, thread_of = threading.get_ident(), threading.Lock(), [], {}
@@ -436,7 +435,7 @@ def test_mc_calling_thread_draws_while_the_block_it_waits_for_is_not_ready(
     # pools hold blocks 0 to workers, so the caller draws block workers + 1;
     # the reduction still reads blocks 0, 1, 2, ... in order, and the map has
     # the bits of an unstalled one-worker run
-    workers = min(workers, os.cpu_count() or 1)
+    workers = min(workers, usable_cpus())
     blocks = 6
     config = make_config(small_grid, geometry, n_realizations=8 * blocks, seed=10)
     options = dict(bucket=False, diagonal=True, x2_indices=aperture_indices(config),
@@ -476,7 +475,7 @@ def test_mc_holds_at_most_workers_blocks_unmerged(small_grid, geometry, monkeypa
     # the bound is reached: blocks 0 to `workers` wait in the pools while the
     # caller draws block `workers` + 1.  Each reduction then waits for the
     # next block's draw to start, so every block sent early is
-    cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     blocks = 4 * cpus + 3
     config = make_config(small_grid, geometry, n_realizations=8 * blocks, seed=7)
     options = dict(bucket=False, diagonal=True, x2_indices=aperture_indices(config),

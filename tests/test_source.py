@@ -305,9 +305,10 @@ def test_a_scan_window_centred_on_the_axis_runs_half_its_rows(small_grid, geomet
 def test_kernel_build_memory_within_the_documented_bound(small_grid, geometry, block_size,
                                                          monkeypatch):
     # mode_decomposition's docstring: the kept kernel plus
-    # 16 * n * (T * (block_size + 1) + 16) bytes with T build threads, from
-    # either side; with 75 kept columns arm 2 is built reversed, with 751
-    # forward (m = 375 modes: 188 rows, 3 batches of 64)
+    # 16 * n * (T * (block_size + 1) + 16) bytes with T = min(2, CPUs,
+    # batches) build threads, from either side, so 8 CPUs hold no more than
+    # 2; with 75 kept columns arm 2 is built reversed, with 751 forward
+    # (m = 375 modes: 188 rows, 3 batches of 64)
     if block_size is None:
         block_size = inspect.signature(mode_decomposition).parameters["block_size"].default
     geometry = replace(geometry, source_diameter=3e-3)
@@ -315,8 +316,9 @@ def test_kernel_build_memory_within_the_documented_bound(small_grid, geometry, b
     obj = make_double_slit(small_grid, 1e-3, 0.2e-3)
     arms = build_arms(geometry, obj)
     assert len(aperture_indices(config)) == 375
-    for threads in (1, 2, 3):
-        monkeypatch.setattr(os, "cpu_count", lambda: threads)
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(source, "usable_cpus", lambda: cpus)
+        threads = min(2, cpus)
         for x2 in (scan_indices(small_grid, 0.3e-3), scan_indices(small_grid, 3e-3)):
             tracemalloc.start()
             try:
@@ -327,7 +329,17 @@ def test_kernel_build_memory_within_the_documented_bound(small_grid, geometry, b
                 tracemalloc.stop()
             kept = 16 * len(modes) * (len(modes.columns1) + len(modes.columns2))
             bound = kept + 16 * small_grid.n * (threads * (block_size + 1) + 16)
-            assert peak <= bound, (threads, len(x2))
+            assert peak <= bound, (cpus, len(x2))
+
+
+def test_usable_cpus_reads_the_affinity_mask_else_the_cpu_count(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert source.usable_cpus() == 2
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert source.usable_cpus() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert source.usable_cpus() == 1
 
 
 @pytest.mark.parametrize("block_size, batches", [(8, 24), (64, 3)],
@@ -337,7 +349,8 @@ def test_kernel_bits_do_not_depend_on_the_build_threads(small_grid, geometry, mo
     # fig4's lens arm from m = 375 modes: 188 rows after the mirror rule, in 24
     # batches of 8 (2 and 5 threads divide them unevenly) or 3 of 64 (fewer
     # than 5 threads); arm 1, a hop then the mask, is gathered from one
-    # impulse.  T = 1 runs every batch on the calling thread, T > 1 none
+    # impulse.  At every T the calling thread waits and T pool threads run
+    # the batches
     geometry = replace(geometry, source_diameter=3e-3)
     config = make_config(small_grid, geometry, n_realizations=1)
     obj = make_double_slit(small_grid, 1e-3, 0.2e-3)
@@ -352,17 +365,26 @@ def test_kernel_bits_do_not_depend_on_the_build_threads(small_grid, geometry, mo
             batch_threads.append(threading.get_ident())
         return run(amplitudes, *args, **kwargs)
 
+    pool_sizes, pool = [], source.ThreadPoolExecutor
+
+    class Sized(pool):
+        def __init__(self, max_workers):
+            pool_sizes.append(max_workers)
+            super().__init__(max_workers)
+
     monkeypatch.setattr(source, "apply_path_block", recording)
+    monkeypatch.setattr(source, "ThreadPoolExecutor", Sized)
     kernels, interval = {}, sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # the threads that write g's rows trade places often
     try:
         for threads in (1, 2, 5):
-            monkeypatch.setattr(os, "cpu_count", lambda: threads)
-            batch_threads.clear()
+            monkeypatch.setattr(source, "_BUILD_THREADS", threads)
+            monkeypatch.setattr(source, "usable_cpus", lambda: threads)
+            batch_threads.clear(), pool_sizes.clear()
             kernels[threads] = mode_decomposition(config, arm1, arm2, block_size,
                                                   columns1=obj.support_indices(), columns2=x2)
-            on_caller = batch_threads.count(threading.get_ident())
-            assert on_caller == (len(batch_threads) if threads == 1 else 0)
+            assert threading.get_ident() not in batch_threads
+            assert pool_sizes == [min(threads, batches)]
     finally:
         sys.setswitchinterval(interval)
     for threads in (2, 5):
