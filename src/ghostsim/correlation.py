@@ -5,8 +5,8 @@ Two interchangeable engines compute <I1 I2>:
 * accumulate_mc    - ensemble average over speckle realizations, drawn by
                      threads in blocks ahead of the calling thread, which
                      draws too when the next block is not ready and
-                     reduces them in index order: bit-identical for any
-                     worker count;
+                     reduces them in index order, with one helper thread
+                     on its columns: bit-identical for any worker count;
 * g2_analytic      - Gaussian-moment (mode-sum) evaluation, exact in the
                      discrete model, exposing the interference term separately.
 
@@ -21,12 +21,16 @@ instead of m, to a fixed tolerance (_range_factor); the analytic engine sums
 the unfactored kernel.  The MC result converges to the analytic one as
 1/sqrt(n).
 
-A matrix product with a long inner dimension changes bits with the BLAS
-thread count, and OpenBLAS threads by the host's cores.  The range factor and
-the mode sum therefore run with NumPy's bundled OpenBLAS held at one thread
-(_one_blas_thread), so (seed, config) fix every output bit on every host
-with that BLAS; where no such handle is found (an MKL, Accelerate or system
-BLAS), the hold does nothing and the bits are fixed on one host only.
+A matrix product changes bits with the BLAS thread count (measured on a
+long inner dimension: the range factor's, the mode sum's, and the full MC
+map's I1^T I2 over a block's realizations), and OpenBLAS threads by the
+host's cores.  Both engines therefore run with NumPy's bundled OpenBLAS held
+at one thread (_one_blas_thread) for the whole call.  The MC reduction and
+the analytic bucket's interference term deal their arm-2 column products to
+up to two threads of their own instead, products whose widths are read from
+the kernel alone (_splits).  So (seed, config) fix every output bit on every
+host with that BLAS; where no such handle is found (an MKL, Accelerate or
+system BLAS), the hold does nothing and the bits are fixed on one host only.
 
 The observable's rules live here alone: the bucket's columns, refused when
 its mask is opaque (detector_kernel), and normalization, refused where g2 is
@@ -47,7 +51,14 @@ from numpy.random import Generator, Philox
 
 from .core import TransmissionMask
 from .optics import ArmPath
-from .source import EnsembleConfig, ModeSet, mode_decomposition, sample_source_block, usable_cpus
+from .source import (
+    MAX_THREADS,
+    EnsembleConfig,
+    ModeSet,
+    mode_decomposition,
+    sample_source_block,
+    usable_cpus,
+)
 
 __all__ = [
     "CorrelationMap",
@@ -90,8 +101,9 @@ def _one_blas_thread():
     depend on its operands alone, and no idle OpenBLAS worker is left
     spinning on a core after it (one spins for about 0.15 s after a
     threaded GEMM).  The count is process-wide, so the hold is entered from
-    the calling thread only: MC draw threads and kernel build threads never
-    call BLAS."""
+    the calling thread only, around every call that starts a thread that
+    calls BLAS (the reduction helpers, _helpers); MC draw threads and kernel
+    build threads never call BLAS."""
     handle = _blas_threads()
     if handle is None:
         yield
@@ -283,15 +295,57 @@ def _sketch_term(g: np.ndarray, omega_h: np.ndarray) -> np.ndarray:
     return g @ np.conjugate(y, out=y).T
 
 
-def _block_sums(kernel, kind, c, dx, sums, selections):
+def _splits(columns: int) -> int:
+    """S = min(MAX_THREADS, the _CHUNK_COLS-wide chunks of `columns` arm-2
+    columns), at least 1.  A reduction over them forms products of
+    _CHUNK_COLS // S columns, on T = min(S, usable_cpus()) threads (_helpers),
+    so its columns in flight are at most _CHUNK_COLS at any T.  S is read
+    from the columns alone, not from the host, so every product, and its
+    bits, is the same at every T: OpenBLAS rounds a product's last N mod 4
+    (complex) or N mod 8 (real, past some N) columns apart from the same
+    columns inside a wider product."""
+    return max(1, min(MAX_THREADS, -(-columns // _CHUNK_COLS)))
+
+
+@contextmanager
+def _helpers(columns: int):
+    """The T - 1 helper threads of a reduction over `columns` arm-2 columns,
+    T = min(_splits(columns), usable_cpus()): one single-thread executor
+    each, so stride t of _dealt runs on one thread; none at T = 1."""
+    threads = min(_splits(columns), usable_cpus())
+    with ExitStack() as stack:
+        yield [stack.enter_context(ThreadPoolExecutor(max_workers=1))
+               for _ in range(threads - 1)]
+
+
+def _dealt(helpers, run, items):
+    """run(items[t::T]) for each t < T = len(helpers) + 1, dealt round-robin:
+    stride 0 on the calling thread and stride t on helpers[t - 1]; returns
+    once every stride is done, so no helper still writes after it."""
+    threads = len(helpers) + 1
+    futures = [h.submit(run, items[t::threads]) for t, h in enumerate(helpers, 1)]
+    try:
+        run(items[::threads])
+    finally:
+        for future in futures:
+            future.result()
+
+
+def _block_sums(kernel, kind, c, dx, sums, selections, helpers):
     """Add (sum I1 I2, sum (I1 I2)^2, sum I1, sum I2) over the realizations
     whose source amplitudes are the rows of c into sums, in place; dx weighs
-    the bucket's sum over x1.  Arm 2's columns are walked _CHUNK_COLS at a
-    time, and arm 1's with them (diagonal) or before them (bucket), so no
-    field or intensity is wider than B x _CHUNK_COLS but a full map's arm-1
-    intensities, which both its GEMMs read whole.  A side whose selection
-    (_selection) is not None is gathered from |c|^2, formed once per block,
-    C-ordered (np.take) so that its sums run in the GEMM path's order."""
+    the bucket's sum over x1.  Arm 2's columns are walked in chunks of
+    _CHUNK_COLS // S (_splits), dealt round-robin between the calling
+    thread and the len(helpers) <= S - 1 helper threads (_dealt), and arm
+    1's with them (diagonal); the bucket's arm-1 chunks, _CHUNK_COLS wide,
+    and a full map's whole arm-1 intensities, which both its GEMMs read, are
+    formed first on the calling thread.  So no field or intensity in flight
+    is wider than B x _CHUNK_COLS across the threads, but a full map's arm-1
+    intensities.  Each column's sums are written by one thread, by the same
+    products and elementwise steps whatever the helpers, so no bit depends
+    on them.  A side whose selection (_selection) is not None is gathered
+    from |c|^2, formed once per block, C-ordered (np.take) so that its sums
+    run in the GEMM path's order."""
     s_p, s_p2, s_i1, s_i2 = sums
     if any(s is not None for s in selections):
         a = _abs2(c)  # one array per block
@@ -306,6 +360,7 @@ def _block_sums(kernel, kind, c, dx, sums, selections):
 
     g1, g2 = kernel.g1, kernel.g2
     sel1, sel2 = selections
+    I1 = None  # the diagonal's arm-1 intensities are formed chunk by chunk
     if kind == "full":
         I1 = intensities(g1, sel1)
         s_i1 += I1.sum(axis=0)
@@ -317,25 +372,31 @@ def _block_sums(kernel, kind, c, dx, sums, selections):
         I1 *= dx
         s_i1 += I1.sum(axis=0)
         I1 = I1[:, None]
-    for c0 in range(0, g2.shape[1], _CHUNK_COLS):
-        cols = slice(c0, c0 + _CHUNK_COLS)
-        if kind == "diagonal":
-            I1 = intensities(g1, sel1, cols)
-            s_i1[cols] += I1.sum(axis=0)
-        I2 = intensities(g2, sel2, cols)
-        s_i2[cols] += I2.sum(axis=0)
-        if kind == "full":
-            s_p[:, cols] += I1.T @ I2
-            I2 *= I2
-            s_p2[:, cols] += I1_sq.T @ I2
-        else:
-            # P = I1 I2, then P^2, in I2's buffer: the broadcast form's bits with no
-            # temporary (a gemv here ran fig4's 2-worker bucket about 10 % slower)
-            I2 *= I1
-            s_p[cols] += I2.sum(axis=0)
-            I2 *= I2
-            s_p2[cols] += I2.sum(axis=0)
-        del I2  # not held while the next chunk's fields form
+    width = _CHUNK_COLS // _splits(g2.shape[1])
+
+    def reduce(starts):
+        for c0 in starts:
+            cols = slice(c0, c0 + width)
+            i1 = I1
+            if kind == "diagonal":
+                i1 = intensities(g1, sel1, cols)
+                s_i1[cols] += i1.sum(axis=0)
+            I2 = intensities(g2, sel2, cols)
+            s_i2[cols] += I2.sum(axis=0)
+            if kind == "full":
+                s_p[:, cols] += I1.T @ I2
+                I2 *= I2
+                s_p2[:, cols] += I1_sq.T @ I2
+            else:
+                # P = I1 I2, then P^2, in I2's buffer: the broadcast form's bits with no
+                # temporary (a gemv here ran fig4's 2-worker bucket about 10 % slower)
+                I2 *= i1
+                s_p[cols] += I2.sum(axis=0)
+                I2 *= I2
+                s_p2[cols] += I2.sum(axis=0)
+            del I2  # not held while the next chunk's fields form
+
+    _dealt(helpers, reduce, range(0, g2.shape[1], width))
 
 
 def _in_order(pools, fn, items):
@@ -374,6 +435,7 @@ def _ready(value) -> Future:
     return future
 
 
+@_one_blas_thread()
 def accumulate_mc(
     config: EnsembleConfig,
     arm1: ArmPath,
@@ -405,12 +467,12 @@ def accumulate_mc(
     kernel needs 64), else m, drawn unfactored;
     Siegert's identity kernel pins all m rows (the finder's rank floor),
     forms no sketch and is gathered, not multiplied (below).  The analytic
-    engine reads G itself.  The basis comes from a fixed-key sketch, formed
-    with the BLAS held at one thread, so the bits depend on (seed, config)
-    alone on every host with NumPy's bundled OpenBLAS (on one host only
-    where _one_blas_thread finds no handle); but each call draws in its own
-    basis, so two calls with one seed (two defocus planes, say) share no
-    source fields.
+    engine reads G itself.  The whole call runs with the BLAS held at one
+    thread (_one_blas_thread), and the basis comes from a fixed-key sketch,
+    so the bits depend on (seed, config) alone on every host with NumPy's
+    bundled OpenBLAS (on one host only where _one_blas_thread finds no
+    handle); but each call draws in its own basis, so two calls with one
+    seed (two defocus planes, say) share no source fields.
     A draw is the w = len(kernel) coefficients of one block of block_size
     realizations (sample_source_block), a pure function of (seed, w, block).
     Blocks go to `workers` draw threads (one single-thread executor each, so
@@ -422,14 +484,21 @@ def accumulate_mc(
     alive: a draw-bound run (Siegert's) keeps it busy too.  Which thread
     draws a block changes no bit.  The calling thread reduces every block,
     in block-index order, into one set of zeroed running sums (_block_sums),
-    1024 columns at a time (_CHUNK_COLS).  A full map's chunk sums are
-    matrix products, I1^T I2 and (I1^2)^T (I2^2) (BLAS gemm);
-    the bucket's and the diagonal's are elementwise, in place.  A hop-free
-    side (_selection, read after the factor, whose sides are dense) is
-    gathered from the block's |c|^2, not multiplied, in the same chunks and
-    order: on unit weights (identity arms, binary masks) with the GEMM's
-    bits.  The draw times the factor (inner dimension l <= 64) runs at the
-    BLAS's own thread count: its bits do not change with it.
+    in arm-2 column chunks of 1024 (_CHUNK_COLS), or of 512 where n2 spans
+    more than one chunk (_splits).  Those chunks are dealt round-robin
+    between the calling thread and one helper thread, a single-thread
+    executor held for the whole call, which writes only its own chunks'
+    columns and is waited for before the next block; no helper runs where
+    n2 fits one chunk or the process has one usable CPU.  The chunks are
+    the same at any thread count, so the helper changes no bit.  The
+    bucket's arm-1 intensities (1024 columns at a time) and a full map's
+    whole arm-1 intensities are formed by the calling thread first.  A
+    full map's chunk sums are matrix products, I1^T I2 and (I1^2)^T (I2^2)
+    (BLAS gemm); the bucket's and the diagonal's are elementwise, in place.
+    A hop-free side (_selection, read after the factor, whose sides are
+    dense) is gathered from the block's |c|^2, not multiplied, in the same
+    chunks and order: on unit weights (identity arms, binary masks) with
+    the GEMM's bits.
     Memory stays bounded by the kernel build's working memory (one reused
     batch of mode_decomposition's default 8 rows of n complex samples per
     build thread, plus a few n-sample rows; its docstring gives the bytes)
@@ -442,7 +511,8 @@ def accumulate_mc(
     and one row block of the tail's temporaries.
     With B = block_size, m modes, n1 arm-1 columns, n2 = |x2|, S map
     entries (n1 * n2 for a full map, else n2) and W = min(max(n1, n2), 1024)
-    columns in the widest chunk, the range factor takes at most
+    columns in flight across the reduction threads (one chunk, or one of
+    512 on each), the range factor takes at most
     16*l*(6*m + 2*(n1 + n2)) bytes beside G, l being the widest basis
     it tries: m x l arrays (the test matrix, the sketch G G^H Omega, QR's
     work and Q^H), l x (n1 + n2) ones (F, and Omega^H g, formed one arm at a
@@ -452,10 +522,10 @@ def accumulate_mc(
     A draw takes at most 16*w*B' bytes, B' being B rounded out to whole
     64-realization chunks (at most B + 126; the normals are drawn into the
     complex amplitudes themselves), and the block at most
-    32*B*W + 16*(B + W) (one chunk's field and intensities beside the
+    32*B*W + 16*(B + W) (the chunks' fields and intensities beside the
     diagonal's arm-1 intensities or the bucket's B arm-1 sums), and for a
     full map also 24*B*n1 + 8*n1*W (its whole arm-1 intensities and their
-    squares, and one chunk's GEMM product), and where a side is a selection
+    squares, and the chunks' GEMM products), and where a side is a selection
     also 8*B*w (the block's |c|^2).  The selections hold at most
     16*(n1 + n2) bytes (a row index and a weight per column of a hop-free
     side) for the whole call, and the running sums 16*S + 8*(n1 + n2) bytes
@@ -465,7 +535,8 @@ def accumulate_mc(
     R = min(n1, 32) rows of a full map (_TAIL_ROWS), 1 of a bucket or a
     diagonal.  workers < 1 and block_size < 1 are refused (ValueError)
     before any build or draw; at most source.usable_cpus() draw threads run
-    beside the calling thread: more hold more draws, no faster.  The map is
+    beside the calling thread and its helper: more hold more draws, no
+    faster.  The map is
     returned as computed; siegert_normalize refuses it where g2 is not
     finite.
     """
@@ -491,8 +562,9 @@ def accumulate_mc(
     with ExitStack() as stack:
         # one thread per executor, so block j is drawn on thread j mod workers
         pools = [stack.enter_context(ThreadPoolExecutor(max_workers=1)) for _ in range(workers)]
+        helpers = stack.enter_context(_helpers(n2))
         for c in _in_order(pools, draw, blocks):
-            _block_sums(kernel, kind, c, dx, sums, selections)
+            _block_sums(kernel, kind, c, dx, sums, selections, helpers)
             del c  # not held while the next draw is awaited
 
     # the ratios, in place of the sums: g2_raw, <(I1 I2)^2>, <I1> and <I2>; then
@@ -536,13 +608,17 @@ def g2_analytic(modes: ModeSet, bucket: bool = True, *, diagonal: bool = False) 
     both over every arm-1 column held (so those must cover arm 1's output, as
     detector_kernel's do); the diagonal pairs column k of g1 with column k of
     g2, so both arms must hold the same columns.  The bucket's term2
-    forms K = g1^H g2 one block of _ANALYTIC_CHUNK arm-1 by _CHUNK_COLS arm-2
-    columns at a time, so it holds at most 24 * 256 * 1024 bytes of K and
-    |K|^2 (6 MB) whatever the scan window; column slices of 1024 keep the
-    GEMM's bits.  It runs with the BLAS held at one thread
-    (_one_blas_thread), so the bucket's and the full map's products (inner
-    dimension m) have the same bits on every host with NumPy's bundled
-    OpenBLAS.
+    forms K = g1^H g2 one block of _ANALYTIC_CHUNK arm-1 by _CHUNK_COLS // S
+    arm-2 columns at a time (_splits: 1024, or 512 past one chunk).  Each
+    arm-1 block's slices are dealt round-robin between the calling thread
+    and, at S = 2 with two usable CPUs, one helper thread (_dealt; no pool
+    is made otherwise), each slice adding into its own columns of term2 in
+    arm-1 block order.  So it holds at most 24 * 256 * 1024 bytes of K and
+    |K|^2 (6 MB) across the threads whatever the scan window, and the
+    slices, and their bits, do not depend on the threads.  It runs with the
+    BLAS held at one thread (_one_blas_thread), so the bucket's and the full
+    map's products (inner dimension m) have the same bits on every host
+    with NumPy's bundled OpenBLAS.
     """
     if len(modes) == 0:
         raise ValueError("mode set is empty")
@@ -552,13 +628,20 @@ def g2_analytic(modes: ModeSet, bucket: bool = True, *, diagonal: bool = False) 
 
     if kind == "bucket":
         i1_mean: np.ndarray | float = float(rho1.sum() * dx)
-        term2 = np.zeros(len(modes.columns2))
-        for c0 in range(0, len(modes.columns1), _ANALYTIC_CHUNK):
-            g1_h = modes.g1[:, c0 : c0 + _ANALYTIC_CHUNK].conj().T
-            for k0 in range(0, len(modes.columns2), _CHUNK_COLS):
-                cols = slice(k0, k0 + _CHUNK_COLS)
+        n2 = len(modes.columns2)
+        term2 = np.zeros(n2)
+        width = _CHUNK_COLS // _splits(n2)
+
+        def add_term(g1_h, starts):
+            for k0 in starts:
+                cols = slice(k0, k0 + width)
                 # K = g1^H g2 is a temporary, not held while the next chunk's forms
                 term2[cols] += _abs2(g1_h @ modes.g2[:, cols]).sum(axis=0)
+
+        with _helpers(n2) as helpers:
+            for c0 in range(0, len(modes.columns1), _ANALYTIC_CHUNK):
+                g1_h = modes.g1[:, c0 : c0 + _ANALYTIC_CHUNK].conj().T
+                _dealt(helpers, partial(add_term, g1_h), range(0, n2, width))
         term2 *= dx
     elif kind == "diagonal":
         if not np.array_equal(modes.columns1, modes.columns2):

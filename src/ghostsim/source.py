@@ -37,7 +37,7 @@ from .optics import ArmPath, Lens, Propagate, apply_path_block, lens_phase
 __all__ = ["EnsembleConfig", "ModeSet", "sample_source_block", "mode_decomposition"]
 
 _CHUNK = 64  # realizations per Philox counter: part of the stream's definition
-_BUILD_THREADS = 2  # most kernel build threads: measured to pay at 2; each holds a batch buffer
+MAX_THREADS = 2  # most threads a kernel build or a reduction splits over: measured to pay at 2
 
 
 def usable_cpus() -> int:
@@ -179,7 +179,7 @@ def _arm_kernel(
     twice over (the impulse's buffer is freed once that is built).  The
     elements from there to the last hop run on the plan's rows, block_size at
     a time.  The batches are dealt into
-    T = min(_BUILD_THREADS, usable_cpus(), batches) strides (every T-th
+    T = min(MAX_THREADS, usable_cpus(), batches) strides (every T-th
     batch), each run by a pool thread, in place, in a (block_size, n) buffer
     of its own; all T buffers are made before any thread starts, and the
     calling thread waits for the pool, at T = 1 too, so every batch's span
@@ -210,7 +210,7 @@ def _arm_kernel(
         mirrored, mcols = rows != run[inv], (n - cols) % n
         g = np.empty((len(rows), len(cols)), dtype=np.complex128)
         starts = range(0, len(run), block_size)
-        threads = min(_BUILD_THREADS, usable_cpus(), len(starts))
+        threads = min(MAX_THREADS, usable_cpus(), len(starts))
 
         def build(buf, b0s):  # the batches at b0s, in this thread's own buffer
             for b0 in b0s:

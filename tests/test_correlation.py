@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -561,6 +565,44 @@ def test_mc_draw_runs_one_block_ahead_of_the_reduction(small_grid, geometry, wor
         assert np.array_equal(getattr(out, name), getattr(ref, name)), name
 
 
+@pytest.mark.parametrize("kind", ["bucket", "diagonal", "full"])
+def test_mc_maps_do_not_depend_on_the_reduction_threads(small_grid, kind, monkeypatch):
+    # at 512 columns a chunk, the 1301 scan columns are 3 chunks, so each
+    # block is reduced 256 columns at a time on T = min(2, usable CPUs)
+    # threads: the calling thread alone at one CPU, one helper beside it at
+    # two or eight.  The products are the same at every T (at 512 columns
+    # on one thread, the full map's last 277-column I1^T I2 rounded its last
+    # 5 columns apart from the 21-column one of two threads), each column's
+    # sums are written by one thread and blocks are added in index order
+    # (300 realizations: a full block and a ragged one), so every map has
+    # the same bits.  The double slit's 50 arm-1 columns fit one chunk
+    config = make_config(small_grid, WIDE_SOURCE, n_realizations=300, seed=29)
+    obj = make_double_slit(small_grid, 1e-3, 0.2e-3)
+    arms = build_arms(WIDE_SOURCE, obj)
+    x2 = scan_indices(small_grid, 5.2e-3)
+    options = dict(bucket=kind == "bucket", diagonal=kind == "diagonal",
+                   x1_indices=obj.support_indices() if kind == "full" else None, x2_indices=x2)
+    assert len(x2) == 1301 and len(obj.support_indices()) == 50
+    caller, lock, formed, abs2 = threading.get_ident(), threading.Lock(), set(), correlation._abs2
+
+    def recorded(x):
+        with lock:
+            formed.add(threading.get_ident())
+        return abs2(x)
+
+    monkeypatch.setattr(correlation, "_CHUNK_COLS", 512)
+    monkeypatch.setattr(correlation, "_abs2", recorded)
+    maps = {}
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(correlation, "usable_cpus", lambda: cpus)
+        formed.clear()
+        maps[cpus] = accumulate_mc(config, *arms, **options)
+        assert caller in formed and len(formed - {caller}) == min(2, cpus) - 1, cpus
+    for cpus in (2, 8):
+        for name in ("g2_raw", "eps", "i1_mean", "i2_mean"):
+            assert np.array_equal(getattr(maps[cpus], name), getattr(maps[1], name)), (cpus, name)
+
+
 def _traced_peak(call):
     tracemalloc.start()
     try:
@@ -627,7 +669,8 @@ def test_mc_memory_within_the_documented_bound(small_grid, geometry, kind, worke
 
 
 @pytest.mark.parametrize("kind", ["full", "bucket", "diagonal"])
-def test_mc_memory_grows_with_the_window_by_held_columns_only(small_grid, geometry, kind):
+def test_mc_memory_grows_with_the_window_by_held_columns_only(small_grid, geometry, kind,
+                                                              monkeypatch):
     # past _CHUNK_COLS scan columns a block stops growing: one more column
     # costs accumulate_mc, beyond the kernel build (whose peak holds the
     # kernel's column), only its map entries' sums and the tail's eps
@@ -637,14 +680,17 @@ def test_mc_memory_grows_with_the_window_by_held_columns_only(small_grid, geomet
     # other's, as the threads' timing has it.  The full map's 601 arm-1
     # columns make a whole-map tail (9*n1 bytes a column, not 9*32) its peak:
     # with one, the growth exceeded this bound by 0.55 MB; the row-block tail
-    # stays 0.45 MB inside it
+    # stays 0.45 MB inside it.  One usable CPU: on two reduction threads a
+    # block holds one 512-column chunk or two, as their timing has it
+    # (test_mc_reduction_threads_hold_one_chunk_of_columns bounds the two)
+    monkeypatch.setattr(correlation, "usable_cpus", lambda: 1)
     config = make_config(small_grid, geometry, n_realizations=512, seed=17)
     obj = make_double_slit(small_grid, 1e-3, 0.2e-3)
     arms = build_arms(geometry, obj)
     grown, held = [], []
     for halfwidth in (4.4e-3, 8e-3):
         x2 = scan_indices(small_grid, halfwidth)
-        assert len(x2) > 1024  # so a block's chunk is 1024 columns at either width
+        assert len(x2) > 1024  # so a block's chunk is 512 columns at either width
         options = dict(bucket=kind == "bucket", diagonal=kind == "diagonal",
                        x1_indices=scan_indices(small_grid, 2.4e-3) if kind == "full" else None,
                        x2_indices=x2)
@@ -659,6 +705,31 @@ def test_mc_memory_grows_with_the_window_by_held_columns_only(small_grid, geomet
         mc_peak = _traced_peak(lambda: accumulate_mc(config, *arms, **options))
         grown.append(mc_peak - kernel_peak)
     assert grown[1] - grown[0] <= held[1] - held[0] + draw + 64 * 1024, (grown, held)
+
+
+@pytest.mark.parametrize("kind", ["full", "bucket", "diagonal"])
+def test_mc_reduction_threads_hold_one_chunk_of_columns(small_grid, geometry, kind,
+                                                        monkeypatch):
+    # 2001 scan columns are reduced 512 at a time, on one thread at one CPU
+    # and on two at two: the second thread's chunk is the only growth, so
+    # the columns in flight stay the documented W = 1024 (32*B*512 bytes
+    # of field and intensities more, and a full map's 8*n1*512 of product)
+    config = make_config(small_grid, geometry, n_realizations=512, seed=17)
+    obj = make_double_slit(small_grid, 1e-3, 0.2e-3)
+    arms = build_arms(geometry, obj)
+    options = dict(bucket=kind == "bucket", diagonal=kind == "diagonal",
+                   x1_indices=scan_indices(small_grid, 2.4e-3) if kind == "full" else None,
+                   x2_indices=scan_indices(small_grid, 8e-3))
+    kernel = detector_kernel(config, *arms, **options)
+    n1, n2 = len(kernel.columns1), len(kernel.columns2)
+    assert n2 > 2 * correlation._CHUNK_COLS - 512
+    del kernel
+    peaks = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(correlation, "usable_cpus", lambda: cpus)
+        peaks.append(_traced_peak(lambda: accumulate_mc(config, *arms, **options)))
+    half = 32 * 256 * 512 + (8 * n1 * 512 if kind == "full" else 0)
+    assert peaks[1] <= peaks[0] + half + 64 * 1024, peaks
 
 
 def test_normalization_of_a_full_map_holds_only_its_result():
@@ -703,20 +774,50 @@ def test_analytic_bucket_term_equals_the_unchunked_sum(small_grid, bench):
         assert np.array_equal(diagonal.i1_mean, rho2)
 
 
+def test_analytic_bucket_term_does_not_depend_on_the_reduction_threads(small_grid,
+                                                                        monkeypatch):
+    # at 64 columns a chunk, the 501 scan columns are 8 chunks: term2's
+    # column slices, 32 wide at any T, are dealt to T = min(2, CPUs) threads,
+    # with no pool at T = 1, and give the same bits at every T
+    config = make_config(small_grid, WIDE_SOURCE)
+    arms = build_arms(WIDE_SOURCE, make_double_slit(small_grid, 1e-3, 0.2e-3))
+    kernel = detector_kernel(config, *arms, x2_indices=scan_indices(small_grid, 2e-3))
+    pools, pool, maps = [], correlation.ThreadPoolExecutor, {}
+
+    class Counted(pool):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(correlation, "_CHUNK_COLS", 64)
+    monkeypatch.setattr(correlation, "ThreadPoolExecutor", Counted)
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(correlation, "usable_cpus", lambda: cpus)
+        pools.clear()
+        maps[cpus] = g2_analytic(kernel)
+        assert pools == [1] * (min(2, cpus) - 1), cpus
+    for cpus in (2, 8):
+        for name in ("g2_raw", "term2"):
+            assert np.array_equal(getattr(maps[cpus], name), getattr(maps[1], name)), (cpus, name)
+
+
 def test_analytic_bucket_memory_grows_with_the_window_by_held_columns_only(small_grid,
-                                                                            geometry):
+                                                                            geometry,
+                                                                            monkeypatch):
     # past _CHUNK_COLS scan columns the bucket's K = g1^H g2 stops growing,
     # and past _RHO_COLS so does rho's |g2|^2: one more column costs
     # g2_analytic, beyond the kernel, only its map entries (rho2, term2,
     # g2_raw, the marginal product and x2), not K's and |K|^2's 24*n1 (6000)
-    # nor |g2|^2's 8*m (200)
+    # nor |g2|^2's 8*m (200).  One usable CPU: on two threads K is one
+    # 512-column slice or two, as their timing has it
+    monkeypatch.setattr(correlation, "usable_cpus", lambda: 1)
     config = make_config(small_grid, geometry)
     arms = build_arms(geometry, make_slit(small_grid, 0.0, 2e-3))
     grown, held = [], []
     for halfwidth in (4.4e-3, 8e-3):
         kernel = detector_kernel(config, *arms, x2_indices=scan_indices(small_grid, halfwidth))
         n2 = kernel.g2.shape[1]
-        assert n2 > correlation._CHUNK_COLS  # so K is 1024 columns wide at either width
+        assert n2 > correlation._CHUNK_COLS  # so K is 512 columns wide at either width
         held.append(40 * n2)
         grown.append(_traced_peak(lambda: g2_analytic(kernel)))
     assert grown[1] - grown[0] <= held[1] - held[0] + 64 * 1024, (grown, held)
@@ -803,7 +904,7 @@ def test_block_sums_equal_the_einsum_and_broadcast_forms(small_grid, kind, monke
                     want = [P.sum(axis=0), (P**2).sum(axis=0)]
                 want += [I1.sum(axis=0), I2.sum(axis=0)]
                 got = [np.zeros_like(w) for w in want]
-                correlation._block_sums(kernel, kind, c, dx, got, (None, None))
+                correlation._block_sums(kernel, kind, c, dx, got, (None, None), [])
                 for name, g, w in zip(("P", "P2", "I1", "I2"), got, want):
                     if kind == "full" and name in ("P", "P2"):
                         # GEMM sums non-negative terms in another order: k1 - k0 ulps at most
@@ -812,7 +913,7 @@ def test_block_sums_equal_the_einsum_and_broadcast_forms(small_grid, kind, monke
                         assert np.array_equal(g, w), (bench, chunk, k0, name)
                 if bench != "factor":
                     gathered = [np.zeros_like(w) for w in want]
-                    correlation._block_sums(kernel, kind, c, dx, gathered, selections)
+                    correlation._block_sums(kernel, kind, c, dx, gathered, selections, [])
                     for name, g, d in zip(("P", "P2", "I1", "I2"), gathered, got):
                         assert np.array_equal(g, d), (bench, chunk, k0, name)
 
@@ -1287,3 +1388,37 @@ def test_one_blas_thread_does_nothing_where_no_handle_is_found(monkeypatch):
     count = handle[0]() if handle else None
     with correlation._one_blas_thread():
         assert (handle[0]() if handle else None) == count
+
+
+_FULL_MAP = """
+import sys
+import numpy as np
+from ghostsim import EnsembleConfig, Grid1D, SetupGeometry, accumulate_mc, make_double_slit
+from ghostsim.experiment import build_arms, scan_indices
+grid, geometry = Grid1D(n=2048, dx=8e-6), SetupGeometry()
+config = EnsembleConfig(n_realizations=512, seed=5, geometry=geometry, grid=grid)
+obj = make_double_slit(grid, 1e-3, 0.2e-3)
+maps = [accumulate_mc(config, *build_arms(geometry, obj), bucket=False,
+                      x1_indices=obj.support_indices(), x2_indices=scan_indices(grid, h))
+        for h in (2e-3, 4.4e-3)]
+np.savez(sys.argv[1], *[getattr(m, k) for m in maps for k in ("g2_raw", "eps", "i1_mean")])
+"""
+
+
+def test_full_map_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # a full map's I1^T I2 (inner dimension B = 256) changed bits with the
+    # OpenBLAS thread count on the 501-column window; accumulate_mc holds the
+    # BLAS at one thread, and the 1101-column window is reduced on two threads
+    root = Path(__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(root / "src"), "OPENBLAS_NUM_THREADS": threads}
+        out = tmp_path / f"blas{threads}.npz"
+        res = subprocess.run([sys.executable, "-c", _FULL_MAP, str(out)],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        with np.load(out) as data:
+            outputs.append([data[k] for k in sorted(data.files)])
+    assert len(outputs[0]) == 6
+    for a, b in zip(*outputs):
+        assert np.array_equal(a, b)

@@ -378,7 +378,7 @@ def test_kernel_bits_do_not_depend_on_the_build_threads(small_grid, geometry, mo
     sys.setswitchinterval(1e-6)  # the threads that write g's rows trade places often
     try:
         for threads in (1, 2, 5):
-            monkeypatch.setattr(source, "_BUILD_THREADS", threads)
+            monkeypatch.setattr(source, "MAX_THREADS", threads)
             monkeypatch.setattr(source, "usable_cpus", lambda: threads)
             batch_threads.clear(), pool_sizes.clear()
             kernels[threads] = mode_decomposition(config, arm1, arm2, block_size,
