@@ -27,10 +27,13 @@ map's I1^T I2 over a block's realizations), and OpenBLAS threads by the
 host's cores.  Both engines therefore run with NumPy's bundled OpenBLAS held
 at one thread (_one_blas_thread) for the whole call.  The MC reduction and
 the analytic bucket's interference term deal their arm-2 column products to
-up to two threads of their own instead, products whose widths are read from
-the kernel alone (_splits).  So (seed, config) fix every output bit on every
-host with that BLAS; where no such handle is found (an MKL, Accelerate or
-system BLAS), the hold does nothing and the bits are fixed on one host only.
+up to two threads of their own instead (_helpers), each product one slice of
+a fixed _CHUNK_COLS = 512 columns.  The width is a constant, not read from
+the host, because OpenBLAS rounds a product's last N mod 4 (complex) or
+N mod 8 (real, past some N) columns apart from the same columns inside a
+wider product.  So (seed, config) fix every output bit on every host with
+that BLAS; where no such handle is found (an MKL, Accelerate or system
+BLAS), the hold does nothing and the bits are fixed on one host only.
 
 The observable's rules live here alone: the bucket's columns, refused when
 its mask is opaque (detector_kernel), and normalization, refused where g2 is
@@ -71,7 +74,7 @@ __all__ = [
 
 _FULL_MAP_LIMIT = 1 << 24  # refuse full x1-by-x2 maps above this many entries
 _ANALYTIC_CHUNK = 256  # arm-1 columns per bucket term2 product in g2_analytic
-_CHUNK_COLS = 1024  # arm-2 columns per product: an MC block's reduction, the analytic bucket
+_CHUNK_COLS = 512  # columns per product slice: an MC block's reduction, the analytic bucket
 _RHO_COLS = 64  # widest column block of |g|^2 in g2_analytic's rho: 768 KB at m = 1500
 _FACTOR_TOL = 1e-12  # the range factor's bound on ||G^H G - F^H F||_F / ||G||_F^2
 _FACTOR_WIDTH = 32  # the range finder's first basis width, doubled until the bound holds
@@ -295,24 +298,14 @@ def _sketch_term(g: np.ndarray, omega_h: np.ndarray) -> np.ndarray:
     return g @ np.conjugate(y, out=y).T
 
 
-def _splits(columns: int) -> int:
-    """S = min(MAX_THREADS, the _CHUNK_COLS-wide chunks of `columns` arm-2
-    columns), at least 1.  A reduction over them forms products of
-    _CHUNK_COLS // S columns, on T = min(S, usable_cpus()) threads (_helpers),
-    so its columns in flight are at most _CHUNK_COLS at any T.  S is read
-    from the columns alone, not from the host, so every product, and its
-    bits, is the same at every T: OpenBLAS rounds a product's last N mod 4
-    (complex) or N mod 8 (real, past some N) columns apart from the same
-    columns inside a wider product."""
-    return max(1, min(MAX_THREADS, -(-columns // _CHUNK_COLS)))
-
-
 @contextmanager
 def _helpers(columns: int):
-    """The T - 1 helper threads of a reduction over `columns` arm-2 columns,
-    T = min(_splits(columns), usable_cpus()): one single-thread executor
-    each, so stride t of _dealt runs on one thread; none at T = 1."""
-    threads = min(_splits(columns), usable_cpus())
+    """The T - 1 helper threads of a reduction over `columns` arm-2 columns
+    in _CHUNK_COLS-wide slices, T = min(MAX_THREADS, usable_cpus(), slices),
+    at least 1: one single-thread executor each, so stride t of _dealt runs
+    on one thread; none at T = 1."""
+    slices = -(-columns // _CHUNK_COLS)
+    threads = max(1, min(MAX_THREADS, usable_cpus(), slices))
     with ExitStack() as stack:
         yield [stack.enter_context(ThreadPoolExecutor(max_workers=1))
                for _ in range(threads - 1)]
@@ -320,8 +313,9 @@ def _helpers(columns: int):
 
 def _dealt(helpers, run, items):
     """run(items[t::T]) for each t < T = len(helpers) + 1, dealt round-robin:
-    stride 0 on the calling thread and stride t on helpers[t - 1]; returns
-    once every stride is done, so no helper still writes after it."""
+    stride 0 on the calling thread and stride t on helpers[t - 1], so at most
+    T slices, one per thread, are in flight; returns once every stride is
+    done, so no helper still writes after it."""
     threads = len(helpers) + 1
     futures = [h.submit(run, items[t::threads]) for t, h in enumerate(helpers, 1)]
     try:
@@ -334,13 +328,14 @@ def _dealt(helpers, run, items):
 def _block_sums(kernel, kind, c, dx, sums, selections, helpers):
     """Add (sum I1 I2, sum (I1 I2)^2, sum I1, sum I2) over the realizations
     whose source amplitudes are the rows of c into sums, in place; dx weighs
-    the bucket's sum over x1.  Arm 2's columns are walked in chunks of
-    _CHUNK_COLS // S (_splits), dealt round-robin between the calling
-    thread and the len(helpers) <= S - 1 helper threads (_dealt), and arm
-    1's with them (diagonal); the bucket's arm-1 chunks, _CHUNK_COLS wide,
-    and a full map's whole arm-1 intensities, which both its GEMMs read, are
-    formed first on the calling thread.  So no field or intensity in flight
-    is wider than B x _CHUNK_COLS across the threads, but a full map's arm-1
+    the bucket's sum over x1.  Arm 2's columns are walked in _CHUNK_COLS-wide
+    slices, dealt round-robin between the calling thread and the
+    len(helpers) helper threads (_dealt), and arm 1's with them (diagonal);
+    the bucket's arm-1 intensities, in slices of the same width, and a full
+    map's whole arm-1 intensities, which both its GEMMs read, are formed
+    first on the calling thread.  So no field or intensity in flight is wider
+    than B x W across the T = len(helpers) + 1 threads,
+    W = min(max(n1, n2), T * _CHUNK_COLS), but a full map's arm-1
     intensities.  Each column's sums are written by one thread, by the same
     products and elementwise steps whatever the helpers, so no bit depends
     on them.  A side whose selection (_selection) is not None is gathered
@@ -360,7 +355,7 @@ def _block_sums(kernel, kind, c, dx, sums, selections, helpers):
 
     g1, g2 = kernel.g1, kernel.g2
     sel1, sel2 = selections
-    I1 = None  # the diagonal's arm-1 intensities are formed chunk by chunk
+    I1 = None  # the diagonal's arm-1 intensities are formed slice by slice
     if kind == "full":
         I1 = intensities(g1, sel1)
         s_i1 += I1.sum(axis=0)
@@ -372,11 +367,10 @@ def _block_sums(kernel, kind, c, dx, sums, selections, helpers):
         I1 *= dx
         s_i1 += I1.sum(axis=0)
         I1 = I1[:, None]
-    width = _CHUNK_COLS // _splits(g2.shape[1])
 
     def reduce(starts):
         for c0 in starts:
-            cols = slice(c0, c0 + width)
+            cols = slice(c0, c0 + _CHUNK_COLS)
             i1 = I1
             if kind == "diagonal":
                 i1 = intensities(g1, sel1, cols)
@@ -394,9 +388,9 @@ def _block_sums(kernel, kind, c, dx, sums, selections, helpers):
                 s_p[cols] += I2.sum(axis=0)
                 I2 *= I2
                 s_p2[cols] += I2.sum(axis=0)
-            del I2  # not held while the next chunk's fields form
+            del I2  # not held while the next slice's fields form
 
-    _dealt(helpers, reduce, range(0, g2.shape[1], width))
+    _dealt(helpers, reduce, range(0, g2.shape[1], _CHUNK_COLS))
 
 
 def _in_order(pools, fn, items):
@@ -484,20 +478,20 @@ def accumulate_mc(
     alive: a draw-bound run (Siegert's) keeps it busy too.  Which thread
     draws a block changes no bit.  The calling thread reduces every block,
     in block-index order, into one set of zeroed running sums (_block_sums),
-    in arm-2 column chunks of 1024 (_CHUNK_COLS), or of 512 where n2 spans
-    more than one chunk (_splits).  Those chunks are dealt round-robin
-    between the calling thread and one helper thread, a single-thread
-    executor held for the whole call, which writes only its own chunks'
-    columns and is waited for before the next block; no helper runs where
-    n2 fits one chunk or the process has one usable CPU.  The chunks are
-    the same at any thread count, so the helper changes no bit.  The
-    bucket's arm-1 intensities (1024 columns at a time) and a full map's
-    whole arm-1 intensities are formed by the calling thread first.  A
-    full map's chunk sums are matrix products, I1^T I2 and (I1^2)^T (I2^2)
-    (BLAS gemm); the bucket's and the diagonal's are elementwise, in place.
+    in arm-2 column slices of 512 (_CHUNK_COLS).  Those slices are dealt
+    round-robin between the calling thread and one helper thread
+    (_helpers), a single-thread executor held for the whole call, which
+    writes only its own slices' columns and is waited for before the next
+    block; no helper runs where n2 fits one slice or the process has one
+    usable CPU.  The slices are the same at any thread count, so the helper
+    changes no bit.  The bucket's arm-1 intensities (512 columns at a time)
+    and a full map's whole arm-1 intensities are formed by the calling
+    thread first.  A full map's slice sums are matrix products, I1^T I2 and
+    (I1^2)^T (I2^2) (BLAS gemm); the bucket's and the diagonal's are
+    elementwise, in place.
     A hop-free side (_selection, read after the factor, whose sides are
     dense) is gathered from the block's |c|^2, not multiplied, in the same
-    chunks and order: on unit weights (identity arms, binary masks) with
+    slices and order: on unit weights (identity arms, binary masks) with
     the GEMM's bits.
     Memory stays bounded by the kernel build's working memory (one reused
     batch of mode_decomposition's default 8 rows of n complex samples per
@@ -510,9 +504,10 @@ def accumulate_mc(
     slow draw holds back the sending of later ones); and last by the sums
     and one row block of the tail's temporaries.
     With B = block_size, m modes, n1 arm-1 columns, n2 = |x2|, S map
-    entries (n1 * n2 for a full map, else n2) and W = min(max(n1, n2), 1024)
-    columns in flight across the reduction threads (one chunk, or one of
-    512 on each), the range factor takes at most
+    entries (n1 * n2 for a full map, else n2) and
+    W = min(max(n1, n2), T * 512) columns in flight across the T reduction
+    threads (one slice on each; at most 1024 while MAX_THREADS = 2), the
+    range factor takes at most
     16*l*(6*m + 2*(n1 + n2)) bytes beside G, l being the widest basis
     it tries: m x l arrays (the test matrix, the sketch G G^H Omega, QR's
     work and Q^H), l x (n1 + n2) ones (F, and Omega^H g, formed one arm at a
@@ -522,10 +517,10 @@ def accumulate_mc(
     A draw takes at most 16*w*B' bytes, B' being B rounded out to whole
     64-realization chunks (at most B + 126; the normals are drawn into the
     complex amplitudes themselves), and the block at most
-    32*B*W + 16*(B + W) (the chunks' fields and intensities beside the
+    32*B*W + 16*(B + W) (the slices' fields and intensities beside the
     diagonal's arm-1 intensities or the bucket's B arm-1 sums), and for a
     full map also 24*B*n1 + 8*n1*W (its whole arm-1 intensities and their
-    squares, and the chunks' GEMM products), and where a side is a selection
+    squares, and the slices' GEMM products), and where a side is a selection
     also 8*B*w (the block's |c|^2).  The selections hold at most
     16*(n1 + n2) bytes (a row index and a weight per column of a hop-free
     side) for the whole call, and the running sums 16*S + 8*(n1 + n2) bytes
@@ -608,14 +603,14 @@ def g2_analytic(modes: ModeSet, bucket: bool = True, *, diagonal: bool = False) 
     both over every arm-1 column held (so those must cover arm 1's output, as
     detector_kernel's do); the diagonal pairs column k of g1 with column k of
     g2, so both arms must hold the same columns.  The bucket's term2
-    forms K = g1^H g2 one block of _ANALYTIC_CHUNK arm-1 by _CHUNK_COLS // S
-    arm-2 columns at a time (_splits: 1024, or 512 past one chunk).  Each
-    arm-1 block's slices are dealt round-robin between the calling thread
-    and, at S = 2 with two usable CPUs, one helper thread (_dealt; no pool
-    is made otherwise), each slice adding into its own columns of term2 in
-    arm-1 block order.  So it holds at most 24 * 256 * 1024 bytes of K and
-    |K|^2 (6 MB) across the threads whatever the scan window, and the
-    slices, and their bits, do not depend on the threads.  It runs with the
+    forms K = g1^H g2 one block of _ANALYTIC_CHUNK arm-1 by _CHUNK_COLS
+    arm-2 columns at a time (256 x 512).  Each arm-1 block's slices are
+    dealt round-robin between the calling thread and, past one slice with
+    two usable CPUs, one helper thread (_helpers, _dealt; no pool is made
+    otherwise), each slice adding into its own columns of term2 in arm-1
+    block order.  So it holds at most 24 * 256 * 512 bytes of K and |K|^2
+    (3 MB) on each thread whatever the scan window, and the slices, and
+    their bits, do not depend on the threads.  It runs with the
     BLAS held at one thread (_one_blas_thread), so the bucket's and the full
     map's products (inner dimension m) have the same bits on every host
     with NumPy's bundled OpenBLAS.
@@ -630,18 +625,17 @@ def g2_analytic(modes: ModeSet, bucket: bool = True, *, diagonal: bool = False) 
         i1_mean: np.ndarray | float = float(rho1.sum() * dx)
         n2 = len(modes.columns2)
         term2 = np.zeros(n2)
-        width = _CHUNK_COLS // _splits(n2)
 
         def add_term(g1_h, starts):
             for k0 in starts:
-                cols = slice(k0, k0 + width)
-                # K = g1^H g2 is a temporary, not held while the next chunk's forms
+                cols = slice(k0, k0 + _CHUNK_COLS)
+                # K = g1^H g2 is a temporary, not held while the next slice's forms
                 term2[cols] += _abs2(g1_h @ modes.g2[:, cols]).sum(axis=0)
 
         with _helpers(n2) as helpers:
             for c0 in range(0, len(modes.columns1), _ANALYTIC_CHUNK):
                 g1_h = modes.g1[:, c0 : c0 + _ANALYTIC_CHUNK].conj().T
-                _dealt(helpers, partial(add_term, g1_h), range(0, n2, width))
+                _dealt(helpers, partial(add_term, g1_h), range(0, n2, _CHUNK_COLS))
         term2 *= dx
     elif kind == "diagonal":
         if not np.array_equal(modes.columns1, modes.columns2):

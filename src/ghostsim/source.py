@@ -184,10 +184,10 @@ def _arm_kernel(
     of its own; all T buffers are made before any thread starts, and the
     calling thread waits for the pool, at T = 1 too, so every batch's span
     nests in its caller's.  Each FFT row is computed alone, so no bit depends
-    on T.  An empty batch run through the segment first builds and checks
-    its transfer functions and lens phases once, before the threads read
-    them from optics' caches.  The mirror rule
-    holds because the centred response is even when that segment is (the
+    on T; with no batch (no row to run) no pool is made.  An empty batch
+    run through the segment first builds and checks its transfer functions
+    and lens phases once, before the threads read them from optics' caches.
+    The mirror rule holds because the centred response is even when that segment is (the
     coordinates are (k - n/2) dx, and fftfreq negates exactly, so H(nu) is
     exactly even): row (n - r) % n is row r mirrored, read at the mirrored
     columns (n - cols) % n, and only FFT rounding tells the two apart.
@@ -224,8 +224,9 @@ def _arm_kernel(
         # every buffer is made before any thread starts, so all of them are held at once
         shape = (min(block_size, len(run)), n)
         bufs = [np.empty(shape, dtype=np.complex128) for _ in range(threads)]
-        with ThreadPoolExecutor(threads) as pool:  # the calling thread waits
-            list(pool.map(build, bufs, (starts[t::threads] for t in range(threads))))
+        if threads:  # an empty column array runs no batch
+            with ThreadPoolExecutor(threads) as pool:  # the calling thread waits
+                list(pool.map(build, bufs, (starts[t::threads] for t in range(threads))))
     if arm.elements[last:]:  # an arm that ends in a hop has no trailing factor
         g *= apply_path_block(np.ones(n), grid, wavelength, ArmPath(arm.elements[last:]))[cols]
     return g

@@ -309,9 +309,25 @@ def test_kernel_columns_off_the_grid_are_refused_before_any_hop(small_grid, geom
 
 
 def test_an_empty_column_array_gives_an_empty_kernel(small_grid, geometry):
+    # the lens arm's hop after its lens runs on no row when built from the
+    # empty detector side: no batch, so no build pool is made (an empty one
+    # was refused: "max_workers must be greater than 0"), and both engines
+    # return empty maps of every kind
     config = make_config(small_grid, geometry, n_realizations=8)
     kernel = detector_kernel(config, IDENTITY, IDENTITY, bucket=False, x2_indices=np.arange(0))
     assert kernel.g1.shape == kernel.g2.shape == (len(kernel), 0)
+    lens_arms = build_arms(geometry, make_slit(small_grid, 0.0, 0.4e-3))
+    for arms in ((IDENTITY, IDENTITY), lens_arms):
+        for kind in ("bucket", "diagonal", "full"):
+            options = dict(bucket=kind == "bucket", diagonal=kind == "diagonal",
+                           x2_indices=np.arange(0))
+            kernel = detector_kernel(config, *arms, **options)
+            assert kernel.g2.shape == (len(kernel), 0)
+            shape = (0, 0) if kind == "full" else (0,)
+            analytic = g2_analytic(kernel, options["bucket"], diagonal=options["diagonal"])
+            for cmap in (accumulate_mc(config, *arms, **options), analytic):
+                assert cmap.kind == kind and cmap.g2_raw.shape == shape
+                assert cmap.x2.shape == cmap.i2_mean.shape == (0,)
 
 
 def test_an_empty_scan_window_or_mode_set_is_refused(small_grid, geometry):
@@ -567,22 +583,19 @@ def test_mc_draw_runs_one_block_ahead_of_the_reduction(small_grid, geometry, wor
 
 @pytest.mark.parametrize("kind", ["bucket", "diagonal", "full"])
 def test_mc_maps_do_not_depend_on_the_reduction_threads(small_grid, kind, monkeypatch):
-    # at 512 columns a chunk, the 1301 scan columns are 3 chunks, so each
-    # block is reduced 256 columns at a time on T = min(2, usable CPUs)
-    # threads: the calling thread alone at one CPU, one helper beside it at
-    # two or eight.  The products are the same at every T (at 512 columns
-    # on one thread, the full map's last 277-column I1^T I2 rounded its last
-    # 5 columns apart from the 21-column one of two threads), each column's
-    # sums are written by one thread and blocks are added in index order
-    # (300 realizations: a full block and a ragged one), so every map has
-    # the same bits.  The double slit's 50 arm-1 columns fit one chunk
+    # the 801 and 1301 scan columns are 2 and 3 slices of 512, so each block
+    # is reduced 512 columns at a time on T = min(2, usable CPUs) threads:
+    # the calling thread alone at one CPU, one helper beside it at two or
+    # eight.  The slices are the same at every T (a width read from T would
+    # not be: the full map's last 277-column I1^T I2 rounded its last 5
+    # columns apart from a 21-column one), each column's sums are written by
+    # one thread and blocks are added in index order (300 realizations: a
+    # full block and a ragged one), so every map has the same bits.  The
+    # double slit's 50 arm-1 columns fit one slice
     config = make_config(small_grid, WIDE_SOURCE, n_realizations=300, seed=29)
     obj = make_double_slit(small_grid, 1e-3, 0.2e-3)
     arms = build_arms(WIDE_SOURCE, obj)
-    x2 = scan_indices(small_grid, 5.2e-3)
-    options = dict(bucket=kind == "bucket", diagonal=kind == "diagonal",
-                   x1_indices=obj.support_indices() if kind == "full" else None, x2_indices=x2)
-    assert len(x2) == 1301 and len(obj.support_indices()) == 50
+    assert len(obj.support_indices()) == 50
     caller, lock, formed, abs2 = threading.get_ident(), threading.Lock(), set(), correlation._abs2
 
     def recorded(x):
@@ -590,17 +603,23 @@ def test_mc_maps_do_not_depend_on_the_reduction_threads(small_grid, kind, monkey
             formed.add(threading.get_ident())
         return abs2(x)
 
-    monkeypatch.setattr(correlation, "_CHUNK_COLS", 512)
     monkeypatch.setattr(correlation, "_abs2", recorded)
-    maps = {}
-    for cpus in (1, 2, 8):
-        monkeypatch.setattr(correlation, "usable_cpus", lambda: cpus)
-        formed.clear()
-        maps[cpus] = accumulate_mc(config, *arms, **options)
-        assert caller in formed and len(formed - {caller}) == min(2, cpus) - 1, cpus
-    for cpus in (2, 8):
-        for name in ("g2_raw", "eps", "i1_mean", "i2_mean"):
-            assert np.array_equal(getattr(maps[cpus], name), getattr(maps[1], name)), (cpus, name)
+    for halfwidth, n2 in ((3.2e-3, 801), (5.2e-3, 1301)):
+        x2 = scan_indices(small_grid, halfwidth)
+        options = dict(bucket=kind == "bucket", diagonal=kind == "diagonal",
+                       x1_indices=obj.support_indices() if kind == "full" else None,
+                       x2_indices=x2)
+        assert len(x2) == n2
+        maps = {}
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(correlation, "usable_cpus", lambda: cpus)
+            formed.clear()
+            maps[cpus] = accumulate_mc(config, *arms, **options)
+            assert caller in formed and len(formed - {caller}) == min(2, cpus) - 1, (n2, cpus)
+        for cpus in (2, 8):
+            for name in ("g2_raw", "eps", "i1_mean", "i2_mean"):
+                assert np.array_equal(getattr(maps[cpus], name), getattr(maps[1], name)), \
+                    (n2, cpus, name)
 
 
 def _traced_peak(call):
@@ -619,12 +638,13 @@ def test_mc_memory_within_the_documented_bound(small_grid, geometry, kind, worke
     # 16*l*(6*m + 2*(n1 + n2)) bytes before the first draw (l its widest
     # basis tried), then the running sums' 16*S + 8*(n1 + n2) and a hop-free
     # side's selection, 16 bytes a column, with either one block of
-    # 32*B*W + 16*(B + W) bytes on the calling thread (and a full map's
+    # 32*B*W + 16*(B + W) bytes across the reduction threads (and a full map's
     # 24*B*n1 + 8*n1*W, and where a side is a selection, the 8*B*w bytes of
-    # |c|^2), W the widest column chunk, and `workers` + 2 draws of 16*w*B'
-    # bytes (w the draw's width; B = 256 is whole 64-realization chunks, so
-    # B' = B), or the tail's one row block, 9*R*n2 (R = min(n1, 32) rows of a
-    # full map, 1 of a bucket or a diagonal).  The bound counts `workers`
+    # |c|^2), W the columns in flight (one 512-column slice on each of at
+    # most two threads), and `workers` + 2 draws of 16*w*B' bytes (w the
+    # draw's width; B = 256 is whole 64-realization chunks, so B' = B), or
+    # the tail's one row block, 9*R*n2 (R = min(n1, 32) rows of a full map,
+    # 1 of a bucket or a diagonal).  The bound counts `workers`
     # draws, two fewer than the docstring: the block term's margin holds the
     # draws run ahead.
     # The bench's 200 um source (m = 25) is drawn m wide; the wide one
@@ -656,7 +676,7 @@ def test_mc_memory_within_the_documented_bound(small_grid, geometry, kind, worke
         factor = max(factor, 40 * max(n1, n2) + 8 * m)  # the floor, first
         S = n1 * n2 if kind == "full" else n2
         tail = 9 * (min(n1, correlation._TAIL_ROWS) if kind == "full" else 1) * n2
-        W = min(max(n1, n2), correlation._CHUNK_COLS)
+        W = min(max(n1, n2), correlation.MAX_THREADS * correlation._CHUNK_COLS)
         block = 32 * 256 * W + 16 * (256 + W)
         if kind == "full":
             block += 24 * 256 * n1 + 8 * n1 * W
@@ -722,7 +742,7 @@ def test_mc_reduction_threads_hold_one_chunk_of_columns(small_grid, geometry, ki
                    x2_indices=scan_indices(small_grid, 8e-3))
     kernel = detector_kernel(config, *arms, **options)
     n1, n2 = len(kernel.columns1), len(kernel.columns2)
-    assert n2 > 2 * correlation._CHUNK_COLS - 512
+    assert n2 > 2 * correlation._CHUNK_COLS
     del kernel
     peaks = []
     for cpus in (1, 2):
@@ -749,8 +769,8 @@ def test_normalization_of_a_full_map_holds_only_its_result():
 
 @pytest.mark.parametrize("bench", [SetupGeometry(), WIDE_SOURCE], ids=["m25", "m375"])
 def test_analytic_bucket_term_equals_the_unchunked_sum(small_grid, bench):
-    # a 250-column slit (one arm-1 chunk) and 2001 scan columns (two arm-2
-    # chunks): the chunked term2 has the bits of the one-product form.  rho
+    # a 250-column slit (one arm-1 chunk) and 2001 scan columns (four arm-2
+    # slices): the sliced term2 has the bits of the one-product form.  rho
     # forms in blocks of at most 64 columns with the bits of the whole
     # side's sum, on forward-built sides (C-ordered) and, with 193 scan
     # columns against 375 modes, on a side built reversed (F-ordered); 193
@@ -776,29 +796,32 @@ def test_analytic_bucket_term_equals_the_unchunked_sum(small_grid, bench):
 
 def test_analytic_bucket_term_does_not_depend_on_the_reduction_threads(small_grid,
                                                                         monkeypatch):
-    # at 64 columns a chunk, the 501 scan columns are 8 chunks: term2's
-    # column slices, 32 wide at any T, are dealt to T = min(2, CPUs) threads,
-    # with no pool at T = 1, and give the same bits at every T
+    # the 801 and 1301 scan columns are 2 and 3 slices of 512: term2's
+    # column slices, 512 wide at any T, are dealt to T = min(2, CPUs)
+    # threads, with no pool at T = 1, and give the same bits at every T
     config = make_config(small_grid, WIDE_SOURCE)
     arms = build_arms(WIDE_SOURCE, make_double_slit(small_grid, 1e-3, 0.2e-3))
-    kernel = detector_kernel(config, *arms, x2_indices=scan_indices(small_grid, 2e-3))
-    pools, pool, maps = [], correlation.ThreadPoolExecutor, {}
+    pools, pool = [], correlation.ThreadPoolExecutor
 
     class Counted(pool):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(correlation, "_CHUNK_COLS", 64)
     monkeypatch.setattr(correlation, "ThreadPoolExecutor", Counted)
-    for cpus in (1, 2, 8):
-        monkeypatch.setattr(correlation, "usable_cpus", lambda: cpus)
-        pools.clear()
-        maps[cpus] = g2_analytic(kernel)
-        assert pools == [1] * (min(2, cpus) - 1), cpus
-    for cpus in (2, 8):
-        for name in ("g2_raw", "term2"):
-            assert np.array_equal(getattr(maps[cpus], name), getattr(maps[1], name)), (cpus, name)
+    for halfwidth, n2 in ((3.2e-3, 801), (5.2e-3, 1301)):
+        kernel = detector_kernel(config, *arms, x2_indices=scan_indices(small_grid, halfwidth))
+        assert kernel.g2.shape[1] == n2
+        maps = {}
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(correlation, "usable_cpus", lambda: cpus)
+            pools.clear()
+            maps[cpus] = g2_analytic(kernel)
+            assert pools == [1] * (min(2, cpus) - 1), (n2, cpus)
+        for cpus in (2, 8):
+            for name in ("g2_raw", "term2"):
+                assert np.array_equal(getattr(maps[cpus], name), getattr(maps[1], name)), \
+                    (n2, cpus, name)
 
 
 def test_analytic_bucket_memory_grows_with_the_window_by_held_columns_only(small_grid,
