@@ -146,6 +146,13 @@ def _grid(cfg: dict) -> Grid1D:
     return Grid1D(n=cfg["grid_n"], dx=cfg["grid_dx"])
 
 
+def _ensemble(cfg: dict) -> EnsembleConfig:
+    """The config's ensemble, built (and its seed and realization count
+    refused, ValueError) the same way by `run` and `validate`."""
+    return EnsembleConfig(n_realizations=cfg["n_realizations"], seed=cfg["seed"],
+                          geometry=_geometry(cfg), grid=_grid(cfg))
+
+
 def _apertures(cfg: dict) -> dict[str, float]:
     return {
         "source": cfg["source_diameter"],
@@ -384,17 +391,12 @@ def run_scenario(
     if realizations is not None:
         cfg["n_realizations"] = realizations
 
-    grid = _grid(cfg)
+    econf = _ensemble(cfg)
     scenario, places = SCENARIOS[name]
-    report = validate_sampling(grid, cfg["wavelength"], 0.0, [_apertures(cfg)[a] for a in places])
+    report = validate_sampling(econf.grid, cfg["wavelength"], 0.0,
+                               [_apertures(cfg)[a] for a in places])
     if not report.ok:
         raise SamplingError("; ".join(report.messages))
-    econf = EnsembleConfig(
-        n_realizations=cfg["n_realizations"],
-        seed=cfg["seed"],
-        geometry=_geometry(cfg),
-        grid=grid,
-    )
 
     outdir = Path(out_dir)
     made = [p for p in (outdir, *outdir.parents) if not p.exists()]
@@ -439,11 +441,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    """Print the chirp, Fresnel-number and guard-band lines of the config's
-    sampling reports to stdout; a failed check raises SamplingError with all
-    its messages, so the fault reads as the same one stderr line that `run`
-    gives."""
-    shortest, longest = _sampling_reports(parse_config(args.config))
+    """Refuse the config's ensemble as `run` does, then print the chirp,
+    Fresnel-number and guard-band lines of its sampling reports to stdout; a
+    failed check raises SamplingError with all its messages, so the fault
+    reads as the same one stderr line that `run` gives."""
+    cfg = parse_config(args.config)
+    _ensemble(cfg)
+    shortest, longest = _sampling_reports(cfg)
     print(f"chirp bound: dx_max = {shortest.chirp_dx_max:.6g} m "
           f"(margin {shortest.chirp_margin:.3g}) -> {'ok' if shortest.chirp_ok else 'FAIL'}")
     print(f"window Fresnel number: L^2/(lambda*z) = {longest.fresnel_number:.3g} "

@@ -5,8 +5,8 @@ Two interchangeable engines compute <I1 I2>:
 * accumulate_mc    - ensemble average over speckle realizations, drawn by
                      threads in blocks ahead of the calling thread, which
                      draws too when the next block is not ready and
-                     reduces them in index order, with one helper thread
-                     on its columns: bit-identical for any worker count;
+                     reduces them in index order, their columns dealt to
+                     helper threads: bit-identical for any worker count;
 * g2_analytic      - Gaussian-moment (mode-sum) evaluation, exact in the
                      discrete model, exposing the interference term separately.
 
@@ -27,11 +27,11 @@ map's I1^T I2 over a block's realizations), and OpenBLAS threads by the
 host's cores.  Both engines therefore run with NumPy's bundled OpenBLAS held
 at one thread (_one_blas_thread) for the whole call.  The MC reduction and
 the analytic bucket's interference term deal their arm-2 column products to
-up to two threads of their own instead (_helpers), each product one slice of
-a fixed _CHUNK_COLS = 512 columns.  The width is a constant, not read from
-the host, because OpenBLAS rounds a product's last N mod 4 (complex) or
-N mod 8 (real, past some N) columns apart from the same columns inside a
-wider product.  So (seed, config) fix every output bit on every host with
+up to two threads of their own instead (source.dealer, the kernel build's
+fan-out too), each product one slice of a fixed _CHUNK_COLS = 512
+columns.  The width is a constant, not read from the host, because
+OpenBLAS rounds a product's last N mod 4 (complex) or N mod 8 (real, past
+some N) columns apart from the same columns inside a wider product.  So (seed, config) fix every output bit on every host with
 that BLAS; where no such handle is found (an MKL, Accelerate or system
 BLAS), the hold does nothing and the bits are fixed on one host only.
 
@@ -55,9 +55,9 @@ from numpy.random import Generator, Philox
 from .core import TransmissionMask
 from .optics import ArmPath
 from .source import (
-    MAX_THREADS,
     EnsembleConfig,
     ModeSet,
+    dealer,
     mode_decomposition,
     sample_source_block,
     usable_cpus,
@@ -105,8 +105,8 @@ def _one_blas_thread():
     spinning on a core after it (one spins for about 0.15 s after a
     threaded GEMM).  The count is process-wide, so the hold is entered from
     the calling thread only, around every call that starts a thread that
-    calls BLAS (the reduction helpers, _helpers); MC draw threads and kernel
-    build threads never call BLAS."""
+    calls BLAS (the reductions' source.dealer helpers); MC draw threads and
+    the kernel build's helpers never call BLAS."""
     handle = _blas_threads()
     if handle is None:
         yield
@@ -298,47 +298,18 @@ def _sketch_term(g: np.ndarray, omega_h: np.ndarray) -> np.ndarray:
     return g @ np.conjugate(y, out=y).T
 
 
-@contextmanager
-def _helpers(columns: int):
-    """The T - 1 helper threads of a reduction over `columns` arm-2 columns
-    in _CHUNK_COLS-wide slices, T = min(MAX_THREADS, usable_cpus(), slices),
-    at least 1: one single-thread executor each, so stride t of _dealt runs
-    on one thread; none at T = 1."""
-    slices = -(-columns // _CHUNK_COLS)
-    threads = max(1, min(MAX_THREADS, usable_cpus(), slices))
-    with ExitStack() as stack:
-        yield [stack.enter_context(ThreadPoolExecutor(max_workers=1))
-               for _ in range(threads - 1)]
-
-
-def _dealt(helpers, run, items):
-    """run(items[t::T]) for each t < T = len(helpers) + 1, dealt round-robin:
-    stride 0 on the calling thread and stride t on helpers[t - 1], so at most
-    T slices, one per thread, are in flight; returns once every stride is
-    done, so no helper still writes after it."""
-    threads = len(helpers) + 1
-    futures = [h.submit(run, items[t::threads]) for t, h in enumerate(helpers, 1)]
-    try:
-        run(items[::threads])
-    finally:
-        for future in futures:
-            future.result()
-
-
-def _block_sums(kernel, kind, c, dx, sums, selections, helpers):
+def _block_sums(kernel, kind, c, dx, sums, selections, deal):
     """Add (sum I1 I2, sum (I1 I2)^2, sum I1, sum I2) over the realizations
     whose source amplitudes are the rows of c into sums, in place; dx weighs
     the bucket's sum over x1.  Arm 2's columns are walked in _CHUNK_COLS-wide
-    slices, dealt round-robin between the calling thread and the
-    len(helpers) helper threads (_dealt), and arm 1's with them (diagonal);
-    the bucket's arm-1 intensities, in slices of the same width, and a full
-    map's whole arm-1 intensities, which both its GEMMs read, are formed
-    first on the calling thread.  So no field or intensity in flight is wider
-    than B x W across the T = len(helpers) + 1 threads,
-    W = min(max(n1, n2), T * _CHUNK_COLS), but a full map's arm-1
+    slices, dealt in strides over the T threads of deal (a source.dealer's),
+    and arm 1's with them (diagonal); the bucket's arm-1 intensities, in
+    slices of the same width, and a full map's whole arm-1 intensities,
+    which both its GEMMs read, are formed first on the calling thread.  So
+    no field or intensity in flight is wider than B x W across the T
+    threads, W = min(max(n1, n2), T * _CHUNK_COLS), but a full map's arm-1
     intensities.  Each column's sums are written by one thread, by the same
-    products and elementwise steps whatever the helpers, so no bit depends
-    on them.  A side whose selection (_selection) is not None is gathered
+    products and elementwise steps whatever T, so no bit depends on it.  A side whose selection (_selection) is not None is gathered
     from |c|^2, formed once per block, C-ordered (np.take) so that its sums
     run in the GEMM path's order."""
     s_p, s_p2, s_i1, s_i2 = sums
@@ -390,7 +361,7 @@ def _block_sums(kernel, kind, c, dx, sums, selections, helpers):
                 s_p2[cols] += I2.sum(axis=0)
             del I2  # not held while the next slice's fields form
 
-    _dealt(helpers, reduce, range(0, g2.shape[1], _CHUNK_COLS))
+    deal(reduce, range(0, g2.shape[1], _CHUNK_COLS))
 
 
 def _in_order(pools, fn, items):
@@ -479,14 +450,14 @@ def accumulate_mc(
     draws a block changes no bit.  The calling thread reduces every block,
     in block-index order, into one set of zeroed running sums (_block_sums),
     in arm-2 column slices of 512 (_CHUNK_COLS).  Those slices are dealt
-    round-robin between the calling thread and one helper thread
-    (_helpers), a single-thread executor held for the whole call, which
-    writes only its own slices' columns and is waited for before the next
-    block; no helper runs where n2 fits one slice or the process has one
-    usable CPU.  The slices are the same at any thread count, so the helper
-    changes no bit.  The bucket's arm-1 intensities (512 columns at a time)
-    and a full map's whole arm-1 intensities are formed by the calling
-    thread first.  A full map's slice sums are matrix products, I1^T I2 and
+    round-robin over T = min(2, usable CPUs, slices) threads of one
+    source.dealer held for the whole call: the calling thread alone at
+    T = 1 (n2 fits one slice, or the process has one usable CPU), else two
+    single-thread helpers, each writing only its own slices' columns, while
+    the calling thread waits for both before the next block.  The slices
+    are the same at any thread count, so the helpers change no bit.  The
+    bucket's arm-1 intensities (512 columns at a time) and a full map's
+    whole arm-1 intensities are formed by the calling thread first.  A full map's slice sums are matrix products, I1^T I2 and
     (I1^2)^T (I2^2) (BLAS gemm); the bucket's and the diagonal's are
     elementwise, in place.
     A hop-free side (_selection, read after the factor, whose sides are
@@ -495,7 +466,7 @@ def accumulate_mc(
     the GEMM's bits.
     Memory stays bounded by the kernel build's working memory (one reused
     batch of mode_decomposition's default 8 rows of n complex samples per
-    build thread, plus a few n-sample rows; its docstring gives the bytes)
+    build stride, plus a few n-sample rows; its docstring gives the bytes)
     and the kernel's 16 * m * (n1 + n2) bytes, then by the range factor's
     working memory before the first draw, then by the factored kernel, its
     selections, the running sums and at most `workers` + 2 blocks alive
@@ -506,7 +477,7 @@ def accumulate_mc(
     With B = block_size, m modes, n1 arm-1 columns, n2 = |x2|, S map
     entries (n1 * n2 for a full map, else n2) and
     W = min(max(n1, n2), T * 512) columns in flight across the T reduction
-    threads (one slice on each; at most 1024 while MAX_THREADS = 2), the
+    threads (one slice on each; at most 1024 while source.MAX_THREADS = 2), the
     range factor takes at most
     16*l*(6*m + 2*(n1 + n2)) bytes beside G, l being the widest basis
     it tries: m x l arrays (the test matrix, the sketch G G^H Omega, QR's
@@ -530,8 +501,8 @@ def accumulate_mc(
     R = min(n1, 32) rows of a full map (_TAIL_ROWS), 1 of a bucket or a
     diagonal.  workers < 1 and block_size < 1 are refused (ValueError)
     before any build or draw; at most source.usable_cpus() draw threads run
-    beside the calling thread and its helper: more hold more draws, no
-    faster.  The map is
+    beside the calling thread and the reduction's helpers: more hold more
+    draws, no faster.  The map is
     returned as computed; siegert_normalize refuses it where g2 is not
     finite.
     """
@@ -557,9 +528,9 @@ def accumulate_mc(
     with ExitStack() as stack:
         # one thread per executor, so block j is drawn on thread j mod workers
         pools = [stack.enter_context(ThreadPoolExecutor(max_workers=1)) for _ in range(workers)]
-        helpers = stack.enter_context(_helpers(n2))
+        deal = stack.enter_context(dealer(-(-n2 // _CHUNK_COLS)))
         for c in _in_order(pools, draw, blocks):
-            _block_sums(kernel, kind, c, dx, sums, selections, helpers)
+            _block_sums(kernel, kind, c, dx, sums, selections, deal)
             del c  # not held while the next draw is awaited
 
     # the ratios, in place of the sums: g2_raw, <(I1 I2)^2>, <I1> and <I2>; then
@@ -605,10 +576,10 @@ def g2_analytic(modes: ModeSet, bucket: bool = True, *, diagonal: bool = False) 
     g2, so both arms must hold the same columns.  The bucket's term2
     forms K = g1^H g2 one block of _ANALYTIC_CHUNK arm-1 by _CHUNK_COLS
     arm-2 columns at a time (256 x 512).  Each arm-1 block's slices are
-    dealt round-robin between the calling thread and, past one slice with
-    two usable CPUs, one helper thread (_helpers, _dealt; no pool is made
-    otherwise), each slice adding into its own columns of term2 in arm-1
-    block order.  So it holds at most 24 * 256 * 512 bytes of K and |K|^2
+    dealt round-robin by one source.dealer: on the calling thread alone, or,
+    past one slice with two usable CPUs, on two helper threads while it
+    waits, each slice adding into its own columns of term2 in arm-1 block
+    order.  So it holds at most 24 * 256 * 512 bytes of K and |K|^2
     (3 MB) on each thread whatever the scan window, and the slices, and
     their bits, do not depend on the threads.  It runs with the
     BLAS held at one thread (_one_blas_thread), so the bucket's and the full
@@ -632,10 +603,11 @@ def g2_analytic(modes: ModeSet, bucket: bool = True, *, diagonal: bool = False) 
                 # K = g1^H g2 is a temporary, not held while the next slice's forms
                 term2[cols] += _abs2(g1_h @ modes.g2[:, cols]).sum(axis=0)
 
-        with _helpers(n2) as helpers:
+        slices = range(0, n2, _CHUNK_COLS)
+        with dealer(len(slices)) as deal:
             for c0 in range(0, len(modes.columns1), _ANALYTIC_CHUNK):
                 g1_h = modes.g1[:, c0 : c0 + _ANALYTIC_CHUNK].conj().T
-                _dealt(helpers, partial(add_term, g1_h), range(0, n2, _CHUNK_COLS))
+                deal(partial(add_term, g1_h), slices)
         term2 *= dx
     elif kind == "diagonal":
         if not np.array_equal(modes.columns1, modes.columns2):

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +38,7 @@ from .optics import ArmPath, Lens, Propagate, apply_path_block, lens_phase
 __all__ = ["EnsembleConfig", "ModeSet", "sample_source_block", "mode_decomposition"]
 
 _CHUNK = 64  # realizations per Philox counter: part of the stream's definition
-MAX_THREADS = 2  # most threads a kernel build or a reduction splits over: measured to pay at 2
+MAX_THREADS = 2  # most threads a dealer splits over: measured to pay at 2
 
 
 def usable_cpus() -> int:
@@ -47,6 +48,32 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this OS
         return os.cpu_count() or 1
+
+
+@contextmanager
+def dealer(strides: int):
+    """The one fan-out of the kernel build and both engines' reductions:
+    deal(run, items) calls run(items[t::T]) for each stride t < T =
+    max(1, min(MAX_THREADS, usable_cpus(), strides)), on the calling thread
+    at T = 1 (no helper starts), else stride t on helper t, a single-thread
+    executor held for the with block, while the calling thread waits (so a
+    profiler that parents a helper's calls to the caller's open call, as
+    perfbench/tracer.py does, sees them nest).  deal returns, or raises the
+    first stride's exception, only once every stride has returned."""
+    threads = max(1, min(MAX_THREADS, usable_cpus(), strides))
+    with ExitStack() as stack:
+        helpers = [stack.enter_context(ThreadPoolExecutor(max_workers=1))
+                   for _ in range(threads if threads > 1 else 0)]
+
+        def deal(run, items):
+            if not helpers:
+                return run(items)
+            futures = [h.submit(run, items[t::threads]) for t, h in enumerate(helpers)]
+            wait(futures)
+            for future in futures:
+                future.result()
+
+        yield deal
 
 
 @dataclass(frozen=True)
@@ -178,15 +205,13 @@ def _arm_kernel(
     and each row is that response rolled to its sample, read from the response
     twice over (the impulse's buffer is freed once that is built).  The
     elements from there to the last hop run on the plan's rows, block_size at
-    a time.  The batches are dealt into
-    T = min(MAX_THREADS, usable_cpus(), batches) strides (every T-th
-    batch), each run by a pool thread, in place, in a (block_size, n) buffer
-    of its own; all T buffers are made before any thread starts, and the
-    calling thread waits for the pool, at T = 1 too, so every batch's span
-    nests in its caller's.  Each FFT row is computed alone, so no bit depends
-    on T; with no batch (no row to run) no pool is made.  An empty batch
-    run through the segment first builds and checks its transfer functions
-    and lens phases once, before the threads read them from optics' caches.
+    a time, the batches dealt in T strides (every T-th batch) by one dealer;
+    each stride runs its batches in place in a (block_size, n) buffer of its
+    own, made when the stride starts.  Each FFT row is computed alone, so no
+    bit depends on T; with no batch (no row to run) no helper starts.  An
+    empty batch run through the segment first builds and checks its
+    transfer functions and lens phases once, before the threads read them
+    from optics' caches.
     The mirror rule holds because the centred response is even when that segment is (the
     coordinates are (k - n/2) dx, and fftfreq negates exactly, so H(nu) is
     exactly even): row (n - r) % n is row r mirrored, read at the mirrored
@@ -210,9 +235,9 @@ def _arm_kernel(
         mirrored, mcols = rows != run[inv], (n - cols) % n
         g = np.empty((len(rows), len(cols)), dtype=np.complex128)
         starts = range(0, len(run), block_size)
-        threads = min(MAX_THREADS, usable_cpus(), len(starts))
 
-        def build(buf, b0s):  # the batches at b0s, in this thread's own buffer
+        def build(b0s):  # the batches at b0s, in this stride's own buffer
+            buf = np.empty((min(block_size, len(run)), n), dtype=np.complex128)
             for b0 in b0s:
                 batch = buf[: len(run[b0 : b0 + block_size])]
                 for row, shift in zip(batch, (n // 2 - run[b0 : b0 + block_size]) % n):
@@ -221,12 +246,8 @@ def _arm_kernel(
                 for j in np.flatnonzero((inv >= b0) & (inv < b0 + len(batch))):
                     g[j] = batch[inv[j] - b0, mcols if mirrored[j] else cols]
 
-        # every buffer is made before any thread starts, so all of them are held at once
-        shape = (min(block_size, len(run)), n)
-        bufs = [np.empty(shape, dtype=np.complex128) for _ in range(threads)]
-        if threads:  # an empty column array runs no batch
-            with ThreadPoolExecutor(threads) as pool:  # the calling thread waits
-                list(pool.map(build, bufs, (starts[t::threads] for t in range(threads))))
+        with dealer(len(starts)) as deal:
+            deal(build, starts)
     if arm.elements[last:]:  # an arm that ends in a hop has no trailing factor
         g *= apply_path_block(np.ones(n), grid, wavelength, ArmPath(arm.elements[last:]))[cols]
     return g
@@ -261,15 +282,17 @@ def mode_decomposition(
     block_size counts the rows of one whole-row batch (modes forward, kept
     columns reversed); the batch holds 16 * n * block_size bytes, which for
     the default 8 rows is 2 MiB (about one core's L2 cache) at n = 16384
-    only, and scales with n.  An arm's batches run on
-    T = min(2, usable_cpus(), batches) build threads (_arm_kernel), each of
-    which reuses one (block_size, n) buffer of its own, in place, for every
-    batch it runs; the output's bits do not depend on T, and no build thread
-    calls BLAS.  T is capped at 2, the count measured to pay, so the bound
-    below does not grow with the host's cores.  Working memory is at most
+    only, and scales with n.  An arm's batches are dealt in
+    T = min(MAX_THREADS, usable_cpus(), batches) strides (dealer,
+    _arm_kernel): on the calling thread at T = 1, else on T helper threads
+    while it waits.  Each stride reuses one (block_size, n) buffer of its
+    own, in place, for every batch it runs; the output's bits do not depend
+    on T, and no build thread calls BLAS.  MAX_THREADS = 2, the count
+    measured to pay, so the bound below does not grow with the host's
+    cores.  Working memory is at most
     16 * m * (|columns1| + |columns2|) bytes for the kept kernel plus
     16 * n * (T * (block_size + 1) + 16) bytes, at most
-    16 * n * (2 * block_size + 18): for each build thread its batch buffer
+    16 * n * (2 * block_size + 18): for each stride its batch buffer
     and one row's gather of its kept columns (T * (block_size + 1)), the
     impulse response twice over (2; the impulse is propagated in its own
     buffer and freed), the trailing

@@ -273,6 +273,22 @@ class TestMainCommands:
         assert main(["validate", "--config", str(p)]) == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [{"seed": -1}, {"seed": 2**64}, {"n_realizations": 0}],
+                             ids=["seed-negative", "seed-65-bits", "no-realizations"])
+    def test_validate_refuses_what_run_refuses(self, tmp_path, capsys, override):
+        # the ensemble's own refusals, which `run` makes with either engine
+        # (the analytic one draws no realization): validate exits 2 too
+        cfg = small_cfg(tmp_path, **SMALL_GRID, **override)
+        out = tmp_path / "o"
+        assert main(["run", "siegert-baseline", "--config", str(cfg), "--out", str(out),
+                     "--engine", "analytic"]) == 2
+        assert not out.exists()
+        run_err = capsys.readouterr().err
+        assert main(["validate", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == run_err and run_err.startswith("config error: ")
+        assert captured.out == ""
+
     def test_validate_missing_config_exit_4(self, tmp_path, capsys):
         missing = tmp_path / "missing.cfg"
         assert main(["validate", "--config", str(missing)]) == 4

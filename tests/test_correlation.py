@@ -30,7 +30,7 @@ from ghostsim import (
     mode_decomposition,
     siegert_normalize,
 )
-from ghostsim import correlation, optics
+from ghostsim import correlation, optics, source
 from ghostsim.experiment import (
     _correlate,
     build_arms,
@@ -584,9 +584,9 @@ def test_mc_draw_runs_one_block_ahead_of_the_reduction(small_grid, geometry, wor
 @pytest.mark.parametrize("kind", ["bucket", "diagonal", "full"])
 def test_mc_maps_do_not_depend_on_the_reduction_threads(small_grid, kind, monkeypatch):
     # the 801 and 1301 scan columns are 2 and 3 slices of 512, so each block
-    # is reduced 512 columns at a time on T = min(2, usable CPUs) threads:
-    # the calling thread alone at one CPU, one helper beside it at two or
-    # eight.  The slices are the same at every T (a width read from T would
+    # is reduced 512 columns at a time on T = min(2, usable CPUs) threads
+    # (source.dealer): the calling thread alone at one CPU, two helpers at
+    # two or eight, with the calling thread waiting.  The slices are the same at every T (a width read from T would
     # not be: the full map's last 277-column I1^T I2 rounded its last 5
     # columns apart from a 21-column one), each column's sums are written by
     # one thread and blocks are added in index order (300 realizations: a
@@ -612,10 +612,13 @@ def test_mc_maps_do_not_depend_on_the_reduction_threads(small_grid, kind, monkey
         assert len(x2) == n2
         maps = {}
         for cpus in (1, 2, 8):
-            monkeypatch.setattr(correlation, "usable_cpus", lambda: cpus)
+            monkeypatch.setattr(source, "usable_cpus", lambda: cpus)
             formed.clear()
             maps[cpus] = accumulate_mc(config, *arms, **options)
-            assert caller in formed and len(formed - {caller}) == min(2, cpus) - 1, (n2, cpus)
+            if cpus == 1:
+                assert formed == {caller}, n2
+            else:
+                assert len(formed - {caller}) == 2, (n2, cpus)
         for cpus in (2, 8):
             for name in ("g2_raw", "eps", "i1_mean", "i2_mean"):
                 assert np.array_equal(getattr(maps[cpus], name), getattr(maps[1], name)), \
@@ -676,7 +679,7 @@ def test_mc_memory_within_the_documented_bound(small_grid, geometry, kind, worke
         factor = max(factor, 40 * max(n1, n2) + 8 * m)  # the floor, first
         S = n1 * n2 if kind == "full" else n2
         tail = 9 * (min(n1, correlation._TAIL_ROWS) if kind == "full" else 1) * n2
-        W = min(max(n1, n2), correlation.MAX_THREADS * correlation._CHUNK_COLS)
+        W = min(max(n1, n2), source.MAX_THREADS * correlation._CHUNK_COLS)
         block = 32 * 256 * W + 16 * (256 + W)
         if kind == "full":
             block += 24 * 256 * n1 + 8 * n1 * W
@@ -703,7 +706,7 @@ def test_mc_memory_grows_with_the_window_by_held_columns_only(small_grid, geomet
     # stays 0.45 MB inside it.  One usable CPU: on two reduction threads a
     # block holds one 512-column chunk or two, as their timing has it
     # (test_mc_reduction_threads_hold_one_chunk_of_columns bounds the two)
-    monkeypatch.setattr(correlation, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(source, "usable_cpus", lambda: 1)
     config = make_config(small_grid, geometry, n_realizations=512, seed=17)
     obj = make_double_slit(small_grid, 1e-3, 0.2e-3)
     arms = build_arms(geometry, obj)
@@ -746,7 +749,7 @@ def test_mc_reduction_threads_hold_one_chunk_of_columns(small_grid, geometry, ki
     del kernel
     peaks = []
     for cpus in (1, 2):
-        monkeypatch.setattr(correlation, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(source, "usable_cpus", lambda: cpus)
         peaks.append(_traced_peak(lambda: accumulate_mc(config, *arms, **options)))
     half = 32 * 256 * 512 + (8 * n1 * 512 if kind == "full" else 0)
     assert peaks[1] <= peaks[0] + half + 64 * 1024, peaks
@@ -798,26 +801,27 @@ def test_analytic_bucket_term_does_not_depend_on_the_reduction_threads(small_gri
                                                                         monkeypatch):
     # the 801 and 1301 scan columns are 2 and 3 slices of 512: term2's
     # column slices, 512 wide at any T, are dealt to T = min(2, CPUs)
-    # threads, with no pool at T = 1, and give the same bits at every T
+    # threads (source.dealer): two single-thread helpers, or no pool at
+    # T = 1, where the calling thread forms every K; the same bits at every T
     config = make_config(small_grid, WIDE_SOURCE)
     arms = build_arms(WIDE_SOURCE, make_double_slit(small_grid, 1e-3, 0.2e-3))
-    pools, pool = [], correlation.ThreadPoolExecutor
+    pools, pool = [], source.ThreadPoolExecutor
 
     class Counted(pool):
         def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(max_workers)
 
-    monkeypatch.setattr(correlation, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(source, "ThreadPoolExecutor", Counted)
     for halfwidth, n2 in ((3.2e-3, 801), (5.2e-3, 1301)):
         kernel = detector_kernel(config, *arms, x2_indices=scan_indices(small_grid, halfwidth))
         assert kernel.g2.shape[1] == n2
         maps = {}
         for cpus in (1, 2, 8):
-            monkeypatch.setattr(correlation, "usable_cpus", lambda: cpus)
+            monkeypatch.setattr(source, "usable_cpus", lambda: cpus)
             pools.clear()
             maps[cpus] = g2_analytic(kernel)
-            assert pools == [1] * (min(2, cpus) - 1), (n2, cpus)
+            assert pools == ([] if cpus == 1 else [1, 1]), (n2, cpus)
         for cpus in (2, 8):
             for name in ("g2_raw", "term2"):
                 assert np.array_equal(getattr(maps[cpus], name), getattr(maps[1], name)), \
@@ -833,7 +837,7 @@ def test_analytic_bucket_memory_grows_with_the_window_by_held_columns_only(small
     # g2_raw, the marginal product and x2), not K's and |K|^2's 24*n1 (6000)
     # nor |g2|^2's 8*m (200).  One usable CPU: on two threads K is one
     # 512-column slice or two, as their timing has it
-    monkeypatch.setattr(correlation, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(source, "usable_cpus", lambda: 1)
     config = make_config(small_grid, geometry)
     arms = build_arms(geometry, make_slit(small_grid, 0.0, 2e-3))
     grown, held = [], []
@@ -927,7 +931,8 @@ def test_block_sums_equal_the_einsum_and_broadcast_forms(small_grid, kind, monke
                     want = [P.sum(axis=0), (P**2).sum(axis=0)]
                 want += [I1.sum(axis=0), I2.sum(axis=0)]
                 got = [np.zeros_like(w) for w in want]
-                correlation._block_sums(kernel, kind, c, dx, got, (None, None), [])
+                with source.dealer(1) as deal:  # every slice on the calling thread
+                    correlation._block_sums(kernel, kind, c, dx, got, (None, None), deal)
                 for name, g, w in zip(("P", "P2", "I1", "I2"), got, want):
                     if kind == "full" and name in ("P", "P2"):
                         # GEMM sums non-negative terms in another order: k1 - k0 ulps at most
@@ -936,7 +941,8 @@ def test_block_sums_equal_the_einsum_and_broadcast_forms(small_grid, kind, monke
                         assert np.array_equal(g, w), (bench, chunk, k0, name)
                 if bench != "factor":
                     gathered = [np.zeros_like(w) for w in want]
-                    correlation._block_sums(kernel, kind, c, dx, gathered, selections, [])
+                    with source.dealer(1) as deal:
+                        correlation._block_sums(kernel, kind, c, dx, gathered, selections, deal)
                     for name, g, d in zip(("P", "P2", "I1", "I2"), gathered, got):
                         assert np.array_equal(g, d), (bench, chunk, k0, name)
 

@@ -2,6 +2,7 @@ import inspect
 import os
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -349,8 +350,10 @@ def test_kernel_bits_do_not_depend_on_the_build_threads(small_grid, geometry, mo
     # fig4's lens arm from m = 375 modes: 188 rows after the mirror rule, in 24
     # batches of 8 (2 and 5 threads divide them unevenly) or 3 of 64 (fewer
     # than 5 threads); arm 1, a hop then the mask, is gathered from one
-    # impulse.  At every T the calling thread waits and T pool threads run
-    # the batches
+    # impulse.  The batches go through one dealer of T = min(threads,
+    # batches): at T = 1 the calling thread runs all of them and no helper
+    # starts; above, T single-thread helpers run every T-th batch each, one
+    # stride per thread, and the calling thread runs none
     geometry = replace(geometry, source_diameter=3e-3)
     config = make_config(small_grid, geometry, n_realizations=1)
     obj = make_double_slit(small_grid, 1e-3, 0.2e-3)
@@ -383,10 +386,91 @@ def test_kernel_bits_do_not_depend_on_the_build_threads(small_grid, geometry, mo
             batch_threads.clear(), pool_sizes.clear()
             kernels[threads] = mode_decomposition(config, arm1, arm2, block_size,
                                                   columns1=obj.support_indices(), columns2=x2)
-            assert threading.get_ident() not in batch_threads
-            assert pool_sizes == [min(threads, batches)]
+            t = min(threads, batches)
+            per_thread = sorted(batch_threads.count(i) for i in set(batch_threads))
+            assert per_thread == sorted(len(range(batches)[k::t]) for k in range(t))
+            if t == 1:
+                assert set(batch_threads) == {threading.get_ident()} and pool_sizes == []
+            else:
+                assert threading.get_ident() not in batch_threads
+                assert pool_sizes == [1] * t
     finally:
         sys.setswitchinterval(interval)
     for threads in (2, 5):
         for side in ("g1", "g2"):
             assert np.array_equal(getattr(kernels[threads], side), getattr(kernels[1], side))
+
+
+class TestDealer:
+    """source.dealer, the one fan-out of the kernel build and the reductions."""
+
+    @staticmethod
+    def _deal_twice(monkeypatch, max_threads, cpus, strides, items):
+        monkeypatch.setattr(source, "MAX_THREADS", max_threads)
+        monkeypatch.setattr(source, "usable_cpus", lambda: cpus)
+        runs, lock = [], threading.Lock()
+
+        def run(stride):
+            with lock:
+                runs.append((threading.get_ident(), list(stride)))
+
+        with source.dealer(strides) as deal:
+            deal(run, items)
+            deal(run, items)  # the helpers are held: a second deal runs on the same threads
+        return runs
+
+    @pytest.mark.parametrize("max_threads, cpus, strides, threads",
+                             [(2, 8, 12, 2), (4, 3, 12, 3), (5, 8, 4, 4), (8, 8, 1, 1),
+                              (1, 8, 12, 1), (2, 1, 12, 1), (2, 8, 0, 1)])
+    def test_threads_capped_by_max_threads_cpus_and_strides(self, monkeypatch, max_threads,
+                                                            cpus, strides, threads):
+        items = range(12)
+        runs = self._deal_twice(monkeypatch, max_threads, cpus, strides, items)
+        first, second = runs[: len(runs) // 2], runs[len(runs) // 2 :]
+        assert sorted(stride for _, stride in first) == sorted(
+            list(items[t::threads]) for t in range(threads))
+        # stride t runs whole on one thread, the same one at every deal
+        thread_of = {tuple(stride): ident for ident, stride in first}
+        assert all(thread_of[tuple(stride)] == ident for ident, stride in second)
+        caller = threading.get_ident()
+        if threads == 1:
+            assert runs == [(caller, list(items))] * 2
+        else:
+            assert len(set(thread_of.values())) == threads and caller not in thread_of.values()
+
+    def test_no_helper_starts_at_one_thread(self, monkeypatch):
+        made = []
+
+        class Counted(source.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                made.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(source, "ThreadPoolExecutor", Counted)
+        for max_threads, cpus, strides in ((1, 8, 12), (2, 1, 12), (2, 8, 1), (2, 8, 0)):
+            self._deal_twice(monkeypatch, max_threads, cpus, strides, range(12))
+        assert made == []
+        self._deal_twice(monkeypatch, 3, 8, 12, range(12))
+        assert made == [1, 1, 1]
+
+    @pytest.mark.parametrize("failing", [0, 1, 2])
+    def test_an_exception_reaches_the_caller_after_every_stride_returns(self, monkeypatch,
+                                                                        failing):
+        # stride `failing` raises at once while the others are held until it
+        # has: deal must not return before they write, whichever one fails
+        monkeypatch.setattr(source, "MAX_THREADS", 3)
+        monkeypatch.setattr(source, "usable_cpus", lambda: 3)
+        raised, written = threading.Event(), []
+
+        def run(stride):
+            if stride[0] == failing:
+                raised.set()
+                raise RuntimeError(f"stride {failing}")
+            raised.wait(timeout=10)
+            time.sleep(0.05)  # still writing well after the failure
+            written.append(stride[0])
+
+        with source.dealer(3) as deal:
+            with pytest.raises(RuntimeError, match=f"stride {failing}"):
+                deal(run, range(6))
+            assert sorted(written) == sorted({0, 1, 2} - {failing})
